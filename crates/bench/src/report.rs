@@ -2,8 +2,8 @@
 //! regression diff behind `mudsprof bench --check`.
 //!
 //! One report per scenario, one entry per measured configuration
-//! (algorithm × mode for profile scenarios; pipeline stage for the serve
-//! round-trip). The schema is versioned: [`SCHEMA_VERSION`] bumps on any
+//! (algorithm × mode for profiling cells, where a paper scenario's mode
+//! names its sweep point; pipeline stage for the serve round-trip). The schema is versioned: [`SCHEMA_VERSION`] bumps on any
 //! incompatible change, and the diff refuses to compare across versions
 //! ("schema drift") rather than silently mis-reading old baselines.
 //! DESIGN.md §12 is the normative schema description.
@@ -12,8 +12,7 @@ use std::collections::BTreeMap;
 
 use muds_core::json::{json_string, parse_json, JsonValue};
 
-/// Version stamp shared by `BENCH_*.json` and the experiment binaries'
-/// `<bin>_metrics.json` sidecars.
+/// Version stamp of the `BENCH_*.json` schema.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// One flattened span-tree row (`path` is `/`-joined; see
@@ -31,7 +30,8 @@ pub struct BenchEntry {
     /// stage for serve scenarios (`register`, `profile_miss`, …).
     pub algorithm: String,
     /// `holistic` | `sequential` for profile scenarios, `roundtrip` for
-    /// serve stages.
+    /// serve stages, the sweep point (`rows=50000`, a dataset, a MUDS
+    /// configuration, …) for the paper scenarios.
     pub mode: String,
     /// Wall time derived from the muds-obs span tree (sum of top-level
     /// phases), nanoseconds.
@@ -53,11 +53,12 @@ pub struct BenchEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     pub scenario: String,
-    /// `profile` | `serve`.
+    /// `ScenarioKind::name` of the scenario (`profile`, `serve`, …).
     pub kind: String,
     /// Datagen shape behind the scenario (`uniprot` | `ncvoter` |
-    /// `ionosphere`).
+    /// `ionosphere` | `uci`).
     pub shape: String,
+    /// Size of the scenario's (largest) table.
     pub rows: u64,
     pub columns: u64,
     /// Worker threads requested (0 = pool default).

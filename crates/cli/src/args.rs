@@ -609,9 +609,10 @@ OBSERVABILITY:
 
 BENCHMARKING:
   bench runs a fixed scenario matrix (uniprot_10k, uniprot_50k, ncvoter_10k,
-  ncvoter_50k, ionosphere_wide profile scenarios × four algorithms, plus a
-  serve_roundtrip daemon scenario and a stats_overhead scenario timing MUDS
-  with the column-statistics layer off vs on) and writes one machine-readable
+  ncvoter_50k, ionosphere_wide profile scenarios × four algorithms, a
+  serve_roundtrip daemon scenario, a stats_overhead scenario timing MUDS
+  with the column-statistics layer off vs on, and the paper's evaluation:
+  fig6, fig7, table3, fig8 and ablation) and writes one machine-readable
   BENCH_<scenario>.json per scenario into --out: rows/s, span-tree wall and
   per-phase times, work-counter deltas, sampled peak RSS, and (when built
   with --features bench-alloc) allocated bytes. --repeat K reports each

@@ -169,13 +169,7 @@ fn run_bench(
 
     let mut failures = Vec::new();
     for spec in specs {
-        eprintln!(
-            "bench: {} ({}, {} cols{}) ...",
-            spec.name,
-            spec.shape,
-            spec.cols,
-            if spec.rows > 0 { format!(", {} rows", spec.rows) } else { String::new() }
-        );
+        eprintln!("bench: {} ({}) ...", spec.name, spec.figure);
         let report = muds_bench::scenarios::run_scenario(spec, &opts)?;
         let file = format!("{}/{}", out.trim_end_matches('/'), BenchReport::file_name(spec.name));
         std::fs::write(&file, report.to_json())

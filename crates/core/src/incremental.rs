@@ -24,13 +24,11 @@
 //! across all four algorithms on every adversarial table it generates.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use muds_fd::FdSet;
 use muds_lattice::ColumnSet;
-use muds_pli::{Pli, PliCache};
+use muds_pli::PliCache;
 use muds_table::{DeltaOutcome, Table, TableDelta, TableError};
-use rayon::prelude::*;
 
 use crate::profiler::{ensure_ambient, finish, table_stats, ProfileResult};
 
@@ -78,20 +76,9 @@ pub fn apply_incremental(
     let DeltaOutcome { table, affected_columns, appended_rows, deleted_rows, rows_deduplicated } =
         old_table.apply_delta(delta)?;
     let is_append = matches!(delta, TableDelta::Append { .. });
-    // Per-column PLIs ride across the delta instead of re-bucketing: an
-    // append extends clusters by the new row ids, a deletion shrinks them
-    // without looking at surviving rows at all.
-    let singles: Vec<Arc<Pli>> = (0..old_table.num_columns())
-        .into_par_iter()
-        .map(|c| {
-            let old_pli = Pli::from_column(old_table.column(c));
-            Arc::new(if is_append {
-                old_pli.apply_append(table.column(c).codes())
-            } else {
-                old_pli.apply_delete(&deleted_rows)
-            })
-        })
-        .collect();
+    // The post-delta single-column PLIs: one bucket pass over each
+    // column's new codes.
+    let mut cache = PliCache::new(&table);
     span.stop();
 
     let unchanged = appended_rows == 0 && deleted_rows.is_empty();
@@ -110,7 +97,6 @@ pub fn apply_incremental(
     };
 
     let span = muds_obs::span("delta revalidate");
-    let mut cache = PliCache::with_singles(&table, singles);
     let (minimal_uccs, fds) = if is_append {
         (
             append_uccs(&mut cache, &old.minimal_uccs, &d, &mut revalidated, &mut skipped),

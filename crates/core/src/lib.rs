@@ -41,7 +41,6 @@
 mod baseline;
 mod holistic_fun;
 mod incremental;
-pub mod json;
 pub mod muds;
 mod profiler;
 mod serialize;
@@ -50,6 +49,9 @@ pub use baseline::{baseline, baseline_csv, BaselineReport, BaselineTimings};
 pub use holistic_fun::{holistic_fun, HolisticFunReport, HolisticFunTimings};
 pub use incremental::{apply_incremental, IncrementalOutcome};
 pub use muds::{muds, MudsConfig, MudsPhaseTimings, MudsReport, MudsStats, ShadowLookup};
+/// The JSON codec lives in `muds-obs`; re-exported for the wire format's
+/// callers.
+pub use muds_obs::json;
 pub use profiler::{profile, profile_csv, Algorithm, Phase, ProfileResult, ProfilerConfig};
 pub use serialize::{profile_from_json, profile_to_json, ProfilePayload};
 // Re-exported so downstream layers (CLI, serve, check) consume the stats

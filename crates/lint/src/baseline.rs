@@ -11,6 +11,7 @@
 //! `--write-baseline`.
 
 use crate::rules::Diagnostic;
+use muds_obs::json::json_string;
 use std::collections::BTreeMap;
 
 /// Parsed baseline: `"RULE:file"` → grandfathered finding count.
@@ -93,103 +94,32 @@ pub fn from_diagnostics(diagnostics: &[Diagnostic]) -> Baseline {
 /// Serialises the baseline as pretty-printed JSON (sorted keys, so diffs
 /// are stable).
 pub fn to_json(baseline: &Baseline) -> String {
-    let mut out = String::from("{\n");
-    let mut first = true;
-    for (key, count) in &baseline.counts {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&format!("  \"{}\": {}", escape(key), count));
-    }
-    out.push_str("\n}\n");
     if baseline.counts.is_empty() {
         return "{}\n".to_string();
     }
-    out
+    let entries: Vec<String> = baseline
+        .counts
+        .iter()
+        .map(|(key, count)| format!("  {}: {count}", json_string(key)))
+        .collect();
+    format!("{{\n{}\n}}\n", entries.join(",\n"))
 }
 
-/// Parses the baseline JSON. The format is a flat string→number object;
+/// Parses the baseline JSON. The format is a flat string→count object;
 /// anything else is an error so a corrupted baseline can't silently allow
 /// regressions.
 pub fn parse_json(text: &str) -> Result<Baseline, String> {
+    let doc = muds_obs::json::parse_json(text).map_err(|e| format!("baseline: {e}"))?;
+    let object = doc.as_object().ok_or("baseline: expected a JSON object")?;
     let mut counts = BTreeMap::new();
-    let mut chars = text.char_indices().peekable();
-    skip_ws(&mut chars);
-    expect(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if chars.peek().map(|(_, c)| *c) == Some('}') {
-        chars.next();
-        return Ok(Baseline { counts });
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars, text)?;
-        skip_ws(&mut chars);
-        expect(&mut chars, ':')?;
-        skip_ws(&mut chars);
-        let count = parse_number(&mut chars)?;
-        counts.insert(key, count);
-        skip_ws(&mut chars);
-        match chars.next().map(|(_, c)| c) {
-            Some(',') => continue,
-            Some('}') => break,
-            other => return Err(format!("baseline: expected `,` or `}}`, got {other:?}")),
-        }
+    for (key, value) in object {
+        let count = value
+            .as_f64()
+            .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+            .ok_or_else(|| format!("baseline: {key:?} needs a non-negative integer count"))?;
+        counts.insert(key.clone(), count as usize);
     }
     Ok(Baseline { counts })
-}
-
-type Chars<'a> = std::iter::Peekable<std::str::CharIndices<'a>>;
-
-fn skip_ws(chars: &mut Chars<'_>) {
-    while chars.peek().is_some_and(|(_, c)| c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn expect(chars: &mut Chars<'_>, want: char) -> Result<(), String> {
-    match chars.next().map(|(_, c)| c) {
-        Some(c) if c == want => Ok(()),
-        other => Err(format!("baseline: expected {want:?}, got {other:?}")),
-    }
-}
-
-fn parse_string(chars: &mut Chars<'_>, text: &str) -> Result<String, String> {
-    expect(chars, '"')?;
-    let start = chars.peek().map(|(i, _)| *i).unwrap_or(text.len());
-    for (i, c) in chars.by_ref() {
-        if c == '\\' {
-            return Err("baseline: escape sequences in keys are not supported".to_string());
-        }
-        if c == '"' {
-            return Ok(text[start..i].to_string());
-        }
-    }
-    Err("baseline: unterminated string".to_string())
-}
-
-fn parse_number(chars: &mut Chars<'_>) -> Result<usize, String> {
-    let mut value: usize = 0;
-    let mut seen = false;
-    while let Some((_, c)) = chars.peek() {
-        if let Some(digit) = c.to_digit(10) {
-            value = value.saturating_mul(10).saturating_add(digit as usize);
-            seen = true;
-            chars.next();
-        } else {
-            break;
-        }
-    }
-    if seen {
-        Ok(value)
-    } else {
-        Err("baseline: expected a count".to_string())
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -256,5 +186,19 @@ mod tests {
         assert_eq!(to_json(&Baseline::default()), "{}\n");
         assert!(parse_json("{}").expect("parse").counts.is_empty());
         assert!(parse_json("[]").is_err());
+        assert!(parse_json("{\"L002:a.rs\": -1}").is_err());
+        assert!(parse_json("{\"L002:a.rs\": 1.5}").is_err());
+        assert!(parse_json("{\"L002:a.rs\": \"1\"}").is_err());
+    }
+
+    /// Keys are file paths, and Windows-style paths carry backslashes: the
+    /// emitter escapes them, so the parser must unescape them.
+    #[test]
+    fn keys_with_escapes_round_trip() {
+        let diags = [diag(Rule::L002, "crates\\x\\src\\lib.rs", 1), diag(Rule::L004, "a\"b.rs", 2)];
+        let baseline = from_diagnostics(&diags);
+        let json = to_json(&baseline);
+        assert!(json.contains("\"L002:crates\\\\x\\\\src\\\\lib.rs\": 1"), "{json}");
+        assert_eq!(parse_json(&json).expect("parse"), baseline);
     }
 }

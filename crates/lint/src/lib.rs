@@ -1,6 +1,6 @@
 //! muds-lint — workspace static analysis for the MUDS profiler.
 //!
-//! A dependency-free lint pass enforcing the project invariants that
+//! A lint pass (its only dependency is the muds-obs JSON codec) enforcing the project invariants that
 //! generic tooling can't know about: result determinism (no hash-order
 //! leaks, no wall-clock reads in algorithm crates), panic hygiene in
 //! library code, `// SAFETY:` discipline around `unsafe`, obs metric
@@ -25,16 +25,17 @@ pub use rules::{lint_source, Diagnostic, FileOptions, Rule};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use muds_obs::json::json_string;
+
 /// Default baseline path, relative to the workspace root.
 pub const BASELINE_FILE: &str = "lint-baseline.json";
 
 /// Directories scanned under the workspace root.
 const SCAN_ROOTS: [&str; 4] = ["crates", "src", "tests", "vendor"];
 
-/// Path prefixes allowed to read wall clocks (instrumentation, benches,
-/// the serving layer, and the lint tool itself).
-const CLOCK_ALLOWLIST: [&str; 5] =
-    ["crates/obs", "crates/bench", "crates/serve", "crates/cli", "vendor/criterion"];
+/// Path prefixes allowed to read wall clocks: the instrumentation layer,
+/// the serving layer, and the CLI.
+const CLOCK_ALLOWLIST: [&str; 3] = ["crates/obs", "crates/serve", "crates/cli"];
 
 /// Workspace lint configuration.
 pub struct LintConfig {
@@ -62,7 +63,7 @@ pub struct LintReport {
 }
 
 /// Lints every `.rs` file under the configured root: the token rules
-/// (L001–L007, L010) per file, then the workspace-wide semantic pass
+/// (L001–L006, L010) per file, then the workspace-wide semantic pass
 /// (L008 lock-order, L009 blocking-in-reactor) over the call graph.
 /// Returns an error only for I/O or catalogue problems; findings live in
 /// the report.
@@ -190,11 +191,7 @@ pub fn file_options(rel: &str, catalogue: &BTreeSet<String>) -> FileOptions {
     // crates/obs defines the metric API itself (docs and tests register
     // free-form names); everything else must match the catalogue.
     let catalogue = if rel.starts_with("crates/obs") { None } else { Some(catalogue.clone()) };
-    // Scenario code publishes BENCH_*.json numbers and must take them from
-    // the muds-obs timing APIs even though the bench crate may otherwise
-    // read clocks (L007).
-    let bench_scenario = rel.starts_with("crates/bench/src/scenarios") && !is_test_file;
-    FileOptions { is_test_file, clock_allowed, panic_allowed, catalogue, bench_scenario }
+    FileOptions { is_test_file, clock_allowed, panic_allowed, catalogue }
 }
 
 /// Parses the DESIGN.md §7 counter-catalogue table into the set of legal
@@ -298,14 +295,14 @@ pub fn render_json(report: &LintReport, comparison: &baseline::Comparison) -> St
     for (i, diag) in comparison.new_findings.iter().enumerate() {
         let comma = if i + 1 == comparison.new_findings.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"name\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-             \"col\": {}, \"message\": \"{}\"}}{comma}\n",
+            "    {{\"rule\": \"{}\", \"name\": \"{}\", \"file\": {}, \"line\": {}, \
+             \"col\": {}, \"message\": {}}}{comma}\n",
             diag.rule.id(),
             diag.rule.name(),
-            json_escape(&diag.file),
+            json_string(&diag.file),
             diag.line,
             diag.col,
-            json_escape(&diag.message)
+            json_string(&diag.message)
         ));
     }
     out.push_str("  ],\n");
@@ -314,7 +311,7 @@ pub fn render_json(report: &LintReport, comparison: &baseline::Comparison) -> St
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!("\"{}\"", json_escape(key)));
+        out.push_str(&json_string(key));
     }
     out.push_str("]\n}\n");
     out
@@ -349,32 +346,17 @@ pub fn render_sarif(comparison: &baseline::Comparison) -> String {
         let comma = if i + 1 == comparison.new_findings.len() { "" } else { "," };
         out.push_str(&format!(
             "        {{\n          \"ruleId\": \"{}\",\n          \"level\": \"error\",\n          \
-             \"message\": {{\"text\": \"{}\"}},\n          \"locations\": [{{\"physicalLocation\": \
-             {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}, \
+             \"message\": {{\"text\": {}}},\n          \"locations\": [{{\"physicalLocation\": \
+             {{\"artifactLocation\": {{\"uri\": {}}}, \"region\": {{\"startLine\": {}, \
              \"startColumn\": {}}}}}}}]\n        }}{comma}\n",
             diag.rule.id(),
-            json_escape(&diag.message),
-            json_escape(&diag.file),
+            json_string(&diag.message),
+            json_string(&diag.file),
             diag.line,
             diag.col
         ));
     }
     out.push_str("      ]\n    }\n  ]\n}\n");
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 
@@ -590,11 +572,9 @@ mod tests {
         assert!(test.is_test_file);
         let serve = file_options("crates/serve/src/server.rs", &catalogue);
         assert!(serve.clock_allowed && !serve.is_test_file);
-        // Bench crate reads clocks freely — except scenario code (L007).
-        let bench = file_options("crates/bench/src/lib.rs", &catalogue);
-        assert!(bench.clock_allowed && !bench.bench_scenario);
-        let scenario = file_options("crates/bench/src/scenarios.rs", &catalogue);
-        assert!(scenario.clock_allowed && scenario.bench_scenario);
+        // Bench scenarios publish span-derived numbers: no raw clocks.
+        let bench = file_options("crates/bench/src/scenarios.rs", &catalogue);
+        assert!(!bench.clock_allowed && !bench.is_test_file);
     }
 
     #[test]

@@ -30,15 +30,12 @@ pub enum Rule {
     L002,
     /// `unsafe` without a `// SAFETY:` comment.
     L003,
-    /// Wall-clock reads outside the obs/bench/serve/cli allowlist.
+    /// Wall-clock reads outside the obs/serve/cli allowlist.
     L004,
     /// Obs metric name not in the DESIGN.md §7 catalogue.
     L005,
     /// Condvar `.wait()` not guarded by a loop predicate.
     L006,
-    /// Raw wall-clock read in bench scenario code: scenario timing must
-    /// come from `muds_obs` spans so reported numbers match the span tree.
-    L007,
     /// Lock-order cycle in the interprocedural lock-acquisition graph:
     /// two call paths acquire the same locks in opposite orders.
     L008,
@@ -53,7 +50,7 @@ pub enum Rule {
 impl Rule {
     /// Every rule, in id order — drives the SARIF `tool.driver.rules`
     /// array so viewers can resolve `ruleId` references.
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 10] = [
         Rule::L000,
         Rule::L001,
         Rule::L002,
@@ -61,7 +58,6 @@ impl Rule {
         Rule::L004,
         Rule::L005,
         Rule::L006,
-        Rule::L007,
         Rule::L008,
         Rule::L009,
         Rule::L010,
@@ -76,7 +72,6 @@ impl Rule {
             Rule::L004 => "L004",
             Rule::L005 => "L005",
             Rule::L006 => "L006",
-            Rule::L007 => "L007",
             Rule::L008 => "L008",
             Rule::L009 => "L009",
             Rule::L010 => "L010",
@@ -92,7 +87,6 @@ impl Rule {
             Rule::L004 => "wall-clock",
             Rule::L005 => "counter-catalogue",
             Rule::L006 => "condvar-wait-without-loop",
-            Rule::L007 => "bench-clock-discipline",
             Rule::L008 => "lock-order-cycle",
             Rule::L009 => "blocking-in-reactor",
             Rule::L010 => "swallowed-result",
@@ -109,7 +103,6 @@ impl Rule {
             Rule::L004 => Some("wall-clock"),
             Rule::L005 => Some("counter-name"),
             Rule::L006 => Some("condvar-loop"),
-            Rule::L007 => Some("bench-clock"),
             Rule::L008 => Some("lock-order"),
             Rule::L009 => Some("blocking-reactor"),
             Rule::L010 => Some("swallowed-result"),
@@ -118,13 +111,12 @@ impl Rule {
 }
 
 /// All rules with an allow key, for validating allow comments.
-pub const ALLOW_KEYS: [&str; 9] = [
+pub const ALLOW_KEYS: [&str; 8] = [
     "hash-order",
     "panic",
     "wall-clock",
     "counter-name",
     "condvar-loop",
-    "bench-clock",
     "lock-order",
     "blocking-reactor",
     "swallowed-result",
@@ -165,17 +157,12 @@ pub struct FileOptions {
     /// Panics are acceptable here (binary entry points, vendored code):
     /// L002 is skipped.
     pub panic_allowed: bool,
-    /// File is allowed to read wall clocks (obs/bench/serve/cli/vendor
+    /// File is allowed to read wall clocks (the obs/serve/cli
     /// instrumentation layers).
     pub clock_allowed: bool,
     /// Check registered obs metric names against this catalogue; `None`
     /// disables L005 for the file.
     pub catalogue: Option<std::collections::BTreeSet<String>>,
-    /// File holds bench *scenario* code (`crates/bench/src/scenarios*`):
-    /// even though the bench crate as a whole may read clocks, scenario
-    /// timing must come from `muds_obs` spans (L007), so the numbers in a
-    /// `BENCH_*.json` report always match its span-tree phases.
-    pub bench_scenario: bool,
 }
 
 /// Methods whose receiver iterates a collection in storage order.
@@ -345,9 +332,6 @@ pub fn lint_source(file: &str, source: &str, options: &FileOptions) -> Vec<Diagn
         }
         if !options.clock_allowed {
             rule_l004_wall_clock(file, &analysis, &mut out);
-        }
-        if options.bench_scenario {
-            rule_l007_bench_clock(file, &analysis, &mut out);
         }
         if let Some(catalogue) = &options.catalogue {
             rule_l005_counter_catalogue(file, &analysis, catalogue, &mut out);
@@ -696,74 +680,36 @@ fn rule_l003_unsafe(file: &str, analysis: &FileAnalysis, out: &mut Vec<Diagnosti
     }
 }
 
-/// Calls `found(token_index, type_name, fn_name)` for every non-test
-/// `<type>::<fn>` clock-acquisition site in the file. Shared by L004 and
-/// L007, which differ only in where they apply and how a site is excused.
-fn for_each_clock_read(analysis: &FileAnalysis, mut found: impl FnMut(usize, &str, &str)) {
+/// L004 — `Instant::now`/`SystemTime::now`/`UNIX_EPOCH` outside the
+/// instrumentation allowlist.
+fn rule_l004_wall_clock(file: &str, analysis: &FileAnalysis, out: &mut Vec<Diagnostic>) {
     let tokens = &analysis.lexed.tokens;
     for i in 0..tokens.len() {
         if analysis.in_test[i] || tokens[i].kind != TokenKind::Ident {
             continue;
         }
         for (type_name, fn_name) in CLOCK_PATHS {
-            if tokens[i].text == type_name
+            let is_read = tokens[i].text == type_name
                 && tokens.get(i + 1).is_some_and(|t| t.text == ":")
                 && tokens.get(i + 2).is_some_and(|t| t.text == ":")
-                && tokens.get(i + 3).is_some_and(|t| t.text == fn_name)
-            {
-                found(i, type_name, fn_name);
+                && tokens.get(i + 3).is_some_and(|t| t.text == fn_name);
+            if !is_read || analysis.allowed(tokens[i].line, "wall-clock") {
+                continue;
             }
+            out.push(Diagnostic {
+                rule: Rule::L004,
+                file: file.to_string(),
+                line: tokens[i].line,
+                col: tokens[i].col,
+                message: format!(
+                    "`{type_name}::{fn_name}` in an algorithm crate: wall-clock reads belong \
+                     in obs/serve instrumentation; route timing through `muds_obs` spans or \
+                     justify with `// lint:allow(wall-clock): <why results cannot depend on \
+                     it>`"
+                ),
+            });
         }
     }
-}
-
-/// L004 — `Instant::now`/`SystemTime::now`/`UNIX_EPOCH` outside the
-/// instrumentation allowlist.
-fn rule_l004_wall_clock(file: &str, analysis: &FileAnalysis, out: &mut Vec<Diagnostic>) {
-    let tokens = &analysis.lexed.tokens;
-    for_each_clock_read(analysis, |i, type_name, fn_name| {
-        if analysis.allowed(tokens[i].line, "wall-clock") {
-            return;
-        }
-        out.push(Diagnostic {
-            rule: Rule::L004,
-            file: file.to_string(),
-            line: tokens[i].line,
-            col: tokens[i].col,
-            message: format!(
-                "`{type_name}::{fn_name}` in an algorithm crate: wall-clock reads belong \
-                 in obs/bench/serve instrumentation; route timing through `muds_obs` \
-                 spans or justify with `// lint:allow(wall-clock): <why results cannot \
-                 depend on it>`"
-            ),
-        });
-    });
-}
-
-/// L007 — raw clock reads in bench scenario code. Scenario files are in
-/// the bench crate (which L004 exempts wholesale), but the numbers they
-/// publish into `BENCH_*.json` must be derived from `muds_obs` spans —
-/// a raw `Instant::now()` pair would drift from the span-tree phases the
-/// report also carries.
-fn rule_l007_bench_clock(file: &str, analysis: &FileAnalysis, out: &mut Vec<Diagnostic>) {
-    let tokens = &analysis.lexed.tokens;
-    for_each_clock_read(analysis, |i, type_name, fn_name| {
-        if analysis.allowed(tokens[i].line, "bench-clock") {
-            return;
-        }
-        out.push(Diagnostic {
-            rule: Rule::L007,
-            file: file.to_string(),
-            line: tokens[i].line,
-            col: tokens[i].col,
-            message: format!(
-                "`{type_name}::{fn_name}` in bench scenario code: scenario timing must go \
-                 through the muds-obs timing APIs (`Metrics::span`, `SpanTimer::stop`, \
-                 `ProfileResult::total_time`) so BENCH_*.json wall times agree with their \
-                 span-tree phases; justify exceptions with `// lint:allow(bench-clock): …`"
-            ),
-        });
-    });
 }
 
 /// L005 — string literals registered as obs metric names must appear in
@@ -1020,22 +966,6 @@ mod tests {
         assert_eq!(rules_of(&run(src)), vec![Rule::L004]);
         let options = FileOptions { clock_allowed: true, ..FileOptions::default() };
         assert!(lint_source("test.rs", src, &options).is_empty());
-    }
-
-    #[test]
-    fn l007_flags_clocks_in_bench_scenarios_even_when_clock_allowed() {
-        let src = "fn f() { let t = std::time::Instant::now(); }";
-        let options =
-            FileOptions { clock_allowed: true, bench_scenario: true, ..FileOptions::default() };
-        let diags = lint_source("crates/bench/src/scenarios.rs", src, &options);
-        assert_eq!(rules_of(&diags), vec![Rule::L007], "{diags:?}");
-        assert!(diags[0].message.contains("muds-obs timing APIs"));
-        // An allow comment with the bench-clock key excuses the site.
-        let excused = "fn f() {\n    // lint:allow(bench-clock): only labels the output file\n    let t = std::time::Instant::now();\n}";
-        assert!(lint_source("crates/bench/src/scenarios.rs", excused, &options).is_empty());
-        // Outside scenario files the same source only answers to L004.
-        let plain = FileOptions::default();
-        assert_eq!(rules_of(&lint_source("x.rs", src, &plain)), vec![Rule::L004]);
     }
 
     #[test]

@@ -18,18 +18,9 @@ fn fixture_dir() -> PathBuf {
 
 /// The options a fixture is linted under: strictest profile, with a
 /// catalogue containing only `pli.requests` (so `pli.bogus` drifts).
-/// L007 fixtures model bench scenario files, where the crate-level clock
-/// exemption holds (no L004) but scenario discipline applies (L007).
-fn fixture_options(stem: &str) -> FileOptions {
+fn fixture_options() -> FileOptions {
     let catalogue: BTreeSet<String> = ["pli.requests".to_string()].into_iter().collect();
-    let bench_scenario = stem.starts_with("l007");
-    FileOptions {
-        is_test_file: false,
-        panic_allowed: false,
-        clock_allowed: bench_scenario,
-        catalogue: Some(catalogue),
-        bench_scenario,
-    }
+    FileOptions { catalogue: Some(catalogue), ..FileOptions::default() }
 }
 
 fn read(path: &Path) -> String {
@@ -60,7 +51,7 @@ fn every_fixture_matches_its_expected_diagnostics() {
         let mut diags = lint_source(
             &fixture.file_name().unwrap().to_string_lossy(),
             &source,
-            &fixture_options(&stem),
+            &fixture_options(),
         );
         // L008/L009 are workspace-level semantic rules: run the call-graph
         // pass over the fixture as a one-file workspace. L009 fixtures are
@@ -85,9 +76,10 @@ fn every_fixture_matches_its_expected_diagnostics() {
         );
         checked += 1;
     }
-    // One good + one bad fixture per rule L000–L010 (L001–L007 token
-    // rules, L008/L009 semantic rules, L010 discard rule).
-    assert!(checked >= 22, "expected at least 22 fixtures, saw {checked}");
+    // One good + one bad fixture per rule L000–L010 except the retired
+    // L007 (L001–L006 token rules, L008/L009 semantic rules, L010 discard
+    // rule).
+    assert!(checked >= 20, "expected at least 20 fixtures, saw {checked}");
 }
 
 #[test]

@@ -75,8 +75,8 @@ impl Persist {
 /// results that carry ruleId + physical location.
 #[test]
 fn sarif_output_parses_with_expected_shape() {
-    use muds_core::json::parse_json;
     use muds_lint::Diagnostic;
+    use muds_obs::json::parse_json;
 
     let diagnostics = vec![Diagnostic {
         rule: Rule::L009,

@@ -12,6 +12,9 @@
 //! * a pluggable [`EventSink`] ([`JsonlSink`] for `--trace`, [`NullSink`]
 //!   / no sink for zero overhead) that streams span and counter events.
 //!
+//! It also hosts the workspace's one JSON codec ([`json`]), shared by the
+//! wire formats, the serving layer, the bench reports and the linter.
+//!
 //! Instrumented library code does not take a `&Metrics` parameter through
 //! every signature. Instead a `Metrics` is *installed* as the thread-local
 //! ambient registry ([`Metrics::install`]); library code calls the free
@@ -51,7 +54,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 pub mod alloc;
-mod json;
+pub mod json;
 pub mod rss;
 mod sink;
 mod snapshot;

@@ -125,34 +125,6 @@ impl<'a> PliCache<'a> {
         }
     }
 
-    /// Creates a cache over `table` seeded with externally maintained
-    /// single-column PLIs instead of rebuilding them — the delta path:
-    /// `Pli::apply_append` / `Pli::apply_delete` carry the old table's
-    /// singletons across a mutation, and the revalidator hands them here.
-    ///
-    /// Panics if `singles` does not line up with the table (one PLI per
-    /// column, each over `table.num_rows()` rows).
-    pub fn with_singles(table: &'a Table, singles: Vec<Arc<Pli>>) -> Self {
-        assert_eq!(singles.len(), table.num_columns(), "one singleton PLI per column");
-        assert!(
-            singles.iter().all(|p| p.num_rows() == table.num_rows()),
-            "singleton PLIs must cover the table's rows"
-        );
-        PliCache {
-            table,
-            empty: Arc::new(Pli::empty_set(table.num_rows())),
-            singles,
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
-            capacity: Self::DEFAULT_CAPACITY,
-            byte_budget: None,
-            lru_bytes: 0,
-            tick: 0,
-            stats: PliCacheStats::default(),
-            meters: PliMeters::bind(),
-        }
-    }
-
     /// Caps the estimated byte footprint of the LRU region, evicting (LRU
     /// order) whenever an insert pushes past the budget. This is how a
     /// serving layer enforces a per-job memory ceiling on top of the
@@ -661,27 +633,6 @@ mod tests {
         assert_eq!(verdicts, expected);
         assert_eq!(verdicts, vec![true, true, false, true, true, true]);
         assert_eq!(batched.stats(), sequential.stats(), "batching must not change accounting");
-    }
-
-    #[test]
-    fn with_singles_matches_fresh_cache() {
-        let t = table();
-        let singles: Vec<Arc<Pli>> =
-            t.columns().iter().map(|c| Arc::new(Pli::from_column(c))).collect();
-        let mut seeded = PliCache::with_singles(&t, singles);
-        let mut fresh = PliCache::new(&t);
-        for sets in [vec![0], vec![0, 1], vec![1, 2, 3]] {
-            let s = cs(&sets);
-            assert_eq!(*seeded.get(&s), *fresh.get(&s));
-        }
-        assert!(seeded.determines(&cs(&[0]), 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "one singleton PLI per column")]
-    fn with_singles_rejects_wrong_arity() {
-        let t = table();
-        let _ = PliCache::with_singles(&t, Vec::new());
     }
 
     #[test]

@@ -233,36 +233,6 @@ impl Pli {
         Pli { clusters, num_rows: codes.len(), size }
     }
 
-    /// Incrementally shrinks this PLI across a deletion: `deleted` holds
-    /// the removed row ids (ascending, unique, pre-delete numbering).
-    /// Deletion only ever shrinks clusters — it can never merge rows that
-    /// disagreed — so the update touches nothing but the stripped clusters:
-    /// O(size + clusters·log(deleted)), independent of the table length.
-    pub fn apply_delete(&self, deleted: &[u32]) -> Pli {
-        // lint:allow(panic): windows(2) always yields two-element slices.
-        debug_assert!(deleted.windows(2).all(|w| w[0] < w[1]), "deleted ids sorted + unique");
-        debug_assert!(deleted.iter().all(|&r| (r as usize) < self.num_rows));
-        let num_rows = self.num_rows - deleted.len();
-        let mut clusters: Vec<Vec<RowId>> = self
-            .clusters
-            .iter()
-            .map(|cluster| {
-                cluster
-                    .iter()
-                    .filter(|&&r| deleted.binary_search(&r).is_err())
-                    .map(|&r| r - deleted.partition_point(|&d| d < r) as RowId)
-                    .collect::<Vec<RowId>>()
-            })
-            .filter(|c| c.len() >= 2)
-            .collect();
-        // Dropping a cluster's first row can reorder first ids; restore
-        // the canonical order.
-        // lint:allow(panic): clusters shorter than two rows were stripped.
-        clusters.sort_unstable_by_key(|c| c[0]);
-        let size = clusters.iter().map(|c| c.len()).sum();
-        Pli { clusters, num_rows, size }
-    }
-
     /// Partition-refinement FD check (Lemma 1): true iff the column with
     /// per-row `codes` is constant within every cluster — i.e. the
     /// combination this PLI represents functionally determines that column.
@@ -506,34 +476,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_delete_shrinks_and_restrips() {
-        let old = col(&["a", "a", "b", "b", "a"]);
-        // Delete rows 1 and 3: {0,1,4} loses 1 → {0,4}→remap {0,2};
-        // {2,3} loses 3 → singleton, stripped.
-        let p = Pli::from_column(&old).apply_delete(&[1, 3]);
-        let survivor = col(&["a", "b", "a"]);
-        assert_eq!(p, Pli::from_column(&survivor));
-        assert_eq!(p.clusters(), &[vec![0, 2]]);
-    }
-
-    #[test]
-    fn apply_delete_restores_canonical_order() {
-        // Deleting row 0 makes the second cluster's first id smallest.
-        let old = col(&["x", "y", "x", "y", "x"]);
-        let p = Pli::from_column(&old).apply_delete(&[0]);
-        assert_eq!(p, Pli::from_column(&col(&["y", "x", "y", "x"])));
-    }
-
-    #[test]
-    fn apply_delete_everything() {
-        let old = col(&["a", "a"]);
-        let p = Pli::from_column(&old).apply_delete(&[0, 1]);
-        assert_eq!(p.num_rows(), 0);
-        assert!(p.is_unique());
-    }
-
-    #[test]
-    fn random_deltas_match_from_codes() {
+    fn random_appends_match_from_codes() {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..200 {
@@ -550,16 +493,6 @@ mod tests {
             // remap situation apply_append must tolerate.
             let appended = Pli::from_column(&old_col).apply_append(new_col.codes());
             assert_eq!(appended, Pli::from_column(&new_col));
-            if n > 0 {
-                let mut dels: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.3)).collect();
-                dels.dedup();
-                let keep: Vec<&str> = (0..n)
-                    .filter(|&r| dels.binary_search(&(r as u32)).is_err())
-                    .map(|r| all[r].as_str())
-                    .collect();
-                let deleted = Pli::from_column(&old_col).apply_delete(&dels);
-                assert_eq!(deleted, Pli::from_column(&Column::from_values("c", &keep)));
-            }
         }
     }
 

@@ -2,10 +2,9 @@
 //! daemon's JSON endpoints, with no dependencies beyond std.
 //!
 //! Scope: request line + headers + `Content-Length` bodies, with HTTP/1.1
-//! keep-alive (the epoll reactor serves many requests per connection; the
-//! legacy blocking path still answers `Connection: close`). No chunked
-//! encoding, no TLS. Requests are size-capped (header block and body
-//! independently) so a misbehaving client cannot balloon server memory:
+//! keep-alive (the epoll reactor serves many requests per connection). No
+//! chunked encoding, no TLS. Requests are size-capped (header block and
+//! body independently) so a misbehaving client cannot balloon server memory:
 //! `Content-Length` is parsed as a full `u64` and checked against the cap
 //! *before* any buffer is reserved, so a hostile
 //! `Content-Length: 18446744073709551615` costs nothing but a 413.
@@ -13,10 +12,9 @@
 //! The core parser, [`parse_buffered`], is *incremental*: it looks at the
 //! bytes buffered so far and either produces one complete request (plus
 //! how many bytes it consumed, so pipelined successors stay in the
-//! buffer) or reports that more bytes are needed. The blocking
-//! [`read_request`] is a thin loop over it.
+//! buffer) or reports that more bytes are needed.
 
-use std::io::{self, Read, Write};
+use std::io;
 
 /// Maximum size of the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 64 * 1024;
@@ -236,27 +234,6 @@ pub fn parse_buffered(buf: &[u8], max_body: usize) -> Result<Framed, HttpError> 
     })
 }
 
-/// Reads one request from `stream` (blocking). `max_body` caps the
-/// `Content-Length` the server is willing to buffer.
-pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Framed::Complete { request, .. } = parse_buffered(&buf, max_body)? {
-            return Ok(request);
-        }
-        let n = stream.read(&mut chunk).map_err(HttpError::Io)?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Err(HttpError::Closed);
-            }
-            let what = if find_head_end(&buf).is_some() { "body" } else { "head" };
-            return Err(HttpError::BadRequest(format!("truncated {what}")));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
@@ -325,13 +302,6 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-
-    /// Writes the response and closes the exchange (`Connection: close`) —
-    /// the legacy one-request-per-connection path.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(&self.to_bytes(false))?;
-        w.flush()
-    }
 }
 
 fn reason(status: u16) -> &'static str {
@@ -354,6 +324,29 @@ fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::io::Read;
+
+    /// Reads one request from `stream` (blocking): the incremental parser
+    /// driven by a plain read loop.
+    fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, HttpError> {
+        let mut buf: Vec<u8> = Vec::with_capacity(1024);
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Framed::Complete { request, .. } = parse_buffered(&buf, max_body)? {
+                return Ok(request);
+            }
+            let n = stream.read(&mut chunk).map_err(HttpError::Io)?;
+            if n == 0 {
+                if buf.is_empty() {
+                    return Err(HttpError::Closed);
+                }
+                let what = if find_head_end(&buf).is_some() { "body" } else { "head" };
+                return Err(HttpError::BadRequest(format!("truncated {what}")));
+            }
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
 
     fn req(raw: &[u8]) -> Result<Request, HttpError> {
         read_request(&mut io::Cursor::new(raw.to_vec()), 1024)
@@ -494,8 +487,7 @@ mod tests {
 
     #[test]
     fn response_is_framed_with_length_and_close() {
-        let mut out = Vec::new();
-        Response::json(200, "{}".into()).with_header("X-Cache", "hit").write_to(&mut out).unwrap();
+        let out = Response::json(200, "{}".into()).with_header("X-Cache", "hit").to_bytes(false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));

@@ -27,11 +27,14 @@
 //! server.run().unwrap();
 //! ```
 
+// The daemon's only front end is an epoll reactor.
+#[cfg(not(target_os = "linux"))]
+compile_error!("muds-serve requires Linux: its front end is an epoll reactor");
+
 pub mod cache;
 pub mod http;
 pub mod metrics;
 pub mod persist;
-#[cfg(target_os = "linux")]
 mod reactor;
 pub mod registry;
 pub mod scheduler;

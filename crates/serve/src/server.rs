@@ -132,7 +132,6 @@ fn sigterm_received() -> bool {
 /// Installs SIGTERM/SIGINT handlers that set [`TERM_FLAG`]. std already
 /// links libc on unix, so the two symbols are declared directly instead of
 /// pulling in a crate.
-#[cfg(unix)]
 fn install_signal_handlers() {
     extern "C" fn on_term(_signum: i32) {
         TERM_FLAG.store(true, Ordering::Release);
@@ -153,9 +152,6 @@ fn install_signal_handlers() {
         signal(SIGINT, on_term);
     }
 }
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
 
 /// A bound, not-yet-running server.
 pub struct Server {
@@ -233,112 +229,25 @@ impl Server {
     /// completion, workers are joined.
     pub fn run(self) -> std::io::Result<()> {
         install_signal_handlers();
-        #[cfg(target_os = "linux")]
-        {
-            // Epoll reactor: all sockets on one thread, complete requests
-            // handed to a small fixed handler pool. Joined only after the
-            // scheduler shut down (which resolves every flight a handler
-            // could still be blocked on).
-            let pool = crate::reactor::run(self.listener, Arc::clone(&self.state))?;
-            self.state.scheduler.shutdown();
-            pool.shutdown_join();
-            Ok(())
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            self.run_thread_per_connection()
-        }
-    }
-
-    /// Portable fallback: one thread per connection, `Connection: close`
-    /// after every response.
-    #[cfg(not(target_os = "linux"))]
-    fn run_thread_per_connection(self) -> std::io::Result<()> {
-        // Non-blocking accept so the loop can poll the shutdown flags; a
-        // signal handler cannot wake a blocking accept portably.
-        self.listener.set_nonblocking(true)?;
-        while !self.state.shutting_down() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let active =
-                        self.state.metrics.connections_active.fetch_add(1, Ordering::AcqRel) + 1;
-                    if active as usize > self.state.config.max_connections {
-                        self.state.metrics.connections_active.fetch_sub(1, Ordering::AcqRel);
-                        // lint:allow(swallowed-result): best-effort courtesy
-                        // reply on a connection being dropped anyway.
-                        let _ =
-                            Response::error(503, "connection limit reached").write_to(&mut &stream);
-                        self.state.metrics.count_response(503);
-                        continue;
-                    }
-                    let state = Arc::clone(&self.state);
-                    let spawned = std::thread::Builder::new()
-                        .name("muds-serve-conn".to_string())
-                        .spawn(move || {
-                            handle_connection(&state, stream);
-                            state.metrics.connections_active.fetch_sub(1, Ordering::AcqRel);
-                        });
-                    if spawned.is_err() {
-                        self.state.metrics.connections_active.fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        // Drain: connections first (they may still enqueue responses), then
-        // the job queue.
-        let drain_deadline = Instant::now() + Duration::from_secs(5);
-        while self.state.metrics.connections_active.load(Ordering::Acquire) > 0
-            && Instant::now() < drain_deadline
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // Epoll reactor: all sockets on one thread, complete requests
+        // handed to a small fixed handler pool. Joined only after the
+        // scheduler shut down (which resolves every flight a handler could
+        // still be blocked on).
+        let pool = crate::reactor::run(self.listener, Arc::clone(&self.state))?;
         self.state.scheduler.shutdown();
+        pool.shutdown_join();
         Ok(())
     }
 }
 
-/// Routes one parsed request and accounts for it: the shared tail of both
-/// front-ends (the epoll reactor's handler pool and the thread-per-
-/// connection fallback).
+/// Routes one parsed request and accounts for it (called from the epoll
+/// reactor's handler pool).
 pub(crate) fn respond(state: &ServerState, request: &Request) -> Response {
     state.metrics.requests.inc();
     let trace = state.trace_for(request);
     let response = route(state, request, &trace).with_header("X-Muds-Trace", &trace);
     state.metrics.count_response(response.status);
     response
-}
-
-#[cfg(not(target_os = "linux"))]
-fn handle_connection(state: &ServerState, mut stream: std::net::TcpStream) {
-    use crate::http::HttpError;
-    use std::io::Write;
-    // lint:allow(swallowed-result): a socket that rejects timeouts still
-    // serves; the slowloris sweep is the reactor path's job, not this
-    // fallback's.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let request = match crate::http::read_request(&mut stream, state.config.max_body) {
-        Ok(request) => request,
-        Err(HttpError::Closed) => return,
-        Err(e) => {
-            let response = Response::error(e.status(), &e.to_string());
-            state.metrics.count_response(response.status);
-            // lint:allow(swallowed-result): the client that sent a broken
-            // request may already be gone; nothing to do about it here.
-            let _ = response.write_to(&mut stream);
-            return;
-        }
-    };
-    let response = respond(state, &request);
-    // lint:allow(swallowed-result): a write/flush failure means the client
-    // hung up mid-response — this per-connection thread just ends.
-    let _ = response.write_to(&mut stream);
-    // lint:allow(swallowed-result): same as the write above.
-    let _ = stream.flush();
 }
 
 /// Keeps a client-supplied trace id header-safe: visible ASCII from a
@@ -1108,7 +1017,6 @@ mod tests {
     /// Keep-alive reuse after routed errors: a fully framed request has
     /// its body consumed even when the answer is a 4xx, so a pipelined
     /// successor on the same socket must be served — no desync, no close.
-    #[cfg(target_os = "linux")]
     #[test]
     fn keep_alive_survives_routed_errors_and_serves_pipelined_requests() {
         let (addr, state, handle) = start_server(test_config());
@@ -1143,7 +1051,6 @@ mod tests {
     /// answer and then close: the request's unread body bytes are still in
     /// flight, so reusing the stream would desync it. A pipelined
     /// follow-up must get EOF, never an answer.
-    #[cfg(target_os = "linux")]
     #[test]
     fn oversized_and_hostile_content_lengths_answer_and_close() {
         let (addr, state, handle) = start_server(test_config());

@@ -242,7 +242,6 @@ fn sixty_four_concurrent_profiles_over_three_datasets() {
 
 /// Counts this process's OS threads via /proc — the ground truth for
 /// "connections cost file descriptors, not threads".
-#[cfg(target_os = "linux")]
 fn os_thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").expect("/proc/self/task").count()
 }
@@ -250,7 +249,6 @@ fn os_thread_count() -> usize {
 /// The reactor's scalability gate: ≥ 1k concurrent idle keep-alive
 /// connections are held with zero 5xx responses and an OS thread count
 /// that does not grow with the connection count.
-#[cfg(target_os = "linux")]
 #[test]
 fn a_thousand_idle_keep_alive_connections_cost_no_threads() {
     const CONNS: usize = 1000;
