@@ -1,27 +1,30 @@
-//! Direction-aware incremental revalidation of a profiling result across a
-//! [`TableDelta`].
+//! Incremental maintenance of a profiling result across a [`TableDelta`].
 //!
-//! Exact maintenance of dependency sets under updates is hard in general
-//! (Bläsius/Friedrich/Schirneck, arXiv 2103.13331), but *direction* makes
-//! the practical cases cheap. Appending rows can only add duplicate pairs:
-//! a valid UCC or FD can break, an invalid one can never start holding.
-//! Deleting rows can only remove duplicate pairs: broken dependencies can
-//! start holding, valid ones never break. Combined with the affected-column
-//! report of [`Table::apply_delta`] — a dependency's validity can only flip
-//! if every left-hand-side column is affected — most of the old result
-//! carries over with *zero* data access (`delta.skipped`), and the rest is
-//! revalidated against cached PLIs in level-wise batches
+//! Appending rows can only add duplicate pairs: a valid UCC or FD can
+//! break, an invalid one can never start holding. Combined with the
+//! affected-column report of [`Table::apply_delta`] — a dependency can only
+//! break if every left-hand-side column is affected — most of the old
+//! result carries over with *zero* data access (`delta.skipped`), and the
+//! rest is revalidated against the post-delta PLIs in level-wise batches
 //! (`delta.revalidated`, via `PliCache::get_many` / `refines_many`).
-//!
 //! Unary INDs have no such monotone direction (an append grows both the
 //! dependent and the referenced value sets), so they are recomputed exactly
 //! with SPIDER — cheap, because the incrementally maintained dictionaries
 //! *are* SPIDER's sorted duplicate-free input (the join-aware reuse of
 //! arXiv 2012.06237: unary-IND state stays live across deltas).
 //!
-//! The result is equivalent to re-running [`profile`] on the post-delta
-//! table — an equivalence the differential fuzzer (`crates/check`) asserts
-//! across all four algorithms on every adversarial table it generates.
+//! Deletes re-profile the post-delta table from scratch. Exact maintenance
+//! under updates has no cheap general form (Bläsius/Friedrich/Schirneck,
+//! arXiv 2103.13331): a delete can only make dependencies *appear*, and
+//! finding them is a lattice search that the algorithms' own pruned walks
+//! do better than a sweep pruned only by the already-valid sets (measured
+//! in DESIGN.md §13).
+//!
+//! An identity delta (nothing appended or deleted) carries the old result
+//! wholesale. Every path is equivalent to re-running [`profile`] on the
+//! post-delta table — an equivalence the differential fuzzer
+//! (`crates/check`) asserts across all four algorithms on every adversarial
+//! table it generates.
 
 use std::collections::BTreeMap;
 
@@ -30,7 +33,9 @@ use muds_lattice::ColumnSet;
 use muds_pli::PliCache;
 use muds_table::{DeltaOutcome, Table, TableDelta, TableError};
 
-use crate::profiler::{ensure_ambient, finish, table_stats, ProfileResult};
+use crate::profiler::{
+    ensure_ambient, finish, profile, table_stats, ProfileResult, ProfilerConfig,
+};
 
 /// The outcome of [`apply_incremental`]: the post-delta table plus a
 /// [`ProfileResult`] equivalent to profiling it from scratch.
@@ -48,16 +53,17 @@ pub struct IncrementalOutcome {
     pub deleted_rows: usize,
     /// Appended rows dropped as duplicates of existing rows.
     pub rows_deduplicated: usize,
-    /// UCC/FD validity checks performed (`delta.revalidated`).
+    /// UCC/FD validity checks performed (`delta.revalidated`; 0 for
+    /// deletes, which re-profile).
     pub revalidated: u64,
     /// Dependencies carried over without touching the data
     /// (`delta.skipped`).
     pub skipped: u64,
 }
 
-/// Applies `delta` to `old_table` and patches `old`'s dependency sets to
-/// the post-delta table, revalidating only what the delta could have
-/// changed. See the module docs for the invalidation rules.
+/// Applies `delta` to `old_table` and brings `old`'s dependency sets up to
+/// date: appends revalidate only what they could have broken, deletes
+/// re-profile the post-delta table. See the module docs.
 ///
 /// `old` must be the result of profiling `old_table` (any algorithm — the
 /// dependency sets agree across all four).
@@ -66,75 +72,71 @@ pub fn apply_incremental(
     old_table: &Table,
     delta: &TableDelta,
 ) -> Result<IncrementalOutcome, TableError> {
+    // The guard (when this installs the registry) outlives the inner
+    // profile() of a delete, so every span and counter lands in the one
+    // snapshot that profile() drains.
     let (metrics, _guard) = ensure_ambient();
     let revalidated_meter = muds_obs::counter("delta.revalidated");
     let skipped_meter = muds_obs::counter("delta.skipped");
-    let mut revalidated = 0u64;
-    let mut skipped = 0u64;
 
     let span = muds_obs::span("delta apply");
     let DeltaOutcome { table, affected_columns, appended_rows, deleted_rows, rows_deduplicated } =
         old_table.apply_delta(delta)?;
-    let is_append = matches!(delta, TableDelta::Append { .. });
-    // The post-delta single-column PLIs: one bucket pass over each
-    // column's new codes.
-    let mut cache = PliCache::new(&table);
     span.stop();
+    let identity = appended_rows == 0 && deleted_rows == 0;
 
-    let unchanged = appended_rows == 0 && deleted_rows.is_empty();
-    let d = ColumnSet::from_indices(affected_columns.iter().copied());
-
-    // INDs: no monotone direction, so recompute exactly — unless the delta
-    // collapsed to the identity, in which case everything carries over.
-    let inds = if unchanged {
-        skipped += old.inds.len() as u64;
-        old.inds.clone()
+    // Column statistics, when the old result carried them: an identity
+    // delta carries them untouched, any real delta recomputes them
+    // table-wide — the new row count enters every column's null/distinct
+    // fractions, so no per-column carry can satisfy `stats ≡ from-scratch`
+    // (DESIGN.md §15).
+    if old.stats.is_some() {
+        let counter = if identity { "stats.delta_carried" } else { "stats.delta_recomputed" };
+        muds_obs::add(counter, table.num_columns() as u64);
+    }
+    let (result, revalidated, skipped) = if identity {
+        let skipped = (old.inds.len() + old.minimal_uccs.len() + old.fds.len()) as u64;
+        skipped_meter.add(skipped);
+        let mut result = finish(
+            old.algorithm,
+            old.inds.clone(),
+            old.minimal_uccs.clone(),
+            old.fds.clone(),
+            &metrics,
+        );
+        result.stats = old.stats.clone();
+        (result, 0, skipped)
+    } else if deleted_rows > 0 {
+        let config = ProfilerConfig { stats: old.stats.is_some(), ..ProfilerConfig::default() };
+        (profile(&table, old.algorithm, &config), 0, 0)
     } else {
+        let (mut revalidated, mut skipped) = (0u64, 0u64);
+        // The post-delta single-column PLIs: one bucket pass over each
+        // column's new codes.
+        let mut cache = PliCache::new(&table);
+        let d = ColumnSet::from_indices(affected_columns.iter().copied());
         let span = muds_obs::span("SPIDER");
         let inds = muds_ind::spider(&table);
         span.stop();
-        inds
-    };
 
-    let span = muds_obs::span("delta revalidate");
-    let (minimal_uccs, fds) = if is_append {
-        (
-            append_uccs(&mut cache, &old.minimal_uccs, &d, &mut revalidated, &mut skipped),
-            append_fds(&mut cache, &old.fds, &d, &mut revalidated, &mut skipped),
-        )
-    } else {
-        (
-            delete_uccs(&mut cache, &old.minimal_uccs, &d, &mut revalidated, &mut skipped),
-            delete_fds(&mut cache, &old.fds, &d, &mut revalidated, &mut skipped),
-        )
-    };
-    span.stop();
+        let span = muds_obs::span("delta revalidate");
+        let minimal_uccs =
+            append_uccs(&mut cache, &old.minimal_uccs, &d, &mut revalidated, &mut skipped);
+        let fds = append_fds(&mut cache, &old.fds, &d, &mut revalidated, &mut skipped);
+        span.stop();
+        revalidated_meter.add(revalidated);
+        skipped_meter.add(skipped);
 
-    revalidated_meter.add(revalidated);
-    skipped_meter.add(skipped);
-    // Column statistics, when the old result carried them: an identity
-    // delta carries the whole profile untouched, but any real delta
-    // recomputes every column — the new row count enters every column's
-    // null/distinct fractions, so no per-column carry can satisfy the
-    // `stats ≡ from-scratch` invariant (DESIGN.md §15). Relationships ride
-    // on the freshly patched dependency sets either way.
-    let stats = old.stats.as_ref().map(|old_stats| {
-        let ncols = table.num_columns() as u64;
-        if unchanged {
-            muds_obs::add("stats.delta_carried", ncols);
-            old_stats.clone()
-        } else {
-            muds_obs::add("stats.delta_recomputed", ncols);
-            table_stats(&table, &inds, &minimal_uccs)
-        }
-    });
-    let mut result = finish(old.algorithm, inds, minimal_uccs, fds, &metrics);
-    result.stats = stats;
+        let stats = old.stats.as_ref().map(|_| table_stats(&table, &inds, &minimal_uccs));
+        let mut result = finish(old.algorithm, inds, minimal_uccs, fds, &metrics);
+        result.stats = stats;
+        (result, revalidated, skipped)
+    };
     Ok(IncrementalOutcome {
         table,
         result,
         appended_rows,
-        deleted_rows: deleted_rows.len(),
+        deleted_rows,
         rows_deduplicated,
         revalidated,
         skipped,
@@ -299,101 +301,6 @@ fn append_fds(
     out.minimize()
 }
 
-/// Delete direction, UCCs. Valid sets stay valid; new ones can only appear
-/// inside the affected set `d`, so a bottom-up level-wise sweep of the
-/// `d`-sublattice (pruned by everything already known valid) finds them
-/// all. The old minimal sets merge in at the end — a new, smaller UCC can
-/// demote an old one from minimal.
-fn delete_uccs(
-    cache: &mut PliCache<'_>,
-    old: &[ColumnSet],
-    d: &ColumnSet,
-    revalidated: &mut u64,
-    skipped: &mut u64,
-) -> Vec<ColumnSet> {
-    *skipped += old.len() as u64;
-    let found = sublattice_minimal(cache, d, old, revalidated, &mut |cache, level| {
-        cache.get_many(level).iter().map(|p| p.is_unique()).collect()
-    });
-    minimize_sets(old.iter().copied().chain(found).collect())
-}
-
-/// Delete direction, FDs: per right-hand side, sweep the `d \ {rhs}`
-/// sublattice for newly valid left-hand sides and re-minimize against the
-/// old ones.
-fn delete_fds(
-    cache: &mut PliCache<'_>,
-    old: &FdSet,
-    d: &ColumnSet,
-    revalidated: &mut u64,
-    skipped: &mut u64,
-) -> FdSet {
-    let mut out = FdSet::new();
-    let mut per_rhs: BTreeMap<usize, Vec<ColumnSet>> = BTreeMap::new();
-    for (lhs, rhs_set) in old.iter_entries() {
-        for a in rhs_set.iter() {
-            per_rhs.entry(a).or_default().push(*lhs);
-            *skipped += 1;
-        }
-    }
-    for a in 0..cache.table().num_columns() {
-        let olds = per_rhs.remove(&a).unwrap_or_default();
-        let found =
-            sublattice_minimal(cache, &d.without(a), &olds, revalidated, &mut |cache, level| {
-                let checks: Vec<(ColumnSet, usize)> = level.iter().map(|x| (*x, a)).collect();
-                cache.refines_many(&checks)
-            });
-        for lhs in olds.into_iter().chain(found) {
-            out.insert(lhs, a);
-        }
-    }
-    out.minimize()
-}
-
-/// Bottom-up level-wise search for the minimal valid sets within the
-/// sublattice of subsets of `d`, pruned by `known` (sets already valid
-/// before the delta — their supersets cannot be minimal). `check` batches
-/// the validity test for one level. Candidate generation extends invalid
-/// sets by columns above their maximum, so every subset of `d` is reached
-/// exactly once along its own prefix chain; a chain is cut precisely when
-/// a prefix is valid or dominated, which also dominates everything above
-/// it.
-fn sublattice_minimal(
-    cache: &mut PliCache<'_>,
-    d: &ColumnSet,
-    known: &[ColumnSet],
-    revalidated: &mut u64,
-    check: &mut dyn FnMut(&mut PliCache<'_>, &[ColumnSet]) -> Vec<bool>,
-) -> Vec<ColumnSet> {
-    let d_cols: Vec<usize> = d.to_vec();
-    let mut found: Vec<ColumnSet> = Vec::new();
-    let mut level: Vec<ColumnSet> = vec![ColumnSet::empty()];
-    while !level.is_empty() {
-        let candidates: Vec<ColumnSet> = level
-            .iter()
-            .filter(|x| !dominated(known, x) && !dominated(&found, x))
-            .copied()
-            .collect();
-        let verdicts = if candidates.is_empty() {
-            Vec::new()
-        } else {
-            *revalidated += candidates.len() as u64;
-            check(cache, &candidates)
-        };
-        let mut next: Vec<ColumnSet> = Vec::new();
-        for (x, valid) in candidates.iter().zip(verdicts) {
-            if valid {
-                found.push(*x);
-            } else {
-                let floor = x.max_col().map_or(0, |m| m + 1);
-                next.extend(d_cols.iter().filter(|&&c| c >= floor).map(|&c| x.with(c)));
-            }
-        }
-        level = next;
-    }
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,21 +389,7 @@ mod tests {
         // c1 has duplicates only through row 2; deleting it makes {c1}
         // unique, demoting any wider minimal UCC that contained it.
         let t = table(&[&["1", "a", "x"], &["2", "b", "x"], &["3", "a", "y"]]);
-        let out = assert_incremental_equivalent(&t, &TableDelta::Delete { rows: vec![2] });
-        assert!(out.revalidated > 0);
-    }
-
-    #[test]
-    fn delete_singleton_rows_checks_only_the_empty_set() {
-        // Row 2 is unique in every column, so no multi-column dependency
-        // can flip — but ∅-left-hand-side dependencies can (here c1
-        // becomes constant, so ∅ → c1 starts holding): the empty set is a
-        // subset of any affected set, and its checks are the only ones
-        // allowed to run.
-        let t = table(&[&["1", "a"], &["2", "a"], &["3", "z"]]);
-        let out = assert_incremental_equivalent(&t, &TableDelta::Delete { rows: vec![2] });
-        assert!(out.revalidated <= 1 + t.num_columns() as u64);
-        assert!(out.skipped > 0);
+        assert_incremental_equivalent(&t, &TableDelta::Delete { rows: vec![2] });
     }
 
     #[test]
@@ -547,6 +440,20 @@ mod tests {
         assert_eq!(inc.result.metrics.counter("delta.revalidated"), inc.revalidated);
         assert_eq!(inc.result.metrics.counter("delta.skipped"), inc.skipped);
         assert!(inc.result.metrics.spans.iter().any(|s| s.name == "delta revalidate"));
+
+        // A delete re-profiles: no revalidation work, and the `delta apply`
+        // span shares one snapshot with the algorithm's own phases.
+        let del = apply_incremental(&old, &t, &TableDelta::Delete { rows: vec![0] }).unwrap();
+        assert_eq!((del.revalidated, del.skipped), (0, 0));
+        assert_eq!(del.result.metrics.counter("delta.revalidated"), 0);
+        assert_eq!(del.result.metrics.counter("delta.skipped"), 0);
+        let phases: Vec<&str> = del.result.phases.iter().map(|p| p.name.as_str()).collect();
+        assert!(phases.contains(&"delta apply"), "{phases:?}");
+        let scratch = profile(&del.table, Algorithm::Muds, &cfg);
+        assert!(!scratch.phases.is_empty());
+        for p in &scratch.phases {
+            assert!(phases.contains(&p.name.as_str()), "{} missing from {phases:?}", p.name);
+        }
     }
 
     #[test]

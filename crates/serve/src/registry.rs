@@ -186,21 +186,19 @@ impl Registry {
         name: &str,
         delta: &TableDelta,
     ) -> Result<Option<DeltaApplied>, TableError> {
-        let old = {
+        let (old_fingerprint, old) = {
             let inner = lock(&self.inner);
             match inner.names.get(name) {
-                Some(fp) => Arc::clone(&inner.tables[fp]),
+                Some(fp) => (*fp, Arc::clone(&inner.tables[fp])),
                 None => return Ok(None),
             }
         };
-        let old_fingerprint = fingerprint(&old);
         let outcome = old.apply_delta(delta)?;
-        let deleted_rows = outcome.deleted_rows.len();
         let info = self.register_table(name, outcome.table);
         Ok(Some(DeltaApplied {
             old_fingerprint,
             appended_rows: outcome.appended_rows,
-            deleted_rows,
+            deleted_rows: outcome.deleted_rows,
             rows_deduplicated: outcome.rows_deduplicated,
             affected_columns: outcome.affected_columns,
             info,

@@ -5,18 +5,20 @@
 //! most mutations touch a tiny fraction of the data. [`Table::apply_delta`]
 //! updates the dictionary encoding in place — merging new values into the
 //! sorted dictionaries and remapping codes, or dropping orphaned entries
-//! after a deletion — so the resulting [`Table`] is *bit-identical* to one
-//! built from scratch on the final data ([`crate::fingerprint`]s match,
-//! which is what lets a serving layer patch its content-addressed registry
-//! instead of re-registering).
+//! after a deletion (a [`Table::select_rows`] of the survivors) — so the
+//! resulting [`Table`] is *bit-identical* to one built from scratch on the
+//! final data ([`crate::fingerprint`]s match, which is what lets a serving
+//! layer patch its content-addressed registry instead of re-registering).
 //!
 //! Alongside the new table, application reports the set of **affected
 //! columns**: the columns whose duplicate structure could have changed.
-//! This is the input to direction-aware dependency revalidation (see
-//! `muds-core`): after an append, a UCC or FD left-hand side can only
-//! *break*, and only if it is fully contained in the affected set; after a
-//! deletion, dependencies can only *appear*, again only inside the affected
-//! set. Columns outside the set carry their verdicts over unchanged.
+//! After an append it is the input to incremental dependency revalidation
+//! (see `muds-core`): a UCC or FD left-hand side can only *break*, and only
+//! if it is fully contained in the affected set; columns outside the set
+//! carry their verdicts over unchanged. After a deletion dependencies can
+//! only *appear*, again only inside the affected set; the set is reported
+//! (the serving layer's delete responses carry it), but `muds-core`
+//! re-profiles deletions from scratch.
 
 use std::collections::HashSet;
 
@@ -63,9 +65,8 @@ pub struct DeltaOutcome {
     pub affected_columns: Vec<usize>,
     /// Number of rows actually appended (after duplicate dropping).
     pub appended_rows: usize,
-    /// Row ids (ascending, unique, *pre-delta* numbering) that were
-    /// deleted. Empty for appends.
-    pub deleted_rows: Vec<u32>,
+    /// Number of distinct rows deleted (0 for appends).
+    pub deleted_rows: usize,
     /// Appended rows dropped because they duplicated an existing row or an
     /// earlier appended row.
     pub rows_deduplicated: usize,
@@ -222,7 +223,7 @@ impl Table {
             table: Table::from_parts(self.name().to_string(), columns, num_rows),
             affected_columns: affected,
             appended_rows: kept.len(),
-            deleted_rows: Vec::new(),
+            deleted_rows: 0,
             rows_deduplicated: rows.len() - kept.len(),
         })
     }
@@ -234,8 +235,11 @@ impl Table {
         if let Some(&bad) = deleted.iter().find(|&&r| r >= self.num_rows()) {
             return Err(TableError::RowOutOfRange { row: bad, num_rows: self.num_rows() });
         }
-        let delete_set: HashSet<usize> = deleted.iter().copied().collect();
-        let keep: Vec<usize> = (0..self.num_rows()).filter(|r| !delete_set.contains(r)).collect();
+        let mut gone = vec![false; self.num_rows()];
+        for &r in &deleted {
+            gone[r] = true;
+        }
+        let keep: Vec<usize> = (0..self.num_rows()).filter(|&r| !gone[r]).collect();
 
         // Affected = columns where some deleted row sat in a duplicate
         // cluster of the *old* table: removing a row that was unique in
@@ -253,39 +257,11 @@ impl Table {
             }
         }
 
-        // Per column: drop dictionary entries no surviving row references,
-        // remap the kept codes down. Independent per column.
-        let columns: Vec<Column> = self
-            .columns()
-            .par_iter()
-            .map(|col| {
-                let domain = col.code_domain();
-                let mut refs = vec![0u32; domain];
-                for &r in &keep {
-                    refs[col.codes()[r] as usize] += 1;
-                }
-                let dict = col.sorted_distinct_values();
-                let mut remap: Vec<u32> = vec![0; domain];
-                let mut new_dict: Vec<String> = Vec::with_capacity(dict.len());
-                for (code, value) in dict.iter().enumerate() {
-                    remap[code] = new_dict.len() as u32;
-                    if refs[code] > 0 {
-                        new_dict.push(value.clone());
-                    }
-                }
-                remap[dict.len()] = new_dict.len() as u32;
-                let codes: Vec<u32> =
-                    keep.iter().map(|&r| remap[col.codes()[r] as usize]).collect();
-                let null_count = refs[dict.len()] as usize;
-                Column::from_parts(col.name().to_string(), codes, new_dict, null_count)
-            })
-            .collect();
-
         Ok(DeltaOutcome {
-            table: Table::from_parts(self.name().to_string(), columns, keep.len()),
+            table: self.select_rows(&keep),
             affected_columns: affected,
             appended_rows: 0,
-            deleted_rows: deleted.iter().map(|&r| r as u32).collect(),
+            deleted_rows: deleted.len(),
             rows_deduplicated: 0,
         })
     }
@@ -295,6 +271,7 @@ impl Table {
 mod tests {
     use super::*;
     use crate::fingerprint;
+    use crate::table::tests::{assert_matches_from_scratch, rows_of};
 
     fn table(rows: &[&[&str]]) -> Table {
         let names: Vec<String> =
@@ -304,24 +281,16 @@ mod tests {
         Table::from_rows("t", &name_refs, &rows).unwrap()
     }
 
-    fn rows_of(table: &Table) -> Vec<Vec<String>> {
-        (0..table.num_rows())
-            .map(|r| table.row(r).into_iter().map(|v| v.unwrap_or("").to_string()).collect())
-            .collect()
-    }
-
-    /// The gold standard: applying the delta must equal re-encoding the
-    /// final row set from scratch, down to the fingerprint.
-    fn assert_matches_from_scratch(outcome: &DeltaOutcome) {
-        let rows = rows_of(&outcome.table);
-        let names = outcome.table.column_names();
-        let scratch = Table::from_rows("t", &names, &rows).unwrap();
-        assert_eq!(fingerprint(&outcome.table), fingerprint(&scratch));
-        for (a, b) in outcome.table.columns().iter().zip(scratch.columns()) {
-            assert_eq!(a.codes(), b.codes());
-            assert_eq!(a.sorted_distinct_values(), b.sorted_distinct_values());
-            assert_eq!(a.null_count(), b.null_count());
-        }
+    /// Deletes keep every other row, in their old order.
+    fn assert_survivors(t: &Table, deleted: &[usize], outcome: &DeltaOutcome) {
+        let survivors: Vec<Vec<String>> = rows_of(t)
+            .into_iter()
+            .enumerate()
+            .filter(|(r, _)| !deleted.contains(r))
+            .map(|(_, row)| row)
+            .collect();
+        assert_eq!(rows_of(&outcome.table), survivors);
+        assert_matches_from_scratch(&outcome.table);
     }
 
     fn append(rows: &[&[&str]]) -> TableDelta {
@@ -340,7 +309,7 @@ mod tests {
         // Old rows keep their values under the remapped codes.
         assert_eq!(out.table.row(0), vec![Some("b"), Some("1")]);
         assert_eq!(out.table.row(3), vec![Some("c"), Some("1")]);
-        assert_matches_from_scratch(&out);
+        assert_matches_from_scratch(&out.table);
         // "1" now duplicated in column 1; column 0 all unique.
         assert_eq!(out.affected_columns, vec![1]);
     }
@@ -350,7 +319,7 @@ mod tests {
         let t = table(&[&["a", "x"], &["b", "y"]]);
         let out = t.apply_delta(&append(&[&["a", "y"]])).unwrap();
         assert_eq!(out.table.num_rows(), 3);
-        assert_matches_from_scratch(&out);
+        assert_matches_from_scratch(&out.table);
         assert_eq!(out.affected_columns, vec![0, 1]);
     }
 
@@ -359,7 +328,7 @@ mod tests {
         let t = table(&[&["a", "x"], &["b", "y"]]);
         let out = t.apply_delta(&append(&[&["c", "z"]])).unwrap();
         assert!(out.affected_columns.is_empty());
-        assert_matches_from_scratch(&out);
+        assert_matches_from_scratch(&out.table);
     }
 
     #[test]
@@ -369,7 +338,7 @@ mod tests {
         // NULLs compare equal for UCC/FD semantics: column 1 is affected.
         assert_eq!(out.affected_columns, vec![1]);
         assert_eq!(out.table.column(1).null_count(), 2);
-        assert_matches_from_scratch(&out);
+        assert_matches_from_scratch(&out.table);
     }
 
     #[test]
@@ -380,7 +349,7 @@ mod tests {
         assert_eq!(out.rows_deduplicated, 2);
         assert_eq!(out.table.num_rows(), 3);
         assert!(!out.table.has_duplicate_rows());
-        assert_matches_from_scratch(&out);
+        assert_matches_from_scratch(&out.table);
     }
 
     #[test]
@@ -408,10 +377,10 @@ mod tests {
         assert_eq!(out.table.num_rows(), 2);
         assert_eq!(out.table.column(0).sorted_distinct_values(), &["a", "b"]);
         assert_eq!(out.table.column(1).sorted_distinct_values(), &["x"]);
-        assert_matches_from_scratch(&out);
+        assert_survivors(&t, &[2], &out);
         // Row 2 was unique in both columns: nothing can become newly valid.
         assert!(out.affected_columns.is_empty());
-        assert_eq!(out.deleted_rows, vec![2]);
+        assert_eq!(out.deleted_rows, 1);
     }
 
     #[test]
@@ -420,7 +389,7 @@ mod tests {
         let out = t.apply_delta(&TableDelta::Delete { rows: vec![0] }).unwrap();
         // Row 0 shared "x" in column 1 but was unique in column 0.
         assert_eq!(out.affected_columns, vec![1]);
-        assert_matches_from_scratch(&out);
+        assert_matches_from_scratch(&out.table);
     }
 
     #[test]
@@ -429,7 +398,7 @@ mod tests {
         let out = t.apply_delta(&TableDelta::Delete { rows: vec![0] }).unwrap();
         assert_eq!(out.table.column(1).null_count(), 1);
         assert_eq!(out.affected_columns, vec![1]);
-        assert_matches_from_scratch(&out);
+        assert_matches_from_scratch(&out.table);
     }
 
     #[test]
@@ -438,8 +407,8 @@ mod tests {
         let out = t.apply_delta(&TableDelta::Delete { rows: vec![1, 0] }).unwrap();
         assert_eq!(out.table.num_rows(), 0);
         assert!(out.table.column(0).sorted_distinct_values().is_empty());
-        assert_matches_from_scratch(&out);
-        assert_eq!(out.deleted_rows, vec![0, 1]);
+        assert_matches_from_scratch(&out.table);
+        assert_eq!(out.deleted_rows, 2);
     }
 
     #[test]
@@ -447,8 +416,21 @@ mod tests {
         let t = table(&[&["a", "x"], &["b", "y"]]);
         let out = t.apply_delta(&TableDelta::Delete { rows: vec![0, 0, 0] }).unwrap();
         assert_eq!(out.table.num_rows(), 1);
-        assert_eq!(out.deleted_rows, vec![0]);
-        assert_matches_from_scratch(&out);
+        assert_eq!(out.deleted_rows, 1);
+        assert_survivors(&t, &[0], &out);
+    }
+
+    #[test]
+    fn delete_from_all_null_and_zero_column_tables() {
+        let t = table(&[&["a", ""], &["b", ""], &["c", ""]]);
+        let out = t.apply_delta(&TableDelta::Delete { rows: vec![2, 0] }).unwrap();
+        assert_eq!(out.table.column(1).null_count(), 1);
+        assert_survivors(&t, &[0, 2], &out);
+
+        let t = table(&[&["a"], &["b"]]).take_columns(0);
+        let out = t.apply_delta(&TableDelta::Delete { rows: vec![1] }).unwrap();
+        assert_eq!((out.table.num_rows(), out.deleted_rows), (1, 1));
+        assert_survivors(&t, &[1], &out);
     }
 
     #[test]
@@ -476,7 +458,7 @@ mod tests {
         let out = t.apply_delta(&append(&[&["c", "z"], &["d", "x"]])).unwrap();
         let back = out.table.apply_delta(&TableDelta::Delete { rows: vec![2, 3] }).unwrap();
         assert_eq!(fingerprint(&back.table), fingerprint(&t));
-        assert_matches_from_scratch(&back);
+        assert_matches_from_scratch(&back.table);
     }
 
     proptest::proptest! {
@@ -496,10 +478,11 @@ mod tests {
                 base.iter().map(|r| r.iter().map(|v| v.as_str()).collect()).collect();
             let t = Table::from_rows("t", &["a", "b", "c"], &rows).unwrap().dedup_rows();
             let out = t.apply_delta(&TableDelta::Append { rows: extra.clone() }).unwrap();
-            assert_matches_from_scratch(&out);
+            assert_matches_from_scratch(&out.table);
+            // Ids in any order, repeats included.
             let dels: Vec<usize> = dels.into_iter().filter(|&r| r < t.num_rows()).collect();
-            let out = t.apply_delta(&TableDelta::Delete { rows: dels }).unwrap();
-            assert_matches_from_scratch(&out);
+            let out = t.apply_delta(&TableDelta::Delete { rows: dels.clone() }).unwrap();
+            assert_survivors(&t, &dels, &out);
         }
     }
 

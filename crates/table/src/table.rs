@@ -142,15 +142,37 @@ impl Table {
         self.select_rows(&keep)
     }
 
-    /// Projects the table onto the given row indices (in the given order).
-    /// Columns re-encode independently, in parallel.
+    /// Projects the table onto the given row indices, in the given order
+    /// (ids may repeat). Each column keeps the dictionary entries the
+    /// selected rows still reference and remaps their codes down, so the
+    /// result equals [`Table::from_rows`] on the decoded rows — codes,
+    /// dictionaries and fingerprint — without decoding a cell. Columns
+    /// compact independently, in parallel.
     pub fn select_rows(&self, rows: &[usize]) -> Table {
         let columns = self
             .columns
             .par_iter()
-            .map(|c| {
-                let values: Vec<&str> = rows.iter().map(|&r| c.value(r).unwrap_or("")).collect();
-                Column::from_values(c.name(), &values)
+            .map(|col| {
+                let mut refs = vec![0u32; col.code_domain()];
+                for &r in rows {
+                    refs[col.codes()[r] as usize] += 1;
+                }
+                // Surviving values keep their relative order, so the
+                // remapped codes stay sorted-order codes; NULL moves to one
+                // past the compacted dictionary.
+                let dict = col.sorted_distinct_values();
+                let mut remap = vec![0u32; col.code_domain()];
+                let mut kept: Vec<String> = Vec::with_capacity(dict.len());
+                for (code, value) in dict.iter().enumerate() {
+                    remap[code] = kept.len() as u32;
+                    if refs[code] > 0 {
+                        kept.push(value.clone());
+                    }
+                }
+                remap[dict.len()] = kept.len() as u32;
+                let codes = rows.iter().map(|&r| remap[col.codes()[r] as usize]).collect();
+                let null_count = refs[dict.len()] as usize;
+                Column::from_parts(col.name().to_string(), codes, kept, null_count)
             })
             .collect();
         Table { name: self.name.clone(), columns, num_rows: rows.len() }
@@ -176,7 +198,7 @@ impl Table {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn simple() -> Table {
@@ -272,6 +294,37 @@ mod tests {
         assert_eq!(t.take_columns(99).num_columns(), 3);
     }
 
+    /// Decoded rows, NULL as the empty string.
+    pub(crate) fn rows_of(table: &Table) -> Vec<Vec<String>> {
+        (0..table.num_rows())
+            .map(|r| table.row(r).into_iter().map(|v| v.unwrap_or("").to_string()).collect())
+            .collect()
+    }
+
+    /// The gold standard for every code-level rebuild (row projection,
+    /// deltas): `table` must equal [`Table::from_rows`] on its own decoded
+    /// rows, down to codes, dictionaries, NULL counts and fingerprint.
+    pub(crate) fn assert_matches_from_scratch(table: &Table) {
+        let scratch = Table::from_rows("t", &table.column_names(), &rows_of(table)).unwrap();
+        assert_eq!(table.num_rows(), scratch.num_rows());
+        assert_eq!(crate::fingerprint(table), crate::fingerprint(&scratch));
+        for (a, b) in table.columns().iter().zip(scratch.columns()) {
+            assert_eq!(a.codes(), b.codes());
+            assert_eq!(a.sorted_distinct_values(), b.sorted_distinct_values());
+            assert_eq!(a.null_count(), b.null_count());
+        }
+    }
+
+    /// `select_rows(ids)` holds exactly the rows `ids` names, encoded as a
+    /// from-scratch build of them would be.
+    fn assert_selects(t: &Table, ids: &[usize]) {
+        let s = t.select_rows(ids);
+        let all = rows_of(t);
+        let expected: Vec<Vec<String>> = ids.iter().map(|&r| all[r].clone()).collect();
+        assert_eq!(rows_of(&s), expected, "select_rows({ids:?})");
+        assert_matches_from_scratch(&s);
+    }
+
     #[test]
     fn select_rows_reencodes_dictionaries() {
         let t = simple();
@@ -279,6 +332,42 @@ mod tests {
         assert_eq!(s.num_rows(), 2);
         // Dictionary of column a should now only contain 2 and 3.
         assert_eq!(s.column(0).sorted_distinct_values(), &["2", "3"]);
+        // Orphaning subsets, permutations, repeated ids, the empty selection.
+        for ids in [&[1, 2][..], &[3, 0, 2, 1], &[2, 2, 0, 2], &[0, 3], &[2], &[]] {
+            assert_selects(&t, ids);
+        }
+        let all_null =
+            Table::from_rows("t", &["a", "b"], &[vec!["", "x"], vec!["", "y"], vec!["", "x"]])
+                .unwrap();
+        assert_selects(&all_null, &[2, 0, 0]);
+        assert_selects(&all_null, &[1]);
+        let zero_columns = t.take_columns(0);
+        assert_selects(&zero_columns, &[3, 1, 1]);
+    }
+
+    proptest::proptest! {
+        /// Random tables (small domains, so NULLs and collisions abound):
+        /// a random permutation and random ids with repeats both project
+        /// exactly like a from-scratch build.
+        #[test]
+        fn random_selections_match_from_scratch(
+            (base, keys, ids) in (
+                proptest::collection::vec(proptest::collection::vec(0u32..4, 3), 0..12),
+                proptest::collection::vec(0u32..1000, 12),
+                proptest::collection::vec(0usize..12, 0..16),
+            )
+        ) {
+            let cells: Vec<Vec<String>> = base
+                .iter()
+                .map(|r| r.iter().map(|&v| if v == 0 { String::new() } else { format!("v{v}") }).collect())
+                .collect();
+            let t = Table::from_rows("t", &["a", "b", "c"], &cells).unwrap();
+            let mut perm: Vec<usize> = (0..t.num_rows()).collect();
+            perm.sort_by_key(|&r| (keys[r], r));
+            assert_selects(&t, &perm);
+            let ids: Vec<usize> = ids.into_iter().filter(|&r| r < t.num_rows()).collect();
+            assert_selects(&t, &ids);
+        }
     }
 
     #[test]
