@@ -261,7 +261,9 @@ pub fn profile_csv(
             // stats layer pays an extra parse — faithfully mirroring the
             // paper's cost model for non-holistic execution.
             let stats = if config.stats {
+                let span = muds_obs::span("read input");
                 let table = table_from_csv(name, csv, options)?;
+                span.stop();
                 Some(table_stats(&table, &r.inds, &r.minimal_uccs))
             } else {
                 None

@@ -13,10 +13,10 @@
 //! whose candidates are exhausted and which no other column still references
 //! is dropped from the merge.
 //!
-//! The sorting phase is where SPIDER parallelizes: it happens inside
-//! `Column::from_values` (a parallel sort of each dictionary), so by the
-//! time this module runs, only the inherently sequential synchronized merge
-//! remains. NULL semantics are inherited from the dictionary too — NULLs
+//! SPIDER's sorting phase happens at dictionary-encoding time (each
+//! column's distinct values are sorted once, columns in parallel), so by
+//! the time this module runs, only the inherently sequential synchronized
+//! merge remains. NULL semantics are inherited from the dictionary too — NULLs
 //! never appear in `sorted_distinct_values`, so they are skipped on the
 //! dependent side; the inverted-index baseline reads the same lists, which
 //! keeps the two IND algorithms agreeing on NULL-laden tables by

@@ -12,6 +12,13 @@
 //!   describes ("at construction time, PLIs map values to positions so that
 //!   Spider can retrieve duplicate-free value lists");
 //! * cardinality statistics fall out of the dictionary length.
+//!
+//! Encoding interns each value through a hash map into a first-seen
+//! provisional id, sorts only the distinct values, and remaps the codes
+//! once — each distinct value is copied exactly once, and no cell is
+//! compared against the dictionary.
+
+use std::collections::HashMap;
 
 /// NULL handling: an empty input field is NULL. For UCC/FD discovery NULL
 /// behaves as an ordinary value equal to itself (two NULLs agree) — all
@@ -44,32 +51,53 @@ pub struct Column {
 impl Column {
     /// Dictionary-encodes `values`. Empty strings become NULL.
     pub fn from_values(name: impl Into<String>, values: &[&str]) -> Self {
-        use rayon::prelude::*;
-        let mut dictionary: Vec<String> =
-            values.iter().filter(|v| !v.is_empty()).map(|v| v.to_string()).collect();
-        // This sort is SPIDER's "sorting phase" (the sorted duplicate-free
-        // value lists fall out of dictionary encoding), parallelized here.
-        // Equal strings are indistinguishable, so the stable parallel sort
-        // yields exactly what `sort_unstable` did.
-        dictionary.par_sort_unstable();
-        dictionary.dedup();
-        let null_code = dictionary.len() as u32;
+        Self::encode(name, values.iter().copied())
+    }
+
+    /// [`Column::from_values`] over any exact-size sequence of values, so
+    /// table construction can feed a column straight from its row store.
+    /// The interning map is never iterated, so its order cannot leak into
+    /// the result.
+    pub(crate) fn encode<'a>(
+        name: impl Into<String>,
+        values: impl ExactSizeIterator<Item = &'a str>,
+    ) -> Self {
+        let mut ids: HashMap<&str, u32> = HashMap::new();
+        let mut distinct: Vec<&str> = Vec::new();
         let mut null_count = 0;
-        // lint:allow(panic): the dictionary was built from these same
-        // values two lines up, so every non-empty value binary-searches to
-        // a hit; a miss is an encoder bug worth a loud abort.
-        let codes = values
-            .iter()
-            .map(|v| {
-                if v.is_empty() {
-                    null_count += 1;
-                    null_code
-                } else {
-                    dictionary.binary_search_by(|d| d.as_str().cmp(v)).expect("value in dictionary")
-                        as u32
-                }
-            })
-            .collect();
+        // Provisional ids; `NULL_ID` marks NULL rows until the final
+        // NULL code (one past the dictionary) is known.
+        const NULL_ID: u32 = u32::MAX;
+        let mut codes: Vec<u32> = Vec::with_capacity(values.len());
+        for value in values {
+            if value.is_empty() {
+                null_count += 1;
+                codes.push(NULL_ID);
+                continue;
+            }
+            let next = distinct.len() as u32;
+            codes.push(*ids.entry(value).or_insert_with(|| {
+                distinct.push(value);
+                next
+            }));
+        }
+        // Free the map before the remap allocates.
+        drop(ids);
+        // This sort is SPIDER's "sorting phase": the sorted duplicate-free
+        // value lists fall out of dictionary encoding. Distinct values
+        // never compare equal, so the order is total and deterministic.
+        let mut sorted: Vec<u32> = (0..distinct.len() as u32).collect();
+        sorted.sort_unstable_by_key(|&id| distinct[id as usize]);
+        let mut code_of = vec![0u32; distinct.len()];
+        for (code, &id) in sorted.iter().enumerate() {
+            code_of[id as usize] = code as u32;
+        }
+        let null_code = distinct.len() as u32;
+        for code in &mut codes {
+            // `NULL_ID` is past the end of `code_of`.
+            *code = code_of.get(*code as usize).copied().unwrap_or(null_code);
+        }
+        let dictionary = sorted.iter().map(|&id| distinct[id as usize].to_owned()).collect();
         Column { name: name.into(), codes, dictionary, null_count }
     }
 
@@ -221,5 +249,39 @@ mod tests {
         assert_eq!(c.value_counts(), vec![1, 3, 1]);
         let empty = Column::from_values("c", &[]);
         assert_eq!(empty.value_counts(), vec![0], "empty column still has the NULL slot");
+    }
+
+    proptest::proptest! {
+        /// Interning agrees with the encoder it replaced — sort every
+        /// non-null value, dedup, binary-search each cell — on value lists
+        /// full of empty strings, duplicates and non-ASCII values.
+        #[test]
+        fn encoding_matches_the_sort_and_search_oracle(
+            pieces in proptest::collection::vec(proptest::collection::vec(0usize..8, 0..3), 0..40)
+        ) {
+            const PIECES: [&str; 8] = ["a", "b", "A", "é", "日本", "z", " ", "ab"];
+            let values: Vec<String> =
+                pieces.iter().map(|p| p.iter().map(|&i| PIECES[i]).collect()).collect();
+            let values: Vec<&str> = values.iter().map(String::as_str).collect();
+            let mut dictionary: Vec<&str> =
+                values.iter().copied().filter(|v| !v.is_empty()).collect();
+            dictionary.sort_unstable();
+            dictionary.dedup();
+            let null_code = dictionary.len() as u32;
+            let codes: Vec<u32> = values
+                .iter()
+                .map(|v| match dictionary.binary_search(v) {
+                    Ok(code) => code as u32,
+                    Err(_) => null_code,
+                })
+                .collect();
+            let column = Column::from_values("c", &values);
+            proptest::prop_assert_eq!(column.codes(), &codes[..]);
+            proptest::prop_assert_eq!(column.sorted_distinct_values(), &dictionary[..]);
+            proptest::prop_assert_eq!(
+                column.null_count(),
+                values.iter().filter(|v| v.is_empty()).count()
+            );
+        }
     }
 }

@@ -3,10 +3,16 @@
 //! Implemented in-tree (rather than pulling a dependency) because the
 //! profiling pipeline needs only a small, predictable subset: configurable
 //! delimiter, double-quote quoting with `""` escapes, quoted fields that may
-//! contain delimiters and newlines, and both `\n` and `\r\n` row
-//! terminators. Empty fields are NULL by the conventions of
+//! contain delimiters and newlines, and `\n`, `\r\n` and a lone `\r` as
+//! record terminators. Empty fields are NULL by the conventions of
 //! [`crate::column::Column`].
+//!
+//! Reading is one byte-level scan over the input that yields every field
+//! as a span: unquoted fields borrow their bytes, and a field is copied
+//! only once a `"` appears in it. [`table_from_csv`] encodes its columns
+//! straight from those spans.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -41,147 +47,227 @@ pub struct CsvRecord {
     pub fields: Vec<String>,
 }
 
-/// Splits CSV `input` into records of fields.
-pub fn parse_csv(input: &str, options: &CsvOptions) -> Result<Vec<Vec<String>>, TableError> {
-    Ok(parse_csv_records(input, options)?.into_iter().map(|r| r.fields).collect())
+/// Fields per chunk of [`Fields`]. No allocation grows with the whole
+/// input: glibc's malloc raises its mmap threshold to the largest block a
+/// program frees, and one input-sized block left tens of MB of freed heap
+/// resident after every parse.
+const CHUNK: usize = 1 << 15;
+
+/// Every field of a CSV input in order, and where each record starts.
+struct Fields<'a> {
+    /// The fields, [`CHUNK`] to a chunk.
+    chunks: Vec<Vec<Cow<'a, str>>>,
+    /// Number of fields.
+    len: usize,
+    /// Per record: the 1-based line it starts on and the index of its
+    /// first field.
+    records: Vec<(usize, usize)>,
 }
 
-/// [`parse_csv`], keeping each record's source line number for error
-/// reporting (ragged rows, width mismatches).
-pub fn parse_csv_records(input: &str, options: &CsvOptions) -> Result<Vec<CsvRecord>, TableError> {
-    let mut records: Vec<CsvRecord> = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut chars = input.chars().peekable();
-    let mut in_quotes = false;
-    let mut line = 1usize;
-    // Line the current record started on, captured at its first character.
-    let mut record_start = 1usize;
-    // Line the currently open quote started on, for unterminated-quote
-    // errors (the EOF line would be useless when the field spans lines).
-    let mut quote_open = 1usize;
-    let mut any_char_in_record = false;
-
-    fn end_record(
-        records: &mut Vec<CsvRecord>,
-        record: &mut Vec<String>,
-        field: &mut String,
-        any_char_in_record: &mut bool,
-        record_start: usize,
-    ) {
-        // A terminator with no preceding content is a blank line, not an
-        // empty one-field record.
-        if *any_char_in_record || !field.is_empty() || !record.is_empty() {
-            record.push(std::mem::take(field));
-            records.push(CsvRecord { line: record_start, fields: std::mem::take(record) });
+impl<'a> Fields<'a> {
+    fn push(&mut self, field: Cow<'a, str>) {
+        if self.len.is_multiple_of(CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
         }
-        *any_char_in_record = false;
+        self.chunks[self.len / CHUNK].push(field);
+        self.len += 1;
     }
 
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                '\n' => {
-                    field.push(c);
-                    line += 1;
-                }
-                _ => field.push(c),
-            }
+    /// Field `i` of the input.
+    fn get(&self, i: usize) -> &str {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+
+    /// The field indices of record `r`.
+    fn record(&self, r: usize) -> std::ops::Range<usize> {
+        let end = self.records.get(r + 1).map_or(self.len, |&(_, start)| start);
+        self.records[r].1..end
+    }
+}
+
+/// Splits `input` into fields and records.
+///
+/// Outside quotes, `\r\n`, a lone `\r` and `\n` each end a record and
+/// count one line; a terminator that ends no content is a blank line and
+/// yields no record. A `"` anywhere in a field opens a quoted section that
+/// runs to the next unpaired `"`; inside it `""` is a literal quote and
+/// only `\n` counts a line. A delimiter that is itself `"`, `\r` or `\n`
+/// keeps that byte's own meaning; a multi-byte delimiter is matched on its
+/// UTF-8 bytes.
+fn scan<'a>(input: &'a str, delimiter: char) -> Result<Fields<'a>, TableError> {
+    let bytes = input.as_bytes();
+    let mut utf8 = [0u8; 4];
+    let delimiter = delimiter.encode_utf8(&mut utf8).as_bytes();
+    // Bytes the field loop stops at: quote, terminators, and the
+    // delimiter's lead byte (which only ever starts a character).
+    let mut special = [false; 256];
+    for &b in [b'"', b'\n', b'\r'].iter().chain(delimiter.first()) {
+        special[usize::from(b)] = true;
+    }
+    let mut fields = Fields { chunks: Vec::new(), len: 0, records: Vec::new() };
+    let mut line = 1usize;
+    let mut i = 0usize;
+    while i < bytes.len() {
+        if let Some(len) = terminator_len(bytes, i) {
+            line += 1;
+            i += len;
             continue;
         }
-        if !any_char_in_record && c != '\n' && c != '\r' {
-            record_start = line;
-        }
-        match c {
-            '"' => {
-                in_quotes = true;
-                quote_open = line;
-                any_char_in_record = true;
-            }
-            '\r' => {
-                // "\r\n" and a lone "\r" both terminate the record
-                // (RFC 4180 uses CRLF; classic Mac files used bare CR —
-                // silently gluing two lines together is never right).
-                if chars.peek() == Some(&'\n') {
-                    chars.next();
+        fields.records.push((line, fields.len));
+        loop {
+            // The field's text so far, once a quote made it differ from
+            // the input bytes; `stretch` starts its current unquoted run.
+            let mut owned: Option<String> = None;
+            let mut stretch = i;
+            let ends_record = loop {
+                let Some(skip) = bytes[i..].iter().position(|&b| special[usize::from(b)]) else {
+                    i = bytes.len();
+                    break true;
+                };
+                i += skip;
+                match bytes[i] {
+                    b'"' => {
+                        let text = owned.get_or_insert_with(String::new);
+                        text.push_str(&input[stretch..i]);
+                        i = quoted(input, i + 1, &mut line, text)?;
+                        stretch = i;
+                    }
+                    b'\n' | b'\r' => break true,
+                    _ if bytes[i..].starts_with(delimiter) => break false,
+                    _ => i += 1,
                 }
+            };
+            let tail = &input[stretch..i];
+            let field = match owned {
+                Some(mut text) => {
+                    text.push_str(tail);
+                    Cow::Owned(text)
+                }
+                None => Cow::Borrowed(tail),
+            };
+            fields.push(field);
+            if !ends_record {
+                i += delimiter.len();
+                continue;
+            }
+            if let Some(len) = terminator_len(bytes, i) {
                 line += 1;
-                end_record(
-                    &mut records,
-                    &mut record,
-                    &mut field,
-                    &mut any_char_in_record,
-                    record_start,
-                );
+                i += len;
             }
-            '\n' => {
-                line += 1;
-                end_record(
-                    &mut records,
-                    &mut record,
-                    &mut field,
-                    &mut any_char_in_record,
-                    record_start,
-                );
-            }
-            d if d == options.delimiter => {
-                record.push(std::mem::take(&mut field));
-                any_char_in_record = true;
-            }
-            _ => {
-                field.push(c);
-                any_char_in_record = true;
-            }
+            break;
         }
     }
-    if in_quotes {
-        return Err(TableError::Csv {
-            line: quote_open,
-            message: "unterminated quoted field (quote never closed before end of input)".into(),
-        });
-    }
-    end_record(&mut records, &mut record, &mut field, &mut any_char_in_record, record_start);
-    Ok(records)
+    Ok(fields)
 }
 
-/// Parses CSV text into a [`Table`].
-pub fn table_from_csv(name: &str, input: &str, options: &CsvOptions) -> Result<Table, TableError> {
-    let mut records = parse_csv_records(input, options)?;
-    let header: Vec<String> = if options.has_header {
-        if records.is_empty() {
-            return Err(TableError::NoColumns);
+/// Length of the record terminator at `bytes[i]` (`\r\n` is one), if any.
+fn terminator_len(bytes: &[u8], i: usize) -> Option<usize> {
+    match bytes.get(i)? {
+        b'\n' => Some(1),
+        b'\r' if bytes.get(i + 1) == Some(&b'\n') => Some(2),
+        b'\r' => Some(1),
+        _ => None,
+    }
+}
+
+/// Reads the quoted section whose opening quote sits just before `i`:
+/// appends its text to `text` and returns the position past the closing
+/// quote. An unclosed quote is an error on the line the quote opened on.
+fn quoted(
+    input: &str,
+    mut i: usize,
+    line: &mut usize,
+    text: &mut String,
+) -> Result<usize, TableError> {
+    let bytes = input.as_bytes();
+    let opened = *line;
+    loop {
+        let Some(len) = bytes[i..].iter().position(|&b| b == b'"') else {
+            return Err(TableError::Csv {
+                line: opened,
+                message: "unterminated quoted field (quote never closed before end of input)"
+                    .into(),
+            });
+        };
+        let close = i + len;
+        text.push_str(&input[i..close]);
+        *line += bytes[i..close].iter().filter(|&&b| b == b'\n').count();
+        if bytes.get(close + 1) != Some(&b'"') {
+            return Ok(close + 1);
         }
-        records.remove(0).fields
+        text.push('"');
+        i = close + 2;
+    }
+}
+
+/// The scanner's line number at the end of `bytes`, for errors found
+/// before scanning (invalid UTF-8). Toggling on every `"` tracks the
+/// scanner's quote state: an escaped `""` toggles twice.
+fn line_at_end(bytes: &[u8]) -> usize {
+    let mut line = 1;
+    let mut quoted = false;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'"' => quoted = !quoted,
+            b'\n' => line += 1,
+            b'\r' if !quoted => {
+                line += 1;
+                i += usize::from(bytes.get(i + 1) == Some(&b'\n'));
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    line
+}
+
+/// Splits CSV `input` into records of owned fields, each with the source
+/// line it starts on.
+pub fn parse_csv_records(input: &str, options: &CsvOptions) -> Result<Vec<CsvRecord>, TableError> {
+    let fields = scan(input, options.delimiter)?;
+    Ok((0..fields.records.len())
+        .map(|r| CsvRecord {
+            line: fields.records[r].0,
+            fields: fields.record(r).map(|i| fields.get(i).to_string()).collect(),
+        })
+        .collect())
+}
+
+/// Parses CSV text into a [`Table`], recording `csv parse` and
+/// `dictionary encode` spans in the ambient registry.
+pub fn table_from_csv(name: &str, input: &str, options: &CsvOptions) -> Result<Table, TableError> {
+    let span = muds_obs::span("csv parse");
+    let fields = scan(input, options.delimiter)?;
+    // The first record's fields; an input without records has no columns.
+    let first = if fields.records.is_empty() { 0..0 } else { fields.record(0) };
+    let generated: Vec<String>;
+    let (header, first_row): (Vec<&str>, usize) = if options.has_header {
+        (first.map(|i| fields.get(i)).collect(), 1)
     } else {
-        let width = records.first().map_or(0, |r| r.fields.len());
-        (0..width).map(|i| format!("col{i}")).collect()
+        generated = (0..first.len()).map(|i| format!("col{i}")).collect();
+        (generated.iter().map(String::as_str).collect(), 0)
     };
     if header.is_empty() {
         return Err(TableError::NoColumns);
     }
-    // Validate widths here, where source line numbers are still known
-    // (Table::from_rows only sees row indices).
-    for (i, rec) in records.iter().enumerate() {
-        if rec.fields.len() != header.len() {
+    // Widths are checked here, where source line numbers are known.
+    for r in first_row..fields.records.len() {
+        let got = fields.record(r).len();
+        if got != header.len() {
             return Err(TableError::RaggedRow {
-                row: i,
+                row: r - first_row,
                 expected: header.len(),
-                got: rec.fields.len(),
-                line: Some(rec.line),
+                got,
+                line: Some(fields.records[r].0),
             });
         }
     }
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let rows: Vec<Vec<String>> = records.into_iter().map(|r| r.fields).collect();
-    Table::from_rows(name, &header_refs, &rows)
+    span.stop();
+    let _span = muds_obs::span("dictionary encode");
+    Table::check_schema(&header)?;
+    let rows = &fields.records[first_row..];
+    Ok(Table::encode(name, &header, rows.len(), |r, c| fields.get(rows[r].1 + c)))
 }
 
 /// Parses raw CSV bytes (e.g. an uploaded request body) into a [`Table`].
@@ -193,12 +279,9 @@ pub fn table_from_csv_bytes(
     bytes: &[u8],
     options: &CsvOptions,
 ) -> Result<Table, TableError> {
-    let input = std::str::from_utf8(bytes).map_err(|e| {
-        let line = 1 + bytes[..e.valid_up_to()].iter().filter(|&&b| b == b'\n').count();
-        TableError::Csv {
-            line,
-            message: format!("invalid UTF-8 at byte offset {}", e.valid_up_to()),
-        }
+    let input = std::str::from_utf8(bytes).map_err(|e| TableError::Csv {
+        line: line_at_end(&bytes[..e.valid_up_to()]),
+        message: format!("invalid UTF-8 at byte offset {}", e.valid_up_to()),
     })?;
     table_from_csv(name, input, options)
 }
@@ -272,6 +355,7 @@ pub fn table_to_csv_file(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::{assert_matches_from_scratch, rows_of};
 
     #[test]
     fn basic_parse() {
@@ -434,14 +518,24 @@ mod tests {
     fn bytes_entry_point_parses_and_validates_utf8() {
         let t = table_from_csv_bytes("t", b"a,b\n1,2\n", &CsvOptions::default()).unwrap();
         assert_eq!(t.num_rows(), 1);
-        // Invalid UTF-8 on line 2 is reported with that line number.
-        let err = table_from_csv_bytes("t", b"a,b\n1,\xff\n", &CsvOptions::default()).unwrap_err();
-        match err {
-            TableError::Csv { line, message } => {
-                assert_eq!(line, 2);
-                assert!(message.contains("UTF-8"), "{message}");
+        // Invalid UTF-8 is reported on the line the scanner would be on: a
+        // lone '\r' ends a line outside quotes, "\r\n" is one line end, and
+        // inside a quoted field only '\n' counts.
+        for (bytes, line) in [
+            (&b"a,b\n1,\xff\n"[..], 2),
+            (b"a,b\r1,\xff\r", 2),
+            (b"a,b\r\n1,2\r\n\xff", 3),
+            (b"a,b\r\r1,\xff", 3),
+            (b"a\n\"x\ry\xff\"\n", 2),
+            (b"a\n\"x\r\ny\"\"\r\xff\"\n", 3),
+        ] {
+            match table_from_csv_bytes("t", bytes, &CsvOptions::default()) {
+                Err(TableError::Csv { line: got, message }) => {
+                    assert_eq!(got, line, "{bytes:?}");
+                    assert!(message.contains("UTF-8"), "{message}");
+                }
+                other => panic!("{bytes:?}: unexpected {other:?}"),
             }
-            other => panic!("unexpected error {other:?}"),
         }
     }
 
@@ -451,5 +545,183 @@ mod tests {
             table_from_csv("t", "", &CsvOptions::default()),
             Err(TableError::NoColumns)
         ));
+    }
+
+    /// The scanner's outcome on `input` in one comparable line: the header
+    /// and decoded rows, or the exact error.
+    fn outcome(input: &str, options: &CsvOptions) -> String {
+        match table_from_csv("t", input, options) {
+            Ok(t) => format!(
+                "{:?} {:?}",
+                t.column_names(),
+                (0..t.num_rows()).map(|r| t.row(r)).collect::<Vec<_>>()
+            ),
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    #[test]
+    fn edge_cases_pin_exact_outcomes_and_lines() {
+        let comma = CsvOptions::default();
+        let semicolon = CsvOptions { delimiter: ';', has_header: false };
+        let e_acute = CsvOptions { delimiter: 'é', has_header: true };
+        let unterminated =
+            "unterminated quoted field (quote never closed before end of input)".to_string();
+        let cases: Vec<(&str, &CsvOptions, String)> = vec![
+            ("", &comma, "NoColumns".into()),
+            ("\n\r\n\r", &comma, "NoColumns".into()),
+            ("", &semicolon, "NoColumns".into()),
+            (
+                "a,b\r1,2\r\n\n3,4",
+                &comma,
+                r#"["a", "b"] [[Some("1"), Some("2")], [Some("3"), Some("4")]]"#.into(),
+            ),
+            ("a\n\"oops\nmore", &comma, format!("Csv {{ line: 2, message: {unterminated:?} }}")),
+            ("a\n1\n\"x\"\"", &comma, format!("Csv {{ line: 3, message: {unterminated:?} }}")),
+            // Inside quotes a lone '\r' is not a line end, "\r\n" is one.
+            (
+                "a,b\n\"x\ry\",1\n1,2,3\n",
+                &comma,
+                "RaggedRow { row: 1, expected: 2, got: 3, line: Some(3) }".into(),
+            ),
+            (
+                "a,b\n\"x\r\ny\",1\n1,2,3\n",
+                &comma,
+                "RaggedRow { row: 1, expected: 2, got: 3, line: Some(4) }".into(),
+            ),
+            (
+                "a,b\n\n\n1,2,3",
+                &comma,
+                "RaggedRow { row: 0, expected: 2, got: 3, line: Some(4) }".into(),
+            ),
+            // Quotes mid-field, an empty quoted name, an escaped quote, and
+            // a quoted empty cell (NULL).
+            (
+                "a\"b\"c,\"\"\n\"\"\"\",x\n\"\",y",
+                &comma,
+                r#"["abc", ""] [[Some("\""), Some("x")], [None, Some("y")]]"#.into(),
+            ),
+            (
+                "1;2\n3;4;5",
+                &semicolon,
+                "RaggedRow { row: 1, expected: 2, got: 3, line: Some(2) }".into(),
+            ),
+            ("x;\"a;b\"\n", &semicolon, r#"["col0", "col1"] [[Some("x"), Some("a;b")]]"#.into()),
+            // 'è' shares 'é''s lead byte but is not the delimiter.
+            ("aéb\nè,é\"xéy\"\n", &e_acute, r#"["a", "b"] [[Some("è,"), Some("xéy")]]"#.into()),
+            (
+                "aéb\nèéé\n",
+                &e_acute,
+                "RaggedRow { row: 0, expected: 2, got: 3, line: Some(2) }".into(),
+            ),
+            ("a,a\n1,2", &comma, r#"DuplicateColumnName("a")"#.into()),
+        ];
+        for (input, options, expected) in cases {
+            assert_eq!(outcome(input, options), expected, "{input:?}");
+        }
+        // A ragged row is reported before the schema is judged.
+        let wide: Vec<String> = (0..=crate::MAX_COLUMNS).map(|i| format!("c{i}")).collect();
+        let wide = wide.join(",");
+        assert_eq!(
+            outcome(&format!("{wide}\n1\n"), &comma),
+            "RaggedRow { row: 0, expected: 257, got: 1, line: Some(2) }"
+        );
+        assert_eq!(outcome(&format!("{wide}\n"), &comma), "TooManyColumns { got: 257, max: 256 }");
+    }
+
+    /// Hostile fragments: every byte the scanner treats specially, a
+    /// character sharing the `é` delimiter's lead byte, and plain text.
+    const PIECES: [&str; 12] = [",", ";", "\"", "\r", "\n", "\r\n", "é", "è", "日", "a", "b", " "];
+
+    fn text(pieces: &[usize]) -> String {
+        pieces.iter().map(|&p| PIECES[p % PIECES.len()]).collect()
+    }
+
+    /// The delimiters and header modes every property runs under.
+    fn option_sets() -> [CsvOptions; 3] {
+        [
+            CsvOptions { delimiter: ',', has_header: true },
+            CsvOptions { delimiter: ';', has_header: false },
+            CsvOptions { delimiter: 'é', has_header: true },
+        ]
+    }
+
+    proptest::proptest! {
+        /// Random tables of hostile cells (empty ones are NULL; short
+        /// cells from a small alphabet repeat often) survive
+        /// `table_to_csv` → `table_from_csv` exactly, encoded as a
+        /// from-scratch build would encode them.
+        #[test]
+        fn hostile_tables_round_trip(
+            (width, names, cells) in (
+                2usize..5,
+                proptest::collection::vec(proptest::collection::vec(0usize..12, 0..3), 4),
+                proptest::collection::vec(
+                    proptest::collection::vec(proptest::collection::vec(0usize..12, 0..3), 4),
+                    0..8,
+                ),
+            )
+        ) {
+            // '#' is not a piece, so the suffix keeps names distinct.
+            let names: Vec<String> =
+                names[..width].iter().enumerate().map(|(i, p)| format!("{}#{i}", text(p))).collect();
+            let rows: Vec<Vec<String>> =
+                cells.iter().map(|r| r[..width].iter().map(|c| text(c)).collect()).collect();
+            let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            let table = Table::from_rows("t", &name_refs, &rows).unwrap();
+            for options in option_sets() {
+                let csv = table_to_csv(&table, &options);
+                let back = table_from_csv("t", &csv, &options).unwrap();
+                // Without a header, the names line reads back as data.
+                let (names, rows) = if options.has_header {
+                    (names.clone(), rows.clone())
+                } else {
+                    let generated = (0..width).map(|i| format!("col{i}")).collect();
+                    (generated, [vec![names.clone()], rows.clone()].concat())
+                };
+                assert_eq!(back.column_names(), names, "{csv:?}");
+                assert_eq!(rows_of(&back), rows, "{csv:?}");
+                assert_matches_from_scratch(&back);
+            }
+        }
+
+        /// Raw strings over the same alphabet never panic: every input
+        /// gives a typed error or a table that matches a from-scratch
+        /// build and the owned record split.
+        #[test]
+        fn raw_strings_give_a_table_or_a_typed_error(
+            (pieces, bad) in (proptest::collection::vec(0usize..12, 0..40), 0usize..40)
+        ) {
+            let input = text(&pieces);
+            for options in option_sets() {
+                let records = parse_csv_records(&input, &options);
+                match table_from_csv("t", &input, &options) {
+                    Ok(t) => {
+                        assert_matches_from_scratch(&t);
+                        let mut records: Vec<Vec<String>> =
+                            records.unwrap().into_iter().map(|r| r.fields).collect();
+                        if options.has_header {
+                            assert_eq!(t.column_names(), records.remove(0));
+                        }
+                        assert_eq!(rows_of(&t), records, "{input:?}");
+                    }
+                    Err(TableError::Csv { line, .. }) => {
+                        assert!(matches!(records, Err(TableError::Csv { line: l, .. }) if l == line));
+                    }
+                    Err(_) => assert!(records.is_ok(), "{input:?}"),
+                }
+            }
+            // An invalid byte anywhere is a CSV error on a real line.
+            let at = (0..=bad.min(input.len())).rev().find(|&i| input.is_char_boundary(i)).unwrap_or(0);
+            let mut bytes = input.clone().into_bytes();
+            bytes.insert(at, 0xff);
+            let lines = 1 + input.matches(['\n', '\r']).count();
+            match table_from_csv_bytes("t", &bytes, &CsvOptions::default()) {
+                Err(TableError::Csv { line, message }) => {
+                    assert!((1..=lines).contains(&line) && message.contains("UTF-8"), "{bytes:?}");
+                }
+                other => panic!("{bytes:?}: unexpected {other:?}"),
+            }
+        }
     }
 }

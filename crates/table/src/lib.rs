@@ -16,8 +16,8 @@ mod table;
 
 pub use column::Column;
 pub use csv::{
-    parse_csv, parse_csv_records, table_from_csv, table_from_csv_bytes, table_from_csv_file,
-    table_to_csv, table_to_csv_file, CsvOptions, CsvRecord,
+    parse_csv_records, table_from_csv, table_from_csv_bytes, table_from_csv_file, table_to_csv,
+    table_to_csv_file, CsvOptions, CsvRecord,
 };
 pub use delta::{DeltaOutcome, TableDelta};
 pub use error::TableError;

@@ -37,15 +37,7 @@ impl Table {
         column_names: &[&str],
         rows: &[Vec<S>],
     ) -> Result<Self, TableError> {
-        if column_names.len() > MAX_COLUMNS {
-            return Err(TableError::TooManyColumns { got: column_names.len(), max: MAX_COLUMNS });
-        }
-        let mut seen = HashSet::new();
-        for &n in column_names {
-            if !seen.insert(n) {
-                return Err(TableError::DuplicateColumnName(n.to_string()));
-            }
-        }
+        Self::check_schema(column_names)?;
         for (i, row) in rows.iter().enumerate() {
             if row.len() != column_names.len() {
                 return Err(TableError::RaggedRow {
@@ -56,14 +48,38 @@ impl Table {
                 });
             }
         }
+        Ok(Self::encode(name, column_names, rows.len(), |r, c| rows[r][c].as_ref()))
+    }
+
+    /// The schema checks every construction path shares: at most
+    /// [`MAX_COLUMNS`] columns, no name twice.
+    pub(crate) fn check_schema(column_names: &[&str]) -> Result<(), TableError> {
+        if column_names.len() > MAX_COLUMNS {
+            return Err(TableError::TooManyColumns { got: column_names.len(), max: MAX_COLUMNS });
+        }
+        let mut seen = HashSet::new();
+        for &n in column_names {
+            if !seen.insert(n) {
+                return Err(TableError::DuplicateColumnName(n.to_string()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Dictionary-encodes `num_rows` rows whose field `c` of row `r` is
+    /// `cell(r, c)`, one column per task, in parallel. The caller has
+    /// checked the schema and every row's width.
+    pub(crate) fn encode<'a>(
+        name: impl Into<String>,
+        column_names: &[&str],
+        num_rows: usize,
+        cell: impl Fn(usize, usize) -> &'a str + Sync,
+    ) -> Self {
         let columns = (0..column_names.len())
             .into_par_iter()
-            .map(|c| {
-                let values: Vec<&str> = rows.iter().map(|r| r[c].as_ref()).collect();
-                Column::from_values(column_names[c], &values)
-            })
+            .map(|c| Column::encode(column_names[c], (0..num_rows).map(|r| cell(r, c))))
             .collect();
-        Ok(Table { name: name.into(), columns, num_rows: rows.len() })
+        Table { name: name.into(), columns, num_rows }
     }
 
     /// Assembles a table from pre-built columns (delta maintenance). The

@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: CSV in → metadata out, degenerate inputs,
 //! configuration knobs, and the documented MUDS deviations.
 
-use muds_core::{muds, profile_csv, Algorithm, MudsConfig, ProfilerConfig, ShadowLookup};
+use muds_core::{muds, profile_csv, Algorithm, MudsConfig, Phase, ProfilerConfig, ShadowLookup};
 use muds_datagen::{ncvoter_like, uniprot_like};
 use muds_table::{table_to_csv, CsvOptions, Table};
 
@@ -30,6 +30,17 @@ fn baseline_reparses_per_task_holistic_once() {
     assert_eq!(base.phases.len(), 3, "SPIDER, DUCC, FUN phases");
     let hol = profile_csv("t", &csv, &CsvOptions::default(), Algorithm::HolisticFun, &cfg).unwrap();
     assert_eq!(hol.phases[0].name, "read input");
+    // Every input scan splits into its parse and encode halves: the
+    // holistic run's one "read input", and each baseline task's re-scan.
+    let ingest = ["csv parse", "dictionary encode"];
+    let children = |p: &Phase| -> Vec<String> {
+        p.children.iter().take(ingest.len()).map(|c| c.name.clone()).collect()
+    };
+    assert_eq!(children(&hol.phases[0]), ingest);
+    assert_eq!(hol.phases[0].children.len(), ingest.len(), "read input holds only the scan");
+    for phase in &base.phases {
+        assert_eq!(children(phase), ingest, "{} re-scans its input first", phase.name);
+    }
 }
 
 #[test]
