@@ -9,8 +9,8 @@
 //!   sockets;
 //! * the paper's evaluation (§6): `fig6` (row scalability), `fig7` (column
 //!   scalability), `table3` (eleven UCI stand-ins × four algorithms),
-//!   `fig8` (MUDS phase breakdown under three configurations) and
-//!   `ablation` (the §5 design choices). EXPERIMENTS.md quotes the
+//!   `fig8` (MUDS phase breakdown, paper-faithful vs exact) and
+//!   `ablation` (the §5.4 set-trie study). EXPERIMENTS.md quotes the
 //!   committed reports.
 //!
 //! Scenario names are stable identifiers: they key `BENCH_<scenario>.json`
@@ -29,7 +29,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use muds_core::json::parse_json;
-use muds_core::{profile_csv, Algorithm, MudsConfig, ProfileResult, ProfilerConfig, ShadowLookup};
+use muds_core::{profile_csv, Algorithm, ProfileResult, ProfilerConfig};
 use muds_datagen::{ionosphere_like, ncvoter_like, uci_dataset, uniprot_like, TABLE3_DATASETS};
 use muds_lattice::{ColumnSet, SetTrie};
 use muds_obs::{flatten_phases, Metrics, RssSampler};
@@ -55,10 +55,9 @@ pub enum ScenarioKind {
     ColumnSweep,
     /// Table 3: all four algorithms on each UCI stand-in.
     Datasets,
-    /// Figure 8: MUDS under its three `MudsConfig`s.
+    /// Figure 8: MUDS with and without its completion sweep.
     MudsConfigs,
-    /// A1 set-trie vs linear scan, A2 MUDS with and without known-FD
-    /// pruning.
+    /// A1 set-trie vs linear scan.
     Ablation,
 }
 
@@ -83,7 +82,8 @@ pub struct ScenarioSpec {
     /// Stable identifier: keys the `BENCH_<name>.json` file.
     pub name: &'static str,
     pub kind: ScenarioKind,
-    /// Datagen shape (`uniprot` | `ncvoter` | `ionosphere` | `uci`).
+    /// Datagen shape (`uniprot` | `ncvoter` | `ionosphere` | `uci`), or
+    /// `random-sets` for the set-trie ablation.
     pub shape: &'static str,
     /// Rows at full size (0 = the shape fixes its own row count).
     pub rows: usize,
@@ -189,15 +189,15 @@ pub const SCENARIOS: [ScenarioSpec; 12] = [
         shape: "ncvoter",
         rows: 10_000,
         cols: 20,
-        figure: "Figure 8 (MUDS phase breakdown, three configurations)",
+        figure: "Figure 8 (MUDS phase breakdown, paper-faithful vs exact)",
     },
     ScenarioSpec {
         name: "ablation",
         kind: ScenarioKind::Ablation,
-        shape: "uniprot",
-        rows: 20_000,
-        cols: 10,
-        figure: "§5 ablations (A1 set-trie vs linear scan, A2 known-FD pruning)",
+        shape: "random-sets",
+        rows: 0,
+        cols: 0,
+        figure: "§5.4 ablation (A1 set-trie vs linear scan)",
     },
 ];
 
@@ -298,15 +298,15 @@ impl Cell {
         Cell { algorithm, config: ProfilerConfig::default(), mode: mode.into() }
     }
 
-    fn muds(muds: MudsConfig, mode: &str) -> Cell {
-        let config = ProfilerConfig { muds, ..ProfilerConfig::default() };
+    fn muds(completion_sweep: bool, mode: &str) -> Cell {
+        let config = ProfilerConfig { completion_sweep, ..ProfilerConfig::default() };
         Cell { algorithm: Algorithm::Muds, config, mode: mode.to_string() }
     }
 
     /// Whether the configuration promises the exact dependency sets: only
     /// MUDS without its completion sweep may legitimately miss FDs.
     fn is_exact(&self) -> bool {
-        self.algorithm != Algorithm::Muds || self.config.muds.completion_sweep
+        self.algorithm != Algorithm::Muds || self.config.completion_sweep
     }
 
     fn label(&self) -> String {
@@ -532,43 +532,26 @@ fn run_datasets(spec: &ScenarioSpec, opts: &RunOptions) -> Result<BenchReport, S
     Ok(report(spec, opts, (rows, columns), peak, entries))
 }
 
-/// Figure 8: MUDS's phase breakdown under the paper's single-pass
-/// exact-lhs shadow look-up, the wider generous look-up, and the default
-/// exact configuration (faithful look-up + completion sweep). Only the
-/// last promises the exact FD set (DESIGN.md §6).
+/// Figure 8: MUDS's phase breakdown as the paper runs it and in the
+/// default exact configuration (the same pipeline plus the completion
+/// sweep). Only the latter promises the exact FD set (DESIGN.md §6).
 fn run_muds_configs(spec: &ScenarioSpec, opts: &RunOptions) -> Result<BenchReport, String> {
     let table = generate(spec, opts);
-    let without_sweep = |shadow_lookup| MudsConfig {
-        shadow_lookup,
-        completion_sweep: false,
-        ..MudsConfig::default()
-    };
-    let cells = [
-        Cell::muds(without_sweep(ShadowLookup::Faithful), "paper-faithful"),
-        Cell::muds(without_sweep(ShadowLookup::Generous), "generous"),
-        Cell::muds(MudsConfig::default(), "exact"),
-    ];
+    let cells = [Cell::muds(false, "paper-faithful"), Cell::muds(true, "exact")];
     let mut entries = Vec::with_capacity(cells.len());
     let peak = run_cells(&table, &cells, opts, &mut entries)?;
     Ok(report(spec, opts, dims(&table), peak, entries))
 }
 
-/// The §5 ablations. A1 times subset look-ups against stored minimal UCCs
-/// (algorithm `trie` | `scan`, mode `sets=N`); A2 runs MUDS with and
-/// without the known-FD reduction in the R\Z walks on uniprot-like data,
-/// which keeps most annotation columns outside Z so those walks run. A3
-/// (shared scan vs per-task rebuild) is `table3`'s `adult` baseline/HFUN
-/// pair, and the exactness-sweep cost is `fig8`'s paper-faithful/exact
-/// pair, so neither is measured twice.
+/// The §5 ablation A1: subset look-ups against stored minimal UCCs
+/// (algorithm `trie` | `scan`, mode `sets=N`). A3 (shared scan vs
+/// per-task rebuild) is `table3`'s `adult` baseline/HFUN pair, and the
+/// exactness-sweep cost is `fig8`'s paper-faithful/exact pair, so neither
+/// is measured twice. The report has no table shape and no RSS probe.
 fn run_ablation(spec: &ScenarioSpec, opts: &RunOptions) -> Result<BenchReport, String> {
     let mut entries = Vec::new();
     set_trie_lookups(opts, &mut entries)?;
-    let table = generate(spec, opts);
-    let cells = [("known-fd-pruning", true), ("no-pruning", false)].map(|(mode, pruning)| {
-        Cell::muds(MudsConfig { use_known_fd_pruning: pruning, ..MudsConfig::default() }, mode)
-    });
-    let peak = run_cells(&table, &cells, opts, &mut entries)?;
-    Ok(report(spec, opts, dims(&table), peak, entries))
+    Ok(report(spec, opts, (0, 0), 0, entries))
 }
 
 /// A1 (§5.4): the prefix tree against a linear scan over the same stored
@@ -880,8 +863,7 @@ mod tests {
         let err = agreement.check("t", "MUDS/y".into(), &broken).unwrap_err();
         assert_eq!(err, "t: MUDS/y and HFUN/x disagree on UCCs");
         // Only configurations that promise exact results are checked.
-        let faithful =
-            Cell::muds(MudsConfig { completion_sweep: false, ..MudsConfig::default() }, "f");
+        let faithful = Cell::muds(false, "f");
         assert!(!faithful.is_exact());
         assert!(Cell::new(Algorithm::Tane, "t").is_exact());
     }
@@ -950,11 +932,8 @@ mod tests {
         assert_eq!(modes["fig6"], ["rows=250", "rows=500", "rows=750", "rows=1000", "rows=1250"]);
         assert_eq!(modes["fig7"], ["cols=10"], "scaled runs cap the columns");
         assert_eq!(modes["table3"], TABLE3_DATASETS);
-        assert_eq!(modes["fig8"], ["paper-faithful", "generous", "exact"]);
-        assert_eq!(
-            modes["ablation"],
-            ["sets=100", "sets=1000", "sets=10000", "known-fd-pruning", "no-pruning"]
-        );
+        assert_eq!(modes["fig8"], ["paper-faithful", "exact"]);
+        assert_eq!(modes["ablation"], ["sets=100", "sets=1000", "sets=10000"]);
     }
 
     #[test]

@@ -240,9 +240,11 @@ fn run(command: Command) -> Result<(), String> {
             } else {
                 table
             };
-            let mut config = ProfilerConfig::default();
-            config.muds.completion_sweep = !paper_faithful;
-            config.stats = stats;
+            let config = ProfilerConfig {
+                completion_sweep: !paper_faithful,
+                stats,
+                ..ProfilerConfig::default()
+            };
             let csv = table_to_csv(&table, &options);
             let (_registry, _guard) = install_metrics(trace.as_deref())?;
             let result = profile_csv(table.name(), &csv, &options, algorithm, &config)

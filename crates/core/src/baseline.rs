@@ -7,44 +7,18 @@
 //! the table) and builds its own PLIs — exactly the duplicated cost the
 //! holistic algorithms eliminate (§1: shared I/O, shared data structures).
 
-use std::time::Duration;
-
-use muds_fd::{fun, FdSet};
-use muds_ind::{spider, Ind};
-use muds_lattice::{ColumnSet, WalkConfig};
+use muds_fd::fun;
+use muds_ind::spider;
+use muds_lattice::WalkConfig;
 use muds_pli::PliCache;
 use muds_table::{table_from_csv, CsvOptions, Table};
 use muds_ucc::{ducc, DuccConfig};
 
-/// Per-task timings of the sequential baseline.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineTimings {
-    /// SPIDER including its own input scan.
-    pub spider: Duration,
-    /// DUCC including its own input scan and PLI build.
-    pub ducc: Duration,
-    /// FUN including its own input scan and PLI build.
-    pub fun: Duration,
-}
-
-impl BaselineTimings {
-    pub fn total(&self) -> Duration {
-        self.spider + self.ducc + self.fun
-    }
-}
-
-/// Result of the sequential baseline.
-#[derive(Debug, Clone)]
-pub struct BaselineReport {
-    pub inds: Vec<Ind>,
-    pub minimal_uccs: Vec<ColumnSet>,
-    pub fds: FdSet,
-    pub timings: BaselineTimings,
-}
+use crate::Dependencies;
 
 /// Runs the sequential baseline on already-parsed `table`, simulating the
 /// per-task input scan by re-encoding the table for each algorithm.
-pub fn baseline(table: &Table, seed: u64) -> BaselineReport {
+pub fn baseline(table: &Table, seed: u64) -> Dependencies {
     let names = table.column_names();
     let rows: Vec<Vec<String>> = (0..table.num_rows())
         .map(|r| table.row(r).iter().map(|v| v.unwrap_or("").to_string()).collect())
@@ -58,29 +32,26 @@ pub fn baseline(table: &Table, seed: u64) -> BaselineReport {
 
 /// Runs the sequential baseline on CSV text, re-parsing it for every task —
 /// the honest analogue of the paper's three independent file reads.
-pub fn baseline_csv(name: &str, csv: &str, options: &CsvOptions, seed: u64) -> BaselineReport {
+pub fn baseline_csv(name: &str, csv: &str, options: &CsvOptions, seed: u64) -> Dependencies {
     // lint:allow(panic): profile_csv parses this exact CSV before
     // dispatching here, so the re-parse per task cannot fail differently.
     let rescan = || table_from_csv(name, csv, options).expect("valid csv");
     run_baseline(rescan, seed)
 }
 
-fn run_baseline<F: Fn() -> Table>(rescan: F, seed: u64) -> BaselineReport {
-    let mut timings = BaselineTimings::default();
-
+fn run_baseline<F: Fn() -> Table>(rescan: F, seed: u64) -> Dependencies {
     // Task 1: SPIDER, with its own scan.
     let span = muds_obs::span("SPIDER");
     let t = rescan();
     let inds = spider(&t);
-    timings.spider = span.stop();
+    span.stop();
 
     // Task 2: DUCC, with its own scan and PLIs.
     let span = muds_obs::span("DUCC");
     let t = rescan();
     let mut cache = PliCache::new(&t);
-    let ducc_result = ducc(&mut cache, &DuccConfig { walk: WalkConfig { seed } });
-    timings.ducc = span.stop();
-    let minimal_uccs = ducc_result.minimal_uccs;
+    let minimal_uccs = ducc(&mut cache, &DuccConfig { walk: WalkConfig { seed } }).minimal_uccs;
+    span.stop();
 
     // Task 3: FUN, with its own scan and PLIs (UCC byproduct discarded —
     // the sequential baseline does not use it).
@@ -88,9 +59,9 @@ fn run_baseline<F: Fn() -> Table>(rescan: F, seed: u64) -> BaselineReport {
     let t = rescan();
     let mut cache = PliCache::new(&t);
     let fds = fun(&mut cache).fds;
-    timings.fun = span.stop();
+    span.stop();
 
-    BaselineReport { inds, minimal_uccs, fds, timings }
+    Dependencies { inds, minimal_uccs, fds }
 }
 
 #[cfg(test)]
@@ -123,13 +94,5 @@ mod tests {
         assert_eq!(r1.inds, r2.inds);
         assert_eq!(r1.minimal_uccs, r2.minimal_uccs);
         assert_eq!(r1.fds, r2.fds);
-    }
-
-    #[test]
-    fn all_three_timings_are_populated() {
-        let t = Table::from_rows("t", &["a", "b"], &[vec!["1", "2"], vec!["2", "3"]]).unwrap();
-        let r = baseline(&t, 1);
-        // All tasks ran; totals are the sum.
-        assert_eq!(r.timings.total(), r.timings.spider + r.timings.ducc + r.timings.fun);
     }
 }

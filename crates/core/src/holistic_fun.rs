@@ -8,72 +8,34 @@
 //! beats the sequential execution by exactly the duplicated work it avoids,
 //! but applies none of MUDS' inter-task pruning.
 
-use std::time::Duration;
-
-use muds_fd::{fun, FdSet, FunStats};
-use muds_ind::{spider_with_stats, Ind, SpiderStats};
-use muds_lattice::ColumnSet;
-use muds_pli::{PliCache, PliCacheStats};
+use muds_fd::fun;
+use muds_ind::spider;
+use muds_pli::PliCache;
 use muds_table::Table;
 
-/// Per-phase timings of a Holistic FUN run.
-#[derive(Debug, Clone, Default)]
-pub struct HolisticFunTimings {
-    /// Input scan: SPIDER + single-column PLI construction.
-    pub spider: Duration,
-    /// FUN traversal (discovers FDs and UCCs together).
-    pub fun: Duration,
-}
-
-impl HolisticFunTimings {
-    pub fn total(&self) -> Duration {
-        self.spider + self.fun
-    }
-}
-
-/// Result of a Holistic FUN run.
-#[derive(Debug, Clone)]
-pub struct HolisticFunReport {
-    pub inds: Vec<Ind>,
-    pub minimal_uccs: Vec<ColumnSet>,
-    pub fds: FdSet,
-    pub timings: HolisticFunTimings,
-    pub fun_stats: FunStats,
-    pub spider_stats: SpiderStats,
-    pub pli_stats: PliCacheStats,
-}
+use crate::Dependencies;
 
 /// Runs Holistic FUN on `table` (assumed duplicate-free, §3).
-pub fn holistic_fun(table: &Table) -> HolisticFunReport {
-    let mut timings = HolisticFunTimings::default();
-
+pub fn holistic_fun(table: &Table) -> Dependencies {
     let span = muds_obs::span("SPIDER");
     // Same shared-input-scan join as MUDS: PLI construction on the caller
     // thread, SPIDER on a worker with the ambient metrics handle installed
     // (ambient registries are thread-local).
     let ambient = muds_obs::Metrics::current();
-    let (mut cache, (inds, spider_stats)) = rayon::join(
+    let (mut cache, inds) = rayon::join(
         || PliCache::new(table),
         move || {
             let _guard = ambient.as_ref().map(|m| m.install());
-            spider_with_stats(table)
+            spider(table)
         },
     );
-    timings.spider = span.stop();
+    span.stop();
 
     let span = muds_obs::span("FUN");
     let result = fun(&mut cache);
-    timings.fun = span.stop();
+    span.stop();
 
-    HolisticFunReport {
-        inds,
-        minimal_uccs: result.minimal_uccs,
-        fds: result.fds,
-        timings,
-        fun_stats: result.stats,
-        spider_stats,
-        pli_stats: cache.stats().clone(),
-    }
+    Dependencies { inds, minimal_uccs: result.minimal_uccs, fds: result.fds }
 }
 
 #[cfg(test)]

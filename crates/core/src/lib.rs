@@ -32,27 +32,33 @@
 //!
 //! * [`profile`] / [`profile_csv`] — Metanome-style uniform runner over any
 //!   [`Algorithm`].
-//! * [`muds`] — the full MUDS report with Figure-8-granularity phase
-//!   timings and per-phase work counters.
+//! * [`muds`] — MUDS itself, under a [`MudsConfig`].
 //! * [`holistic_fun`] — the §3.2 holistic baseline.
 //! * [`baseline`] / [`baseline_csv`] — the sequential SPIDER → DUCC → FUN
 //!   execution.
+//!
+//! The direct entry points return the bare [`Dependencies`]; their phase
+//! timings and work counters land in the ambient `muds-obs` registry,
+//! which [`profile`] drains into [`ProfileResult::phases`] and
+//! [`ProfileResult::metrics`].
 
 mod baseline;
 mod holistic_fun;
 mod incremental;
-pub mod muds;
+mod muds;
 mod profiler;
 mod serialize;
 
-pub use baseline::{baseline, baseline_csv, BaselineReport, BaselineTimings};
-pub use holistic_fun::{holistic_fun, HolisticFunReport, HolisticFunTimings};
+pub use baseline::{baseline, baseline_csv};
+pub use holistic_fun::holistic_fun;
 pub use incremental::{apply_incremental, IncrementalOutcome};
-pub use muds::{muds, MudsConfig, MudsPhaseTimings, MudsReport, MudsStats, ShadowLookup};
+pub use muds::{muds, MudsConfig};
 /// The JSON codec lives in `muds-obs`; re-exported for the wire format's
 /// callers.
 pub use muds_obs::json;
-pub use profiler::{profile, profile_csv, Algorithm, Phase, ProfileResult, ProfilerConfig};
+pub use profiler::{
+    profile, profile_csv, Algorithm, Dependencies, Phase, ProfileResult, ProfilerConfig,
+};
 pub use serialize::{profile_from_json, profile_to_json, ProfilePayload};
 // Re-exported so downstream layers (CLI, serve, check) consume the stats
 // types without a direct muds-stats dependency.

@@ -22,14 +22,14 @@ use muds_pli::PliCache;
 use super::knowledge::FdKnowledge;
 
 /// Work counters for the phase.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MinimizeStats {
+#[derive(Debug, Default)]
+struct MinimizeStats {
     /// Tasks processed (lattice nodes visited top-down).
-    pub tasks: u64,
+    tasks: u64,
     /// Partition-refinement FD checks.
-    pub fd_checks: u64,
+    fd_checks: u64,
     /// Connector look-ups performed.
-    pub connector_lookups: u64,
+    connector_lookups: u64,
 }
 
 /// The connector look-up of §5.1 (Table 2): the union of `V \ connector`
@@ -62,7 +62,7 @@ pub fn minimize_fds(
     ucc_trie: &SetTrie,
     z: &ColumnSet,
     knowledge: &mut FdKnowledge,
-) -> (FdSet, MinimizeStats) {
+) -> FdSet {
     let mut stats = MinimizeStats::default();
     let mut fds = FdSet::new();
 
@@ -135,7 +135,10 @@ pub fn minimize_fds(
         fds.insert_all(task.lhs, &current_rhs);
     }
 
-    (fds, stats)
+    muds_obs::add("minimize.tasks", stats.tasks);
+    muds_obs::add("minimize.fd_checks", stats.fd_checks);
+    muds_obs::add("minimize.connector_lookups", stats.connector_lookups);
+    fds
 }
 
 #[cfg(test)]
@@ -189,10 +192,12 @@ mod tests {
         let trie = SetTrie::from_sets(uccs.iter().copied());
         let z = cs(&[0, 1]);
         let mut knowledge = FdKnowledge::new(t.num_columns());
-        let (fds, stats) = minimize_fds(&mut cache, &uccs, &trie, &z, &mut knowledge);
+        let metrics = muds_obs::Metrics::new();
+        let _guard = metrics.install();
+        let fds = minimize_fds(&mut cache, &uccs, &trie, &z, &mut knowledge);
         assert!(fds.contains(&cs(&[0]), 1), "id → copy");
         assert!(fds.contains(&cs(&[1]), 0), "copy → id");
-        assert!(stats.tasks >= 2);
+        assert!(metrics.drain_snapshot().counter("minimize.tasks") >= 2);
     }
 
     #[test]
@@ -213,7 +218,7 @@ mod tests {
             let trie = SetTrie::from_sets(uccs.iter().copied());
             let z = uccs.iter().fold(ColumnSet::empty(), |acc, u| acc.union(u));
             let mut knowledge = FdKnowledge::new(t.num_columns());
-            let (fds, _) = minimize_fds(&mut cache, &uccs, &trie, &z, &mut knowledge);
+            let fds = minimize_fds(&mut cache, &uccs, &trie, &z, &mut knowledge);
             for fd in fds.to_sorted_vec() {
                 assert!(
                     muds_fd::holds(&t, &fd.lhs, fd.rhs),

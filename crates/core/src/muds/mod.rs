@@ -8,45 +8,34 @@
 //! 2. **DUCC** — all minimal UCCs, via the random walk over the shared
 //!    PLI cache.
 //! 3. **FD discovery in three phases** driven by the UCCs:
-//!    [`minimize::minimize_fds`] (§5.1, FDs between connected minimal
-//!    UCCs), [`rz::discover_rz_fds`] (§5.2, sub-lattice walks for right-hand
-//!    sides in R\Z), and [`shadowed::discover_shadowed_fds`] (§5.3,
+//!    `minimize::minimize_fds` (§5.1, FDs between connected minimal
+//!    UCCs), `rz::discover_rz_fds` (§5.2, sub-lattice walks for right-hand
+//!    sides in R\Z), and `shadowed::discover_shadowed_fds` (§5.3,
 //!    shadowed FDs). A set-trie of the minimal UCCs (§5.4) backs the subset
 //!    and connector look-ups throughout.
 //!
-//! Per-phase wall-clock timings are reported in the exact granularity of
-//! Figure 8 of the paper.
+//! Each phase is a `muds-obs` span named after its Figure 8 bar, and each
+//! phase flushes its own work counters into the ambient registry.
 
-pub mod knowledge;
-pub mod minimize;
-pub mod rz;
-pub mod shadowed;
-
-use std::time::{Duration, Instant};
+mod knowledge;
+mod minimize;
+mod rz;
+mod shadowed;
 
 use muds_fd::FdSet;
-use muds_ind::{spider_with_stats, Ind, SpiderStats};
-use muds_lattice::{find_minimal_positives_seeded, ColumnSet, SetTrie, WalkConfig, WalkStats};
-use muds_pli::{PliCache, PliCacheStats};
+use muds_ind::spider;
+use muds_lattice::{find_minimal_positives_seeded, ColumnSet, SetTrie, WalkConfig};
+use muds_pli::PliCache;
 use muds_table::Table;
 use muds_ucc::{ducc, DuccConfig};
 
-pub use minimize::MinimizeStats;
-pub use rz::{RzConfig, RzStats};
-pub use shadowed::{ShadowLookup, ShadowedStats};
+use crate::Dependencies;
 
 /// Configuration of a MUDS run.
 #[derive(Debug, Clone)]
 pub struct MudsConfig {
     /// Base RNG seed for the DUCC walk and the R\Z sub-lattice walks.
     pub seed: u64,
-    /// Known-FD reduction in the R\Z oracle (§5.2 inter-task pruning).
-    pub use_known_fd_pruning: bool,
-    /// Shadow look-up variant for phase 3 (§5.3). `Faithful` (default) is
-    /// the paper's exact-lhs single pass; `Generous` widens the look-up to
-    /// the connector's closure and iterates to a fixpoint — slower, closes
-    /// part of the completeness gap without the sweep (study knob).
-    pub shadow_lookup: shadowed::ShadowLookup,
     /// Run the exactness sweep after the shadowed phase: one seeded
     /// sub-lattice walk per right-hand side in Z, certifying that no
     /// minimal FD was missed.
@@ -62,92 +51,8 @@ pub struct MudsConfig {
 
 impl Default for MudsConfig {
     fn default() -> Self {
-        MudsConfig {
-            seed: 0x4D554453,
-            use_known_fd_pruning: true,
-            shadow_lookup: shadowed::ShadowLookup::Faithful,
-            completion_sweep: true,
-        }
+        MudsConfig { seed: 0x4D554453, completion_sweep: true }
     }
-}
-
-/// Wall-clock duration of each MUDS phase — the six bars of Figure 8.
-#[derive(Debug, Clone, Default)]
-pub struct MudsPhaseTimings {
-    /// Input scan: SPIDER + single-column PLI construction.
-    pub spider: Duration,
-    /// Minimal UCC discovery.
-    pub ducc: Duration,
-    /// §5.1 FDs from connected minimal UCCs.
-    pub minimize_fds: Duration,
-    /// §5.2 sub-lattice walks for R\Z.
-    pub calculate_rz: Duration,
-    /// §5.3 shadow-task generation (incl. validation checks).
-    pub generate_shadowed: Duration,
-    /// §5.3 top-down minimization of shadow tasks.
-    pub minimize_shadowed: Duration,
-    /// Exactness sweep (our addition; zero when disabled — the paper's six
-    /// phases are the rows above).
-    pub completion_sweep: Duration,
-}
-
-impl MudsPhaseTimings {
-    /// `(label, duration)` pairs in execution order — Figure 8's x-axis,
-    /// plus the sweep row when it ran.
-    pub fn as_rows(&self) -> Vec<(&'static str, Duration)> {
-        let mut rows = vec![
-            ("SPIDER", self.spider),
-            ("DUCC", self.ducc),
-            ("minimize FDs", self.minimize_fds),
-            ("calculate R\\Z", self.calculate_rz),
-            ("generate shadowed fd tasks", self.generate_shadowed),
-            ("minimize shadowed tasks", self.minimize_shadowed),
-        ];
-        if !self.completion_sweep.is_zero() {
-            rows.push(("completion sweep", self.completion_sweep));
-        }
-        rows
-    }
-
-    /// Total across all phases.
-    pub fn total(&self) -> Duration {
-        self.spider
-            + self.ducc
-            + self.minimize_fds
-            + self.calculate_rz
-            + self.generate_shadowed
-            + self.minimize_shadowed
-            + self.completion_sweep
-    }
-}
-
-/// Work counters of every MUDS component.
-#[derive(Debug, Clone, Default)]
-pub struct MudsStats {
-    pub spider: SpiderStats,
-    pub ducc_walk: WalkStats,
-    pub minimize: MinimizeStats,
-    pub rz: RzStats,
-    pub shadowed: ShadowedStats,
-    pub pli: PliCacheStats,
-    /// Oracle checks spent by the optional completion sweep (0 = disabled
-    /// or nothing to do).
-    pub sweep_oracle_calls: u64,
-}
-
-/// Full result of a MUDS run.
-#[derive(Debug, Clone)]
-pub struct MudsReport {
-    /// All unary inclusion dependencies.
-    pub inds: Vec<Ind>,
-    /// All minimal unique column combinations, sorted.
-    pub minimal_uccs: Vec<ColumnSet>,
-    /// All minimal functional dependencies.
-    pub fds: FdSet,
-    /// Per-phase wall-clock timings (Figure 8 granularity).
-    pub timings: MudsPhaseTimings,
-    /// Work counters.
-    pub stats: MudsStats,
 }
 
 /// Runs MUDS on `table`.
@@ -156,13 +61,8 @@ pub struct MudsReport {
 /// [`Table::dedup_rows`] first. With duplicates the UCC set is empty and
 /// the result degrades gracefully (every FD is still found via the R\Z
 /// phase), but none of the paper's inter-task pruning applies.
-pub fn muds(table: &Table, config: &MudsConfig) -> MudsReport {
-    let mut timings = MudsPhaseTimings::default();
-    let mut stats = MudsStats::default();
-
-    // Phase: SPIDER + PLI construction (shared input scan). Each phase is
-    // an obs span: the timer both feeds the legacy `MudsPhaseTimings`
-    // (Figure 8 rows) and nests into the ambient registry's phase tree.
+pub fn muds(table: &Table, config: &MudsConfig) -> Dependencies {
+    // Phase: SPIDER + PLI construction (shared input scan).
     let span = muds_obs::span("SPIDER");
     // SPIDER and PLI construction read the same immutable columns but
     // produce independent outputs, so the "one shared scan" phase runs them
@@ -170,23 +70,20 @@ pub fn muds(table: &Table, config: &MudsConfig) -> MudsReport {
     // thread-local; the branch that may land on a worker thread installs
     // the captured handle so SPIDER's counter flush is not lost.
     let ambient = muds_obs::Metrics::current();
-    let (mut cache, (inds, spider_stats)) = rayon::join(
+    let (mut cache, inds) = rayon::join(
         || PliCache::new(table),
         move || {
             let _guard = ambient.as_ref().map(|m| m.install());
-            spider_with_stats(table)
+            spider(table)
         },
     );
-    timings.spider = span.stop();
-    stats.spider = spider_stats;
+    span.stop();
 
     // Phase: DUCC.
     let span = muds_obs::span("DUCC");
     let ducc_cfg = DuccConfig { walk: WalkConfig { seed: config.seed } };
-    let ducc_result = ducc(&mut cache, &ducc_cfg);
-    timings.ducc = span.stop();
-    stats.ducc_walk = ducc_result.stats.clone();
-    let minimal_uccs = ducc_result.minimal_uccs.clone();
+    let minimal_uccs = ducc(&mut cache, &ducc_cfg).minimal_uccs;
+    span.stop();
 
     // Shared lattice indexes: UCC prefix tree (§5.4) and Z, plus the
     // holistic FD-knowledge store consulted and fed by every phase. Lemma 2
@@ -203,83 +100,32 @@ pub fn muds(table: &Table, config: &MudsConfig) -> MudsReport {
 
     // Phase: FDs in connected minimal UCCs (§5.1).
     let span = muds_obs::span("minimize FDs");
-    let (mut fds, minimize_stats) =
-        minimize::minimize_fds(&mut cache, &minimal_uccs, &ucc_trie, &z, &mut knowledge);
-    timings.minimize_fds = span.stop();
-    muds_obs::add("minimize.tasks", minimize_stats.tasks);
-    muds_obs::add("minimize.fd_checks", minimize_stats.fd_checks);
-    muds_obs::add("minimize.connector_lookups", minimize_stats.connector_lookups);
-    stats.minimize = minimize_stats;
+    let mut fds = minimize::minimize_fds(&mut cache, &minimal_uccs, &ucc_trie, &z, &mut knowledge);
+    span.stop();
 
     // Phase: R\Z sub-lattice walks (§5.2).
     let span = muds_obs::span("calculate R\\Z");
-    let rz_cfg =
-        RzConfig { seed: config.seed ^ 0x5A5A, use_known_fd_pruning: config.use_known_fd_pruning };
-    let (rz_fds, rz_stats) = rz::discover_rz_fds(&mut cache, &z, &fds, &rz_cfg, &mut knowledge);
-    timings.calculate_rz = span.stop();
-    // The per-walk counters inside each sub-lattice flush themselves
-    // (`walk.*`); these are the phase-level aggregates.
-    muds_obs::add("rz.sub_lattices", rz_stats.sub_lattices);
-    muds_obs::add("rz.reductions", rz_stats.reductions);
-    stats.rz = rz_stats;
+    let rz_fds = rz::discover_rz_fds(&mut cache, &z, config.seed, &mut knowledge);
+    span.stop();
     for fd in rz_fds.to_sorted_vec() {
         fds.insert(fd.lhs, fd.rhs);
     }
 
-    // Phase: shadowed FDs (§5.3). Timing is split inside between task
-    // generation and minimization (Figure 8 reports them separately).
-    // lint:allow(wall-clock): measures elapsed time for the Figure 8
-    // phase split only; the duration feeds record_span and never
-    // influences which FDs are discovered.
-    let t0 = Instant::now();
-    let shadowed_stats = shadowed::discover_shadowed_fds(
-        &mut cache,
-        &mut fds,
-        &ucc_trie,
-        config.shadow_lookup,
-        &mut knowledge,
-    );
-    let shadow_total = t0.elapsed();
-    // Attribute time to generation vs minimization proportionally to the FD
-    // checks spent in each (both phases are check-dominated, §6.4). The two
-    // logical phases share one measured interval, so they enter the span
-    // tree post-hoc as leaf spans rather than via RAII timers.
-    let gen = shadowed_stats.generation_fd_checks;
-    let min = shadowed_stats.minimize_fd_checks;
-    if gen + min == 0 {
-        // Everything short-circuited: no check ratio to split by, but the
-        // wall time is real — attribute it to generation rather than
-        // dropping it from the span tree.
-        timings.generate_shadowed = shadow_total;
-        timings.minimize_shadowed = Duration::ZERO;
-    } else {
-        let denom = gen + min;
-        timings.generate_shadowed = shadow_total.mul_f64(gen as f64 / denom as f64);
-        timings.minimize_shadowed = shadow_total.mul_f64(min as f64 / denom as f64);
-    }
-    muds_obs::record_span("generate shadowed fd tasks", timings.generate_shadowed);
-    muds_obs::record_span("minimize shadowed tasks", timings.minimize_shadowed);
-    muds_obs::add("shadowed.tasks_generated", shadowed_stats.tasks_generated);
-    muds_obs::add("shadowed.generation_fd_checks", shadowed_stats.generation_fd_checks);
-    muds_obs::add("shadowed.minimize_fd_checks", shadowed_stats.minimize_fd_checks);
-    muds_obs::add("shadowed.checks_short_circuited", shadowed_stats.checks_short_circuited);
-    muds_obs::add("shadowed.rounds", shadowed_stats.rounds);
-    stats.shadowed = shadowed_stats;
+    // Phases: shadowed FDs (§5.3), generation and minimization each
+    // under its own span.
+    shadowed::discover_shadowed_fds(&mut cache, &mut fds, &ucc_trie, &mut knowledge);
 
     // Optional exactness sweep for right-hand sides in Z.
     if config.completion_sweep {
         let span = muds_obs::span("completion sweep");
-        let sweep_calls = completion_sweep(&mut cache, &z, &mut fds, &mut knowledge, config);
-        timings.completion_sweep = span.stop();
-        stats.sweep_oracle_calls = sweep_calls;
+        let sweep_calls = completion_sweep(&mut cache, &z, &mut fds, &mut knowledge, config.seed);
+        span.stop();
         muds_obs::add("muds.sweep_oracle_calls", sweep_calls);
     }
 
     // Structural minimality guard (pure set algebra; see DESIGN.md).
     let fds = fds.minimize();
-
-    stats.pli = cache.stats().clone();
-    MudsReport { inds, minimal_uccs, fds, timings, stats }
+    Dependencies { inds, minimal_uccs, fds }
 }
 
 /// One seeded sub-lattice walk per rhs ∈ Z: every already-known lhs is
@@ -290,7 +136,7 @@ fn completion_sweep(
     z: &ColumnSet,
     fds: &mut FdSet,
     knowledge: &mut knowledge::FdKnowledge,
-    config: &MudsConfig,
+    seed: u64,
 ) -> u64 {
     let n = cache.table().num_columns();
     let r = ColumnSet::full(n);
@@ -307,7 +153,7 @@ fn completion_sweep(
             .filter(|s| s.is_subset_of(&universe))
             .collect();
         let mut oracle = |set: &ColumnSet| cache.determines(set, a);
-        let walk_cfg = WalkConfig { seed: config.seed ^ (0xC0DE + a as u64) };
+        let walk_cfg = WalkConfig { seed: seed ^ (0xC0DE + a as u64) };
         let result =
             find_minimal_positives_seeded(universe, &mut oracle, &walk_cfg, &negatives, &seeds);
         total_calls += result.stats.oracle_calls;
@@ -506,23 +352,5 @@ mod tests {
         let exact = muds(&t, &MudsConfig::default());
         assert!(exact.fds.contains(&missing_lhs, 2));
         check_equivalence(&t, &MudsConfig::default());
-    }
-
-    #[test]
-    fn timings_cover_all_phases() {
-        let t = Table::from_rows(
-            "t",
-            &["a", "b", "c"],
-            &[vec!["1", "x", "p"], vec!["2", "y", "p"], vec!["3", "x", "q"]],
-        )
-        .unwrap();
-        let report = muds(&t, &MudsConfig::default());
-        let rows = report.timings.as_rows();
-        assert!(rows.len() >= 6, "expected the six Figure-8 phases, got {}", rows.len());
-        assert_eq!(rows[0].0, "SPIDER");
-        assert!(report.timings.total() >= report.timings.spider);
-        // Paper-faithful mode reports exactly the six Figure-8 phases.
-        let faithful = muds(&t, &MudsConfig { completion_sweep: false, ..MudsConfig::default() });
-        assert_eq!(faithful.timings.as_rows().len(), 6);
     }
 }

@@ -8,132 +8,34 @@
 //! is monotone exactly like uniqueness; Lemma 4 provides the downward
 //! pruning the paper highlights.
 //!
-//! Inter-task pruning: FDs already discovered in phase 1 make some
-//! candidate columns redundant — if a known FD `Y → B` has `Y ⊆ X \ {B}`,
-//! then `X → A ⇔ X \ {B} → A`. The oracle therefore *reduces* each
-//! candidate to its derivable-column-free core before touching PLIs, which
-//! both shrinks intersections and increases cache reuse (and a minimal
-//! left-hand side never contains a derivable column, so results are
-//! unchanged). Disable with [`RzConfig::use_known_fd_pruning`] to measure
-//! the effect (ablation A2 in DESIGN.md).
-
-use std::collections::HashMap;
+//! Inter-task knowledge flows one way here: every minimal lhs and maximal
+//! non-lhs a walk finds is recorded in the shared [`FdKnowledge`], which
+//! seeds the later shadowed-FD minimization and the completion sweep.
 
 use muds_fd::FdSet;
-use muds_lattice::{find_minimal_positives, ColumnSet, SetTrie, WalkConfig, WalkStats};
+use muds_lattice::{find_minimal_positives, ColumnSet, WalkConfig};
 use muds_pli::PliCache;
 
 use super::knowledge::FdKnowledge;
 
-/// Configuration for the R\Z traversal.
-#[derive(Debug, Clone)]
-pub struct RzConfig {
-    /// Seed for the per-sub-lattice random walks.
-    pub seed: u64,
-    /// Apply known-FD reduction in the oracle (on by default).
-    pub use_known_fd_pruning: bool,
-}
-
-impl Default for RzConfig {
-    fn default() -> Self {
-        RzConfig { seed: 0x525A, use_known_fd_pruning: true }
-    }
-}
-
-/// Work counters for the phase.
-#[derive(Debug, Clone, Default)]
-pub struct RzStats {
-    /// Sub-lattices traversed (= |R \ Z|).
-    pub sub_lattices: u64,
-    /// Aggregated walk statistics over all sub-lattices.
-    pub walk: WalkStats,
-    /// Oracle candidates shrunk by known-FD reduction.
-    pub reductions: u64,
-}
-
-/// Per-rhs index of known FD left-hand sides, supporting the reduction rule.
-struct KnownFds {
-    tries: HashMap<usize, SetTrie>,
-}
-
-impl KnownFds {
-    fn new(fds: &FdSet) -> Self {
-        let mut tries: HashMap<usize, SetTrie> = HashMap::new();
-        for (lhs, rhs) in fds.iter_entries() {
-            for a in rhs.iter() {
-                tries.entry(a).or_default().insert(*lhs);
-            }
-        }
-        KnownFds { tries }
-    }
-
-    /// Strips from `set` every column derivable from the rest of the set via
-    /// a known FD.
-    ///
-    /// One pass in column order suffices for a fixpoint: removals only
-    /// shrink the set, and `contains_subset_of` over a smaller rest can
-    /// only flip from true to false, so a column that fails its check once
-    /// can never become derivable later. (Restarting the scan after every
-    /// removal is equivalent but O(|set|²) trie queries — on 255-column
-    /// candidates that alone made wide-table R\Z walks run for minutes.)
-    fn reduce(&self, set: &ColumnSet) -> ColumnSet {
-        let mut current = *set;
-        for b in set.iter() {
-            let rest = current.without(b);
-            if let Some(trie) = self.tries.get(&b) {
-                if trie.contains_subset_of(&rest) {
-                    current = rest;
-                }
-            }
-        }
-        current
-    }
-}
-
 /// Discovers all minimal FDs whose right-hand side lies in `R \ Z`.
 ///
-/// `known_fds` are the (valid) FDs already discovered by phase 1, used only
-/// for oracle reduction. Results are exact: for every `a ∈ R \ Z`, all
-/// minimal left-hand sides over `R \ {a}` (including the empty set for
-/// constant columns).
+/// Results are exact: for every `a ∈ R \ Z`, all minimal left-hand sides
+/// over `R \ {a}` (including the empty set for constant columns). The walk
+/// of rhs `a` is seeded with `(seed ^ 0x5A5A) + a`.
 pub fn discover_rz_fds(
     cache: &mut PliCache<'_>,
     z: &ColumnSet,
-    known_fds: &FdSet,
-    config: &RzConfig,
+    seed: u64,
     knowledge: &mut FdKnowledge,
-) -> (FdSet, RzStats) {
-    let n = cache.table().num_columns();
-    let r = ColumnSet::full(n);
+) -> FdSet {
+    let r = ColumnSet::full(cache.table().num_columns());
+    let rz = r.difference(z);
     let mut fds = FdSet::new();
-    let mut stats = RzStats::default();
-    let known = if config.use_known_fd_pruning { Some(KnownFds::new(known_fds)) } else { None };
-
-    for a in r.difference(z).iter() {
-        stats.sub_lattices += 1;
-        let universe = r.without(a);
-        let mut reductions = 0u64;
-        let mut memo: HashMap<ColumnSet, bool> = HashMap::new();
-        let mut oracle = |set: &ColumnSet| {
-            let target = match &known {
-                Some(k) => {
-                    let reduced = k.reduce(set);
-                    if reduced != *set {
-                        reductions += 1;
-                    }
-                    reduced
-                }
-                None => *set,
-            };
-            if let Some(&v) = memo.get(&target) {
-                return v;
-            }
-            let v = cache.determines(&target, a);
-            memo.insert(target, v);
-            v
-        };
-        let walk_cfg = WalkConfig { seed: config.seed.wrapping_add(a as u64) };
-        let result = find_minimal_positives(universe, &mut oracle, &walk_cfg, &[]);
+    for a in rz.iter() {
+        let mut oracle = |set: &ColumnSet| cache.determines(set, a);
+        let walk_cfg = WalkConfig { seed: (seed ^ 0x5A5A).wrapping_add(a as u64) };
+        let result = find_minimal_positives(r.without(a), &mut oracle, &walk_cfg, &[]);
         for lhs in result.minimal_positives {
             fds.insert(lhs, a);
             knowledge.record_positive(lhs, a);
@@ -141,14 +43,10 @@ pub fn discover_rz_fds(
         for neg in result.maximal_negatives {
             knowledge.record_negative(neg, a);
         }
-        stats.walk.oracle_calls += result.stats.oracle_calls;
-        stats.walk.nodes_visited += result.stats.nodes_visited;
-        stats.walk.hole_rounds += result.stats.hole_rounds;
-        stats.walk.holes_checked += result.stats.holes_checked;
-        stats.reductions += reductions;
     }
-
-    (fds, stats)
+    // The walks flush their own `walk.*` counters.
+    muds_obs::add("rz.sub_lattices", rz.cardinality() as u64);
+    fds
 }
 
 #[cfg(test)]
@@ -185,17 +83,13 @@ mod tests {
         .unwrap();
         let z = z_of(&t); // {id}
         assert_eq!(z, cs(&[0]));
+        let metrics = muds_obs::Metrics::new();
+        let _guard = metrics.install();
         let mut cache = PliCache::new(&t);
-        let (fds, stats) = discover_rz_fds(
-            &mut cache,
-            &z,
-            &FdSet::new(),
-            &RzConfig::default(),
-            &mut FdKnowledge::new(t.num_columns()),
-        );
+        let fds = discover_rz_fds(&mut cache, &z, 0, &mut FdKnowledge::new(t.num_columns()));
         assert!(fds.contains(&cs(&[1]), 2), "g → x");
-        assert_eq!(stats.sub_lattices, 2); // g and x
-                                           // Exactness vs naive.
+        assert_eq!(metrics.drain_snapshot().counter("rz.sub_lattices"), 2, "g and x");
+        // Exactness vs naive.
         let got: Vec<(ColumnSet, usize)> =
             fds.to_sorted_vec().into_iter().map(|fd| (fd.lhs, fd.rhs)).collect();
         assert_eq!(got, expected_rz(&t, &z));
@@ -206,13 +100,7 @@ mod tests {
         let t = Table::from_rows("t", &["id", "k"], &[vec!["1", "c"], vec!["2", "c"]]).unwrap();
         let z = z_of(&t);
         let mut cache = PliCache::new(&t);
-        let (fds, _) = discover_rz_fds(
-            &mut cache,
-            &z,
-            &FdSet::new(),
-            &RzConfig::default(),
-            &mut FdKnowledge::new(t.num_columns()),
-        );
+        let fds = discover_rz_fds(&mut cache, &z, 0, &mut FdKnowledge::new(t.num_columns()));
         assert!(fds.contains(&ColumnSet::empty(), 1));
     }
 
@@ -231,56 +119,10 @@ mod tests {
             let t = Table::from_rows("t", &name_refs, &data).unwrap().dedup_rows();
             let z = z_of(&t);
             let mut cache = PliCache::new(&t);
-            let (fds, _) = discover_rz_fds(
-                &mut cache,
-                &z,
-                &FdSet::new(),
-                &RzConfig::default(),
-                &mut FdKnowledge::new(t.num_columns()),
-            );
+            let fds = discover_rz_fds(&mut cache, &z, 0, &mut FdKnowledge::new(t.num_columns()));
             let got: Vec<(ColumnSet, usize)> =
                 fds.to_sorted_vec().into_iter().map(|fd| (fd.lhs, fd.rhs)).collect();
             assert_eq!(got, expected_rz(&t, &z), "case {case}");
-        }
-    }
-
-    #[test]
-    fn known_fd_pruning_preserves_results() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(61);
-        for case in 0..40 {
-            let cols = rng.gen_range(3..=6);
-            let rows = rng.gen_range(3..=20);
-            let names: Vec<String> = (0..cols).map(|i| format!("c{i}")).collect();
-            let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-            let data: Vec<Vec<String>> = (0..rows)
-                .map(|_| (0..cols).map(|_| rng.gen_range(0..3).to_string()).collect())
-                .collect();
-            let t = Table::from_rows("t", &name_refs, &data).unwrap().dedup_rows();
-            let z = z_of(&t);
-            // Feed *all* true FDs with rhs in Z as known knowledge.
-            let known: FdSet = muds_fd::naive_minimal_fds(&t)
-                .to_sorted_vec()
-                .into_iter()
-                .filter(|fd| z.contains(fd.rhs))
-                .collect();
-            let mut c1 = PliCache::new(&t);
-            let (with, _) = discover_rz_fds(
-                &mut c1,
-                &z,
-                &known,
-                &RzConfig { seed: 1, use_known_fd_pruning: true },
-                &mut FdKnowledge::new(t.num_columns()),
-            );
-            let mut c2 = PliCache::new(&t);
-            let (without, _) = discover_rz_fds(
-                &mut c2,
-                &z,
-                &FdSet::new(),
-                &RzConfig { seed: 1, use_known_fd_pruning: false },
-                &mut FdKnowledge::new(t.num_columns()),
-            );
-            assert_eq!(with.to_sorted_vec(), without.to_sorted_vec(), "case {case}");
         }
     }
 }

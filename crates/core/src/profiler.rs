@@ -68,8 +68,10 @@ impl Algorithm {
 pub struct ProfilerConfig {
     /// RNG seed shared by the randomized traversals.
     pub seed: u64,
-    /// MUDS-specific knobs.
-    pub muds: MudsConfig,
+    /// MUDS only: run the exactness sweep after the shadowed phase (see
+    /// [`MudsConfig::completion_sweep`]). `false` is the paper-faithful
+    /// pipeline.
+    pub completion_sweep: bool,
     /// Compute the single-scan column-statistics profile (§15) and attach
     /// it as [`ProfileResult::stats`]. Off by default: dependency-only
     /// callers pay nothing.
@@ -78,7 +80,7 @@ pub struct ProfilerConfig {
 
 impl Default for ProfilerConfig {
     fn default() -> Self {
-        ProfilerConfig { seed: 42, muds: MudsConfig::default(), stats: false }
+        ProfilerConfig { seed: 42, completion_sweep: true, stats: false }
     }
 }
 
@@ -89,19 +91,7 @@ impl ProfilerConfig {
     /// same input, which is what makes the string safe to use as the
     /// config component of a content-addressed result-cache key.
     pub fn cache_key(&self) -> String {
-        let shadow = match self.muds.shadow_lookup {
-            crate::muds::ShadowLookup::Faithful => "faithful",
-            crate::muds::ShadowLookup::Generous => "generous",
-        };
-        format!(
-            "seed={};muds_seed={};pruning={};shadow={};sweep={};stats={}",
-            self.seed,
-            self.muds.seed,
-            self.muds.use_known_fd_pruning,
-            shadow,
-            self.muds.completion_sweep,
-            self.stats
-        )
+        format!("seed={};sweep={};stats={}", self.seed, self.completion_sweep, self.stats)
     }
 }
 
@@ -123,6 +113,17 @@ impl Phase {
             children: span.children.iter().map(Phase::from_span).collect(),
         }
     }
+}
+
+/// The dependency sets one algorithm run discovers.
+#[derive(Debug, Clone)]
+pub struct Dependencies {
+    /// All unary INDs.
+    pub inds: Vec<Ind>,
+    /// All minimal UCCs, sorted.
+    pub minimal_uccs: Vec<ColumnSet>,
+    /// All minimal FDs.
+    pub fds: FdSet,
 }
 
 /// Uniform result of any [`Algorithm`].
@@ -208,21 +209,13 @@ pub(crate) fn table_stats(
 /// (§3); see [`Table::dedup_rows`].
 pub fn profile(table: &Table, algorithm: Algorithm, config: &ProfilerConfig) -> ProfileResult {
     let (metrics, _guard) = ensure_ambient();
-    let (inds, minimal_uccs, fds) = match algorithm {
-        Algorithm::Muds => {
-            let mut muds_cfg = config.muds.clone();
-            muds_cfg.seed = config.seed;
-            let r = muds(table, &muds_cfg);
-            (r.inds, r.minimal_uccs, r.fds)
-        }
-        Algorithm::HolisticFun => {
-            let r = holistic_fun(table);
-            (r.inds, r.minimal_uccs, r.fds)
-        }
-        Algorithm::Baseline => {
-            let r = baseline(table, config.seed);
-            (r.inds, r.minimal_uccs, r.fds)
-        }
+    let Dependencies { inds, minimal_uccs, fds } = match algorithm {
+        Algorithm::Muds => muds(
+            table,
+            &MudsConfig { seed: config.seed, completion_sweep: config.completion_sweep },
+        ),
+        Algorithm::HolisticFun => holistic_fun(table),
+        Algorithm::Baseline => baseline(table, config.seed),
         Algorithm::Tane => {
             // TANE discovers no INDs itself; like the baseline, the IND
             // list comes from SPIDER on a separate pass, timed as its own
@@ -234,7 +227,7 @@ pub fn profile(table: &Table, algorithm: Algorithm, config: &ProfilerConfig) -> 
             let mut cache = muds_pli::PliCache::new(table);
             let r = muds_fd::tane(&mut cache);
             span.stop();
-            (inds, r.minimal_uccs, r.fds)
+            Dependencies { inds, minimal_uccs: r.minimal_uccs, fds: r.fds }
         }
     };
     let stats = config.stats.then(|| table_stats(table, &inds, &minimal_uccs));
@@ -395,18 +388,44 @@ mod tests {
     #[test]
     fn cache_key_tracks_result_affecting_knobs() {
         let base = ProfilerConfig::default();
-        let mut other = ProfilerConfig::default();
-        assert_eq!(base.cache_key(), other.cache_key());
-        other.seed = 43;
-        assert_ne!(base.cache_key(), other.cache_key());
-        let mut other = ProfilerConfig::default();
-        other.muds.completion_sweep = false;
-        assert_ne!(base.cache_key(), other.cache_key());
-        // The stats knob changes the result document, so it must enter the
-        // cache key (a stats-on response served from a stats-off entry
-        // would silently drop the column profiles).
-        let other = ProfilerConfig { stats: true, ..ProfilerConfig::default() };
-        assert_ne!(base.cache_key(), other.cache_key());
+        assert_eq!(base.cache_key(), ProfilerConfig::default().cache_key());
+        // Flipping any one field must change the key. The stats knob
+        // changes the result document, so it enters the key too (a
+        // stats-on response served from a stats-off entry would silently
+        // drop the column profiles).
+        let flipped = [
+            ProfilerConfig { seed: 43, ..ProfilerConfig::default() },
+            ProfilerConfig { completion_sweep: false, ..ProfilerConfig::default() },
+            ProfilerConfig { stats: true, ..ProfilerConfig::default() },
+        ];
+        for other in &flipped {
+            assert_ne!(base.cache_key(), other.cache_key(), "{other:?}");
+        }
+        assert_eq!(base.cache_key(), "seed=42;sweep=true;stats=false");
+    }
+
+    /// The top-level MUDS phases are a contract: mudsbench's ledger and
+    /// CI's CLI smoke read these names. The minimize span opens even when
+    /// no shadow task is generated, which the sample table pins.
+    #[test]
+    fn muds_phase_list_is_fixed() {
+        let names = |config: &ProfilerConfig| -> Vec<String> {
+            let r = profile(&sample(), Algorithm::Muds, config);
+            assert_eq!(r.metrics.counter("shadowed.tasks_generated"), 0);
+            r.phases.into_iter().map(|p| p.name).collect()
+        };
+        let faithful = [
+            "SPIDER",
+            "DUCC",
+            "minimize FDs",
+            "calculate R\\Z",
+            "generate shadowed fd tasks",
+            "minimize shadowed tasks",
+        ];
+        let exact: Vec<&str> = faithful.iter().copied().chain(["completion sweep"]).collect();
+        assert_eq!(names(&ProfilerConfig::default()), exact);
+        let config = ProfilerConfig { completion_sweep: false, ..ProfilerConfig::default() };
+        assert_eq!(names(&config), faithful);
     }
 
     #[test]

@@ -368,23 +368,6 @@ impl Metrics {
         SpanTimer { metrics: Some(self.clone()), depth, start: Instant::now(), name }
     }
 
-    /// Records an already-measured leaf span at the current nesting level.
-    /// Used when a phase's duration is computed rather than directly timed
-    /// (e.g. MUDS splits one measured interval across two logical phases).
-    pub fn record_span(&self, name: impl Into<String>, duration: Duration) {
-        let node = SpanNode::leaf(name, duration);
-        let depth = {
-            let mut open = lock(&self.inner.open);
-            let depth = open.len();
-            match open.last_mut() {
-                Some(parent) => parent.children.push(node.clone()),
-                None => lock(&self.inner.roots).push(node.clone()),
-            }
-            depth
-        };
-        self.emit(&Event::SpanEnd { name: &node.name, depth, duration: node.duration });
-    }
-
     /// Closes the span opened at `depth`, force-closing any deeper spans
     /// left open (non-LIFO drops), and returns its measured duration.
     fn close_span(&self, depth: usize, elapsed: Duration) -> Duration {
@@ -599,14 +582,6 @@ pub fn span(name: impl Into<String>) -> SpanTimer {
     }
 }
 
-/// Records an already-measured leaf span in the ambient registry (no-op
-/// without one).
-pub fn record_span(name: impl Into<String>, duration: Duration) {
-    if let Some(m) = Metrics::current() {
-        m.record_span(name, duration);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,7 +687,6 @@ mod tests {
         let outer = metrics.span("outer");
         let inner = metrics.span("inner");
         let inner_d = inner.stop();
-        metrics.record_span("posthoc", Duration::from_nanos(5));
         let outer_d = outer.stop();
         assert!(outer_d >= inner_d);
 
@@ -721,8 +695,7 @@ mod tests {
         let root = &snap.spans[0];
         assert_eq!(root.name, "outer");
         let kids: Vec<&str> = root.children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(kids, ["inner", "posthoc"]);
-        assert_eq!(root.children[1].duration, Duration::from_nanos(5));
+        assert_eq!(kids, ["inner"]);
     }
 
     #[test]

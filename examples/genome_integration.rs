@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example genome_integration`
 
-use muds_core::{muds, MudsConfig};
+use muds_core::{profile, Algorithm, ProfilerConfig};
 use muds_datagen::uniprot_like;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         table.num_columns()
     );
 
-    let report = muds(&table, &MudsConfig::default());
+    let report = profile(&table, Algorithm::Muds, &ProfilerConfig::default());
 
     println!("candidate record identifiers (minimal UCCs):");
     for ucc in &report.minimal_uccs {
@@ -62,6 +62,6 @@ fn main() {
         report.inds.len(),
         report.minimal_uccs.len(),
         report.fds.len(),
-        report.timings.total()
+        report.total_time()
     );
 }

@@ -9,9 +9,8 @@
 //!
 //! Run with: `cargo run --release --example voter_cleansing`
 
-use muds_core::{baseline, holistic_fun, muds, MudsConfig};
+use muds_core::{profile, Algorithm, ProfilerConfig};
 use muds_datagen::ncvoter_like;
-use std::time::Instant;
 
 fn main() {
     let table = ncvoter_like(2_000, 12);
@@ -24,17 +23,10 @@ fn main() {
     );
 
     // All three pipelines; the holistic ones share scan + PLIs.
-    let t0 = Instant::now();
-    let seq = baseline(&table, 42);
-    let seq_time = t0.elapsed();
-
-    let t0 = Instant::now();
-    let hfun = holistic_fun(&table);
-    let hfun_time = t0.elapsed();
-
-    let t0 = Instant::now();
-    let report = muds(&table, &MudsConfig::default());
-    let muds_time = t0.elapsed();
+    let config = ProfilerConfig::default();
+    let seq = profile(&table, Algorithm::Baseline, &config);
+    let hfun = profile(&table, Algorithm::HolisticFun, &config);
+    let report = profile(&table, Algorithm::Muds, &config);
 
     assert_eq!(seq.fds.to_sorted_vec(), hfun.fds.to_sorted_vec());
     assert_eq!(hfun.fds.to_sorted_vec(), report.fds.to_sorted_vec());
@@ -59,11 +51,11 @@ fn main() {
     }
 
     println!("\nruntime comparison on this table:");
-    println!("  sequential baseline : {seq_time:?}");
-    println!("  Holistic FUN        : {hfun_time:?}");
-    println!("  MUDS                : {muds_time:?}");
+    println!("  sequential baseline : {:?}", seq.total_time());
+    println!("  Holistic FUN        : {:?}", hfun.total_time());
+    println!("  MUDS                : {:?}", report.total_time());
     println!("\nMUDS phase breakdown:");
-    for (name, d) in report.timings.as_rows() {
-        println!("  {name:<28} {d:?}");
+    for phase in &report.phases {
+        println!("  {:<28} {:?}", phase.name, phase.duration);
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: CSV in → metadata out, degenerate inputs,
-//! configuration knobs, and the documented MUDS deviations.
+//! seeds, and the documented MUDS deviations.
 
-use muds_core::{muds, profile_csv, Algorithm, MudsConfig, Phase, ProfilerConfig, ShadowLookup};
+use muds_core::{muds, profile, profile_csv, Algorithm, MudsConfig, Phase, ProfilerConfig};
 use muds_datagen::{ncvoter_like, uniprot_like};
 use muds_table::{table_to_csv, CsvOptions, Table};
 
@@ -43,19 +43,35 @@ fn baseline_reparses_per_task_holistic_once() {
     }
 }
 
+/// The paper's pipeline without the completion sweep is sound but not
+/// complete on generator data too, not only on uniform-random tables and
+/// the handmade fixture: on this ncvoter stand-in it misses 33 of the 144
+/// minimal FDs the exact run finds (DESIGN.md §6). Where it misses a
+/// minimal lhs, a valid superset of it can survive the final minimality
+/// guard (2 of its 113 FDs here), so the faithful set is checked against
+/// the exact one by implication, not inclusion.
 #[test]
-fn muds_config_knobs_do_not_change_results_on_typical_data() {
-    let table = ncvoter_like(400, 10);
-    let base = muds(&table, &MudsConfig::default());
-    for config in [
-        MudsConfig { use_known_fd_pruning: false, ..MudsConfig::default() },
-        MudsConfig { shadow_lookup: ShadowLookup::Generous, ..MudsConfig::default() },
-        MudsConfig { seed: 12345, ..MudsConfig::default() },
-    ] {
-        let other = muds(&table, &config);
-        assert_eq!(base.fds.to_sorted_vec(), other.fds.to_sorted_vec(), "{config:?}");
-        assert_eq!(base.minimal_uccs, other.minimal_uccs, "{config:?}");
+fn paper_faithful_mode_is_sound_but_incomplete_on_ncvoter_like() {
+    let table = ncvoter_like(1_000, 12);
+    let exact = profile(&table, Algorithm::Muds, &ProfilerConfig::default());
+    let config = ProfilerConfig { completion_sweep: false, ..ProfilerConfig::default() };
+    let faithful = profile(&table, Algorithm::Muds, &config);
+    assert_eq!(exact.minimal_uccs.len(), 15);
+    assert_eq!(faithful.minimal_uccs, exact.minimal_uccs);
+    let exact_fds = exact.fds.to_sorted_vec();
+    let faithful_fds = faithful.fds.to_sorted_vec();
+    for fd in &faithful_fds {
+        assert!(muds_fd::holds(&table, &fd.lhs, fd.rhs), "unsound FD {fd}");
+        assert!(
+            exact_fds.iter().any(|e| e.rhs == fd.rhs && e.lhs.is_subset_of(&fd.lhs)),
+            "faithful FD {fd} is not implied by the exact set"
+        );
     }
+    let missed = exact_fds.iter().filter(|e| !faithful_fds.contains(e)).count();
+    assert!(
+        missed > 0,
+        "faithful mode became complete — update DESIGN.md's incompleteness discussion"
+    );
 }
 
 #[test]
@@ -103,12 +119,18 @@ fn all_null_column_profile() {
 #[test]
 fn results_are_deterministic_across_runs_and_seeds() {
     let table = uniprot_like(500, 8);
-    let a = muds(&table, &MudsConfig::default());
-    let b = muds(&table, &MudsConfig::default());
+    let config = ProfilerConfig::default();
+    let a = profile(&table, Algorithm::Muds, &config);
+    let b = profile(&table, Algorithm::Muds, &config);
     assert_eq!(a.fds.to_sorted_vec(), b.fds.to_sorted_vec());
-    assert_eq!(a.stats.pli.intersects, b.stats.pli.intersects, "same seed ⇒ same work");
-    let c = muds(&table, &MudsConfig { seed: 999, ..MudsConfig::default() });
+    assert_eq!(
+        a.metrics.counter("pli.intersects"),
+        b.metrics.counter("pli.intersects"),
+        "same seed ⇒ same work"
+    );
+    let c = profile(&table, Algorithm::Muds, &ProfilerConfig { seed: 999, ..config });
     assert_eq!(a.fds.to_sorted_vec(), c.fds.to_sorted_vec(), "results seed-independent");
+    assert_eq!(a.minimal_uccs, c.minimal_uccs, "results seed-independent");
 }
 
 #[test]
