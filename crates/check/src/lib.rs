@@ -1,9 +1,9 @@
 //! Differential fuzzing oracle for the holistic profiler.
 //!
-//! The fuzz loop rotates through adversarial [`strategy`] generators,
-//! runs every pipeline plus the exponential naive oracles on each
-//! generated table, and checks the structural invariants in
-//! [`oracle::CheckSuite`]. On a disagreement (or a panic anywhere in a
+//! The fuzz loop rotates through adversarial generators (the private
+//! `strategy` module), runs every pipeline plus the exponential naive
+//! oracles on each generated table, and checks the structural invariants
+//! in [`oracle::CheckSuite`]. On a disagreement (or a panic anywhere in a
 //! pipeline) the failing table is delta-debugged down to a minimal repro
 //! by [`shrink::shrink`] and persisted as a CSV regression seed by
 //! [`corpus::write_repro`].

@@ -17,7 +17,7 @@ use muds_lattice::{complement_family, minimal_hitting_sets, ColumnSet};
 use muds_obs::Metrics;
 use muds_pli::PliCache;
 use muds_table::{Table, TableDelta, TableError, MAX_COLUMNS};
-use muds_ucc::{ducc, is_unique, naive_minimal_uccs, DuccConfig};
+use muds_ucc::{ducc, is_unique, naive_minimal_uccs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -320,8 +320,7 @@ impl CheckSuite {
     fn check_ucc_duality(&self, table: &Table) -> Option<FailureDetail> {
         let universe = ColumnSet::full(table.num_columns());
         let mut cache = PliCache::new(table);
-        let cfg = DuccConfig::default();
-        let result = ducc(&mut cache, &cfg);
+        let result = ducc(&mut cache, 0xD0CC);
         let edges = complement_family(&result.maximal_non_uccs, &universe);
         let mut dual = minimal_hitting_sets(&edges, &universe);
         dual.sort();

@@ -9,10 +9,9 @@
 
 use muds_fd::fun;
 use muds_ind::spider;
-use muds_lattice::WalkConfig;
 use muds_pli::PliCache;
 use muds_table::{table_from_csv, CsvOptions, Table};
-use muds_ucc::{ducc, DuccConfig};
+use muds_ucc::ducc;
 
 use crate::Dependencies;
 
@@ -50,7 +49,7 @@ fn run_baseline<F: Fn() -> Table>(rescan: F, seed: u64) -> Dependencies {
     let span = muds_obs::span("DUCC");
     let t = rescan();
     let mut cache = PliCache::new(&t);
-    let minimal_uccs = ducc(&mut cache, &DuccConfig { walk: WalkConfig { seed } }).minimal_uccs;
+    let minimal_uccs = ducc(&mut cache, seed).minimal_uccs;
     span.stop();
 
     // Task 3: FUN, with its own scan and PLIs (UCC byproduct discarded —

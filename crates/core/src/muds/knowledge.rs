@@ -41,8 +41,6 @@ pub struct FdKnowledge {
     positives: HashMap<usize, MinimalSetFamily>,
     negatives: HashMap<usize, MaximalSetFamily>,
     universe: ColumnSet,
-    /// Partition-refinement checks answered from knowledge instead.
-    pub short_circuits: u64,
     /// Actual partition-refinement checks performed through this store.
     pub checks: u64,
 }
@@ -54,7 +52,6 @@ impl FdKnowledge {
             positives: HashMap::new(),
             negatives: HashMap::new(),
             universe: ColumnSet::full(num_columns),
-            short_circuits: 0,
             checks: 0,
         }
     }
@@ -100,7 +97,6 @@ impl FdKnowledge {
             return true;
         }
         if let Some(v) = self.lookup(lhs, rhs) {
-            self.short_circuits += 1;
             return v;
         }
         self.checks += 1;
@@ -195,7 +191,6 @@ mod tests {
         assert_eq!(k.checks, 1);
         assert!(k.determines(&mut cache, &cs(&[0, 2]), 1));
         assert_eq!(k.checks, 1);
-        assert_eq!(k.short_circuits, 1);
         // c → a is invalid; the subset query of a recorded negative is free.
         assert!(!k.determines(&mut cache, &cs(&[2]), 0));
         assert_eq!(k.checks, 2);
@@ -242,8 +237,15 @@ mod tests {
             k.record_positive(cs(&[0]), 1);
             k.record_negative(cs(&[3]), 2);
         }
-        let mut c1 = PliCache::new(&t);
-        let mut c2 = PliCache::new(&t);
+        // Each cache counts into its own registry (handles bind at
+        // construction), so the two accountings can be compared.
+        let metered = || {
+            let metrics = muds_obs::Metrics::new();
+            let _guard = metrics.install();
+            (PliCache::new(&t), metrics)
+        };
+        let (mut c1, m1) = metered();
+        let (mut c2, m2) = metered();
         let lhs = cs(&[0, 3]);
         let rhss = [1usize, 2, 3]; // knowledge hit, real check, trivial
         let seq_holds: Vec<bool> = rhss.iter().map(|&a| seq.determines(&mut c1, &lhs, a)).collect();
@@ -251,7 +253,9 @@ mod tests {
         assert_eq!(outcomes.iter().map(|o| o.holds).collect::<Vec<_>>(), seq_holds);
         assert_eq!(outcomes.iter().map(|o| o.known).collect::<Vec<_>>(), vec![true, false, true],);
         assert_eq!(bat.checks, seq.checks);
-        assert_eq!(c1.stats(), c2.stats());
+        let (seq_counts, bat_counts) = (m1.drain_snapshot(), m2.drain_snapshot());
+        assert_eq!(seq_counts.counters, bat_counts.counters);
+        assert_eq!(bat_counts.counter("pli.refinement_checks"), 1);
         // Outcomes were recorded: a second batch is fully known.
         let again = bat.decide_many(&mut c2, &lhs, &rhss);
         assert!(again.iter().all(|o| o.known));

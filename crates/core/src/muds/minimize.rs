@@ -113,9 +113,6 @@ pub fn minimize_fds(
             let mut valid_rhs = ColumnSet::empty();
             let outcomes = knowledge.decide_many(cache, &lhs_subset, &rhs_list);
             for (&a, outcome) in rhs_list.iter().zip(&outcomes) {
-                if outcome.known {
-                    knowledge.short_circuits += 1;
-                }
                 if outcome.holds {
                     valid_rhs.insert(a);
                 }

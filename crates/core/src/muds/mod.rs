@@ -24,10 +24,10 @@ mod shadowed;
 
 use muds_fd::FdSet;
 use muds_ind::spider;
-use muds_lattice::{find_minimal_positives_seeded, ColumnSet, SetTrie, WalkConfig};
+use muds_lattice::{find_minimal_positives, ColumnSet, SetTrie};
 use muds_pli::PliCache;
 use muds_table::Table;
-use muds_ucc::{ducc, DuccConfig};
+use muds_ucc::ducc;
 
 use crate::Dependencies;
 
@@ -81,8 +81,7 @@ pub fn muds(table: &Table, config: &MudsConfig) -> Dependencies {
 
     // Phase: DUCC.
     let span = muds_obs::span("DUCC");
-    let ducc_cfg = DuccConfig { walk: WalkConfig { seed: config.seed } };
-    let minimal_uccs = ducc(&mut cache, &ducc_cfg).minimal_uccs;
+    let minimal_uccs = ducc(&mut cache, config.seed).minimal_uccs;
     span.stop();
 
     // Shared lattice indexes: UCC prefix tree (§5.4) and Z, plus the
@@ -152,11 +151,12 @@ fn completion_sweep(
             .copied()
             .filter(|s| s.is_subset_of(&universe))
             .collect();
-        let mut oracle = |set: &ColumnSet| cache.determines(set, a);
-        let walk_cfg = WalkConfig { seed: seed ^ (0xC0DE + a as u64) };
-        let result =
-            find_minimal_positives_seeded(universe, &mut oracle, &walk_cfg, &negatives, &seeds);
-        total_calls += result.stats.oracle_calls;
+        let mut oracle = |set: &ColumnSet| {
+            total_calls += 1;
+            cache.determines(set, a)
+        };
+        let walk_seed = seed ^ (0xC0DE + a as u64);
+        let result = find_minimal_positives(universe, &mut oracle, walk_seed, &negatives, &seeds);
         for lhs in result.minimal_positives {
             fds.insert(lhs, a);
         }

@@ -13,7 +13,7 @@
 //! seeds the later shadowed-FD minimization and the completion sweep.
 
 use muds_fd::FdSet;
-use muds_lattice::{find_minimal_positives, ColumnSet, WalkConfig};
+use muds_lattice::{find_minimal_positives, ColumnSet};
 use muds_pli::PliCache;
 
 use super::knowledge::FdKnowledge;
@@ -34,8 +34,8 @@ pub fn discover_rz_fds(
     let mut fds = FdSet::new();
     for a in rz.iter() {
         let mut oracle = |set: &ColumnSet| cache.determines(set, a);
-        let walk_cfg = WalkConfig { seed: (seed ^ 0x5A5A).wrapping_add(a as u64) };
-        let result = find_minimal_positives(r.without(a), &mut oracle, &walk_cfg, &[]);
+        let walk_seed = (seed ^ 0x5A5A).wrapping_add(a as u64);
+        let result = find_minimal_positives(r.without(a), &mut oracle, walk_seed, &[], &[]);
         for lhs in result.minimal_positives {
             fds.insert(lhs, a);
             knowledge.record_positive(lhs, a);

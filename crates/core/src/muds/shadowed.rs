@@ -21,7 +21,7 @@
 use std::collections::{HashMap, HashSet};
 
 use muds_fd::FdSet;
-use muds_lattice::{find_minimal_positives_seeded, ColumnSet, SetTrie, WalkConfig};
+use muds_lattice::{find_minimal_positives, ColumnSet, SetTrie};
 use muds_pli::PliCache;
 
 use super::knowledge::FdKnowledge;
@@ -127,8 +127,8 @@ fn minimize_tasks(
             }
             holds
         };
-        let cfg = WalkConfig { seed: 0x5AD0_u64 ^ a as u64 };
-        let result = find_minimal_positives_seeded(universe, &mut oracle, &cfg, &negatives, &seeds);
+        let walk_seed = 0x5AD0_u64 ^ a as u64;
+        let result = find_minimal_positives(universe, &mut oracle, walk_seed, &negatives, &seeds);
         stats.minimize_fd_checks += fresh_checks;
         stats.checks_short_circuited += short_circuited;
         for lhs in result.minimal_positives {

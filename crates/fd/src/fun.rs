@@ -28,31 +28,6 @@ use muds_pli::PliCache;
 
 use crate::types::FdSet;
 
-/// Work counters for a FUN run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FunStats {
-    /// Cardinalities computed from an actual PLI (apriori candidates).
-    pub cards_computed: u64,
-    /// Cardinalities obtained by recursive inference instead of a PLI
-    /// intersection — FUN's saving over TANE.
-    pub cards_inferred: u64,
-    /// Free sets traversed.
-    pub free_sets: u64,
-    /// Deepest level of free sets.
-    pub max_level: usize,
-}
-
-impl FunStats {
-    /// Publishes the counters into the ambient [`muds_obs::Metrics`]
-    /// registry (no-op without one).
-    fn flush(&self) {
-        muds_obs::add("fun.cards_computed", self.cards_computed);
-        muds_obs::add("fun.cards_inferred", self.cards_inferred);
-        muds_obs::add("fun.free_sets", self.free_sets);
-        muds_obs::gauge_max("fun.max_level", self.max_level as i64);
-    }
-}
-
 /// Result of a FUN run.
 #[derive(Debug, Clone)]
 pub struct FunResult {
@@ -60,8 +35,6 @@ pub struct FunResult {
     pub fds: FdSet,
     /// All minimal UCCs (the Holistic FUN byproduct, §3.2).
     pub minimal_uccs: Vec<ColumnSet>,
-    /// Work counters.
-    pub stats: FunStats,
 }
 
 struct Fun<'a, 'b> {
@@ -69,7 +42,9 @@ struct Fun<'a, 'b> {
     /// Known cardinalities: free sets, apriori candidates, and inferred
     /// non-free sets.
     card: HashMap<ColumnSet, usize>,
-    stats: FunStats,
+    /// Cardinalities obtained by recursive inference instead of a PLI
+    /// intersection — FUN's saving over TANE.
+    cards_inferred: u64,
 }
 
 impl Fun<'_, '_> {
@@ -83,7 +58,7 @@ impl Fun<'_, '_> {
         if let Some(&c) = self.card.get(set) {
             return c;
         }
-        self.stats.cards_inferred += 1;
+        self.cards_inferred += 1;
         // lint:allow(panic): direct_subsets() of a non-empty set is
         // non-empty, and the empty set's cardinality is seeded at
         // construction, so recursion never reaches an empty iterator.
@@ -99,11 +74,18 @@ impl Fun<'_, '_> {
 
 /// Runs FUN over the table behind `cache`, discovering all minimal FDs and
 /// (as the holistic byproduct) all minimal UCCs.
+///
+/// Publishes `fun.cards_computed` (cardinalities read from a PLI),
+/// `fun.cards_inferred`, `fun.free_sets` (free sets traversed) and the
+/// `fun.max_level` gauge into the ambient registry.
 pub fn fun(cache: &mut PliCache<'_>) -> FunResult {
     let table_rows = cache.table().num_rows();
     let n = cache.table().num_columns();
     let r = ColumnSet::full(n);
-    let mut fun = Fun { cache, card: HashMap::new(), stats: FunStats::default() };
+    let mut fun = Fun { cache, card: HashMap::new(), cards_inferred: 0 };
+    let mut cards_computed = 0u64;
+    let mut free_sets = 0u64;
+    let mut max_level = 0usize;
     let mut fds = FdSet::new();
     let mut minimal_uccs: Vec<ColumnSet> = Vec::new();
 
@@ -135,7 +117,7 @@ pub fn fun(cache: &mut PliCache<'_>) -> FunResult {
         // candidate order (identical bookkeeping to per-candidate gets).
         let candidate_plis = fun.cache.get_many(&candidates);
         for (c, pli) in candidates.iter().zip(&candidate_plis) {
-            fun.stats.cards_computed += 1;
+            cards_computed += 1;
             fun.card.insert(*c, pli.distinct_count());
         }
 
@@ -144,7 +126,7 @@ pub fn fun(cache: &mut PliCache<'_>) -> FunResult {
         // satisfies |X' ∪ {A}| = |X'| (subsets of free sets are free with
         // known cardinality).
         for &x in &free_level {
-            fun.stats.free_sets += 1;
+            free_sets += 1;
             let card_x = fun.card[&x];
             if card_x == table_rows {
                 minimal_uccs.push(x); // Lemma 3: unique free sets are minimal UCCs
@@ -177,7 +159,7 @@ pub fn fun(cache: &mut PliCache<'_>) -> FunResult {
             })
             .collect();
         depth += 1;
-        fun.stats.max_level = depth;
+        max_level = depth;
         free_level = next_free;
         if free_level.is_empty() {
             break;
@@ -185,8 +167,11 @@ pub fn fun(cache: &mut PliCache<'_>) -> FunResult {
     }
 
     minimal_uccs.sort();
-    fun.stats.flush();
-    FunResult { fds, minimal_uccs, stats: fun.stats }
+    muds_obs::add("fun.cards_computed", cards_computed);
+    muds_obs::add("fun.cards_inferred", fun.cards_inferred);
+    muds_obs::add("fun.free_sets", free_sets);
+    muds_obs::gauge_max("fun.max_level", max_level as i64);
+    FunResult { fds, minimal_uccs }
 }
 
 #[cfg(test)]
@@ -254,9 +239,16 @@ mod tests {
             &[vec!["1", "a", "p"], vec!["2", "a", "q"], vec!["3", "b", "p"], vec!["4", "b", "q"]],
         )
         .unwrap();
+        let metrics = muds_obs::Metrics::new();
+        let _guard = metrics.install();
         let mut cache = PliCache::new(&t);
-        let r = fun(&mut cache);
-        assert!(r.stats.cards_inferred > 0, "expected inference on pruned non-free sets");
+        let _ = fun(&mut cache);
+        let snap = metrics.drain_snapshot();
+        assert!(
+            snap.counter("fun.cards_inferred") > 0,
+            "expected inference on pruned non-free sets"
+        );
+        assert!(snap.counter("fun.cards_computed") > 0);
         check_table(&t);
     }
 
@@ -298,13 +290,16 @@ mod tests {
             })
             .collect();
         let t = Table::from_rows("t", &["id", "g", "h", "p"], &rows).unwrap();
-        let mut c1 = PliCache::new(&t);
-        let r_fun = fun(&mut c1);
-        let fun_intersects = c1.stats().intersects;
-        let mut c2 = PliCache::new(&t);
-        let r_tane = tane(&mut c2);
-        let tane_intersects = c2.stats().intersects;
-        assert_eq!(r_fun.fds, r_tane.fds);
+        let run = |algorithm: fn(&mut PliCache<'_>) -> FdSet| {
+            let metrics = muds_obs::Metrics::new();
+            let _guard = metrics.install();
+            let fds = algorithm(&mut PliCache::new(&t));
+            (fds, metrics.drain_snapshot().counter("pli.intersects"))
+        };
+        let (fun_fds, fun_intersects) = run(|cache| fun(cache).fds);
+        let (tane_fds, tane_intersects) = run(|cache| tane(cache).fds);
+        assert_eq!(fun_fds, tane_fds);
+        assert!(fun_intersects > 0);
         assert!(
             fun_intersects <= tane_intersects,
             "FUN should not intersect more than TANE ({fun_intersects} vs {tane_intersects})"

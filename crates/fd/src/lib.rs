@@ -15,7 +15,7 @@ mod types;
 
 pub use approximate::{approximate_fds, g3_error};
 pub use depminer::{agree_set_uccs, depminer_fds};
-pub use fun::{fun, FunResult, FunStats};
+pub use fun::{fun, FunResult};
 pub use naive::{holds, naive_minimal_fds};
-pub use tane::{tane, TaneResult, TaneStats};
+pub use tane::{tane, TaneResult};
 pub use types::{Fd, FdSet};

@@ -33,27 +33,6 @@ impl RhsTries {
     }
 }
 
-/// Work counters for a TANE run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TaneStats {
-    /// FD validity checks (partition refinement tests).
-    pub fd_checks: u64,
-    /// Lattice nodes processed across all levels.
-    pub nodes_processed: u64,
-    /// Deepest level reached.
-    pub max_level: usize,
-}
-
-impl TaneStats {
-    /// Publishes the counters into the ambient [`muds_obs::Metrics`]
-    /// registry (no-op without one).
-    fn flush(&self) {
-        muds_obs::add("tane.fd_checks", self.fd_checks);
-        muds_obs::add("tane.nodes_processed", self.nodes_processed);
-        muds_obs::gauge_max("tane.max_level", self.max_level as i64);
-    }
-}
-
 /// Result of a TANE run.
 #[derive(Debug, Clone)]
 pub struct TaneResult {
@@ -63,18 +42,22 @@ pub struct TaneResult {
     /// minimal key as a lattice node; recording them is free — the same
     /// observation Holistic FUN exploits).
     pub minimal_uccs: Vec<ColumnSet>,
-    /// Work counters.
-    pub stats: TaneStats,
 }
 
 /// Runs TANE over the table behind `cache`, discovering all minimal FDs.
+///
+/// Publishes `tane.fd_checks` (partition-refinement tests),
+/// `tane.nodes_processed` (lattice nodes across all levels) and the
+/// `tane.max_level` gauge into the ambient registry.
 pub fn tane(cache: &mut PliCache<'_>) -> TaneResult {
     let n = cache.table().num_columns();
     let r = ColumnSet::full(n);
     let mut fds = FdSet::new();
     let mut tries = RhsTries::default();
     let mut minimal_uccs: Vec<ColumnSet> = Vec::new();
-    let mut stats = TaneStats::default();
+    let mut fd_checks = 0u64;
+    let mut nodes_processed = 0u64;
+    let mut max_level = 0usize;
 
     // C⁺(∅) = R.
     let mut cplus_prev: HashMap<ColumnSet, ColumnSet> = HashMap::new();
@@ -85,19 +68,19 @@ pub fn tane(cache: &mut PliCache<'_>) -> TaneResult {
         minimal_uccs.push(ColumnSet::empty());
         // Every column is (vacuously) constant: ∅ → A for all A.
         for a in 0..n {
-            stats.fd_checks += 1;
+            fd_checks += 1;
             if cache.determines(&ColumnSet::empty(), a) {
                 fds.insert(ColumnSet::empty(), a);
             }
         }
-        stats.flush();
-        return TaneResult { fds, minimal_uccs, stats };
+        publish(fd_checks, nodes_processed, max_level);
+        return TaneResult { fds, minimal_uccs };
     }
 
     let mut level = first_level(&r);
     let mut depth = 1usize;
     while !level.is_empty() {
-        stats.max_level = depth;
+        max_level = depth;
         let mut cplus: HashMap<ColumnSet, ColumnSet> = HashMap::with_capacity(level.len());
 
         // COMPUTE_DEPENDENCIES. Each node's candidate rhs set is fixed on
@@ -108,7 +91,7 @@ pub fn tane(cache: &mut PliCache<'_>) -> TaneResult {
         let mut cplus0: Vec<ColumnSet> = Vec::with_capacity(level.len());
         let mut checks: Vec<(ColumnSet, usize)> = Vec::new();
         for &x in &level {
-            stats.nodes_processed += 1;
+            nodes_processed += 1;
             // C⁺(X) = ∩_{A ∈ X} C⁺(X \ {A}); missing entries denote pruned
             // nodes and behave as the empty set.
             let mut cp = r;
@@ -126,7 +109,7 @@ pub fn tane(cache: &mut PliCache<'_>) -> TaneResult {
             }
             cplus0.push(cp);
         }
-        stats.fd_checks += checks.len() as u64;
+        fd_checks += checks.len() as u64;
         let verdicts = cache.refines_many(&checks);
         let mut next_verdict = 0usize;
         for (&x, &cp0) in level.iter().zip(&cplus0) {
@@ -185,8 +168,14 @@ pub fn tane(cache: &mut PliCache<'_>) -> TaneResult {
     }
 
     minimal_uccs.sort();
-    stats.flush();
-    TaneResult { fds, minimal_uccs, stats }
+    publish(fd_checks, nodes_processed, max_level);
+    TaneResult { fds, minimal_uccs }
+}
+
+fn publish(fd_checks: u64, nodes_processed: u64, max_level: usize) {
+    muds_obs::add("tane.fd_checks", fd_checks);
+    muds_obs::add("tane.nodes_processed", nodes_processed);
+    muds_obs::gauge_max("tane.max_level", max_level as i64);
 }
 
 #[cfg(test)]
@@ -281,6 +270,26 @@ mod tests {
             let _ = case;
             check_table(&t);
         }
+    }
+
+    #[test]
+    fn counters_publish_into_ambient_registry() {
+        let metrics = muds_obs::Metrics::new();
+        let _guard = metrics.install();
+        let t = Table::from_rows(
+            "t",
+            &["a", "b", "c"],
+            &[vec!["0", "0", "0"], vec!["0", "1", "1"], vec!["1", "0", "1"], vec!["1", "1", "0"]],
+        )
+        .unwrap();
+        let _ = tane(&mut PliCache::new(&t));
+        let snap = metrics.drain_snapshot();
+        // Every TANE check is a real (non-trivial) refinement check.
+        assert!(snap.counter("tane.fd_checks") > 0);
+        assert_eq!(snap.counter("tane.fd_checks"), snap.counter("pli.refinement_checks"));
+        // Three singletons and three pairs; every pair is a key.
+        assert_eq!(snap.counter("tane.nodes_processed"), 6);
+        assert_eq!(snap.gauge("tane.max_level"), 2);
     }
 
     #[test]

@@ -14,5 +14,5 @@ mod types;
 pub use inverted::inverted_index_inds;
 pub use naive::naive_inds;
 pub use nary::{nary_ind_holds, nary_inds, NaryInd};
-pub use spider::{spider, spider_with_stats, SpiderStats};
+pub use spider::spider;
 pub use types::{format_inds, Ind};

@@ -31,49 +31,25 @@ use muds_table::Table;
 
 use crate::types::Ind;
 
-/// Work counters for a SPIDER run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpiderStats {
-    /// Distinct values pulled from the merged streams.
-    pub values_processed: u64,
-    /// Value groups formed (each triggers candidate intersections).
-    pub groups_formed: u64,
-    /// Columns discarded before their stream ended.
-    pub columns_discarded: u64,
-    /// Heap pops during the synchronized merge (one per column per shared
-    /// value — the comparison phase's unit of work).
-    pub merge_steps: u64,
-    /// Per-column dictionary values read into the merge (initial loads plus
-    /// cursor advances).
-    pub values_read: u64,
-}
-
-impl SpiderStats {
-    /// Publishes the counters into the ambient [`muds_obs::Metrics`]
-    /// registry (no-op without one).
-    fn flush(&self, inds_found: usize) {
-        muds_obs::add("spider.values_processed", self.values_processed);
-        muds_obs::add("spider.groups_formed", self.groups_formed);
-        muds_obs::add("spider.columns_discarded", self.columns_discarded);
-        muds_obs::add("spider.merge_steps", self.merge_steps);
-        muds_obs::add("spider.values_read", self.values_read);
-        muds_obs::add("spider.inds_found", inds_found as u64);
-    }
-}
-
 /// Discovers all unary INDs between the columns of `table` using SPIDER.
 ///
 /// NULL semantics: null (empty) values are skipped on the dependent side —
 /// a column's dictionary contains only its non-null values — so an all-null
 /// column is included in every other column.
+///
+/// Publishes the run's `spider.*` work counters into the ambient
+/// [`muds_obs::Metrics`] registry (no-op without one): distinct values
+/// processed, value groups formed (each triggers candidate intersections),
+/// columns discarded early, merge steps (heap pops — one per column per
+/// shared value, the comparison phase's unit of work), dictionary values
+/// read into the merge, and INDs found.
 pub fn spider(table: &Table) -> Vec<Ind> {
-    spider_with_stats(table).0
-}
-
-/// [`spider`] with work counters.
-pub fn spider_with_stats(table: &Table) -> (Vec<Ind>, SpiderStats) {
     let n = table.num_columns();
-    let mut stats = SpiderStats::default();
+    // Work counters, published once at exit.
+    let mut groups_formed = 0u64;
+    let mut columns_discarded = 0u64;
+    let mut merge_steps = 0u64;
+    let mut values_read = 0u64;
 
     // refs[i]: columns that might still include column i (excluding i).
     let all = ColumnSet::full(n);
@@ -88,7 +64,7 @@ pub fn spider_with_stats(table: &Table) -> (Vec<Ind>, SpiderStats) {
     let mut heap: BinaryHeap<Reverse<(&str, usize)>> = BinaryHeap::new();
     for (i, col) in table.columns().iter().enumerate() {
         if let Some(v) = col.sorted_distinct_values().first() {
-            stats.values_read += 1;
+            values_read += 1;
             heap.push(Reverse((v.as_str(), i)));
         }
         // Columns with no non-null values never constrain anything; they
@@ -105,11 +81,10 @@ pub fn spider_with_stats(table: &Table) -> (Vec<Ind>, SpiderStats) {
                 break;
             }
             heap.pop();
-            stats.merge_steps += 1;
+            merge_steps += 1;
             group_cols.push(col);
         }
-        stats.values_processed += 1;
-        stats.groups_formed += 1;
+        groups_formed += 1;
         let group = ColumnSet::from_indices(group_cols.iter().copied());
 
         // Intersect candidates of every group member with the group.
@@ -134,13 +109,13 @@ pub fn spider_with_stats(table: &Table) -> (Vec<Ind>, SpiderStats) {
             // Early discard: col constrains nothing and nobody references it.
             if refs[col].is_empty() && rev[col].is_empty() {
                 active[col] = false;
-                stats.columns_discarded += 1;
+                columns_discarded += 1;
                 continue;
             }
             cursors[col] += 1;
             let dict = table.column(col).sorted_distinct_values();
             if let Some(v) = dict.get(cursors[col]) {
-                stats.values_read += 1;
+                values_read += 1;
                 heap.push(Reverse((v.as_str(), col)));
             } else {
                 // Stream ended: col can no longer serve as a referencer for
@@ -157,8 +132,14 @@ pub fn spider_with_stats(table: &Table) -> (Vec<Ind>, SpiderStats) {
         }
     }
     inds.sort();
-    stats.flush(inds.len());
-    (inds, stats)
+    // Every group is formed from exactly one distinct value.
+    muds_obs::add("spider.values_processed", groups_formed);
+    muds_obs::add("spider.groups_formed", groups_formed);
+    muds_obs::add("spider.columns_discarded", columns_discarded);
+    muds_obs::add("spider.merge_steps", merge_steps);
+    muds_obs::add("spider.values_read", values_read);
+    muds_obs::add("spider.inds_found", inds.len() as u64);
+    inds
 }
 
 #[cfg(test)]
@@ -236,28 +217,22 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_distinct_values() {
+    fn counters_count_distinct_values() {
+        let metrics = muds_obs::Metrics::new();
+        let _guard = metrics.install();
         let t =
             Table::from_rows("t", &["A", "B"], &[vec!["a", "b"], vec!["b", "c"], vec!["c", "a"]])
                 .unwrap();
-        let (_, stats) = spider_with_stats(&t);
-        // Values a, b, c shared; 3 groups.
-        assert_eq!(stats.groups_formed, 3);
-        // Both columns hold all three values: six heap pops, six reads.
-        assert_eq!(stats.merge_steps, 6);
-        assert_eq!(stats.values_read, 6);
-    }
-
-    #[test]
-    fn stats_flush_into_ambient_registry() {
-        let metrics = muds_obs::Metrics::new();
-        let _guard = metrics.install();
-        let t = Table::from_rows("t", &["A", "B"], &[vec!["1", "1"], vec!["2", "2"]]).unwrap();
-        let (inds, stats) = spider_with_stats(&t);
+        let inds = spider(&t);
         let snap = metrics.drain_snapshot();
-        assert_eq!(snap.counter("spider.merge_steps"), stats.merge_steps);
-        assert_eq!(snap.counter("spider.values_read"), stats.values_read);
+        // Values a, b, c shared; 3 groups.
+        assert_eq!(snap.counter("spider.groups_formed"), 3);
+        assert_eq!(snap.counter("spider.values_processed"), 3);
+        // Both columns hold all three values: six heap pops, six reads.
+        assert_eq!(snap.counter("spider.merge_steps"), 6);
+        assert_eq!(snap.counter("spider.values_read"), 6);
         assert_eq!(snap.counter("spider.inds_found"), inds.len() as u64);
+        assert_eq!(inds.len(), 2);
     }
 
     #[test]

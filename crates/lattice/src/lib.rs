@@ -27,7 +27,4 @@ pub use column_set::{ColumnIter, ColumnSet, MAX_COLUMNS};
 pub use hitting_set::{complement_family, minimal_hitting_sets};
 pub use level::{apriori_gen, first_level};
 pub use set_trie::{MaximalSetFamily, MinimalSetFamily, SetTrie};
-pub use walk::{
-    find_minimal_positives, find_minimal_positives_seeded, MonotoneOracle, WalkConfig, WalkResult,
-    WalkStats,
-};
+pub use walk::{find_minimal_positives, MonotoneOracle, WalkResult};

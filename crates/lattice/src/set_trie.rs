@@ -361,7 +361,7 @@ impl MinimalSetFamily {
 /// Subset queries (`dominates`) are answered by one of two
 /// representations, chosen by universe width at construction:
 ///
-/// * **Narrow universes (≤ [`COMPLEMENT_TRIE_MAX_UNIVERSE`] columns)**: a
+/// * **Narrow universes (≤ `COMPLEMENT_TRIE_MAX_UNIVERSE` columns)**: a
 ///   trie over the *complements* of the stored sets — `X ⊆ N ⟺ ¬N ⊆ ¬X`,
 ///   so "is the query inside any stored set" becomes a subset search on
 ///   complements, sub-linear in the family size. This matters because the

@@ -39,49 +39,6 @@ impl<F: FnMut(&ColumnSet) -> bool> MonotoneOracle for F {
     }
 }
 
-/// Counters describing the work a walk performed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WalkStats {
-    /// Oracle evaluations (each typically a PLI intersection).
-    pub oracle_calls: u64,
-    /// Lattice nodes visited by the random walk (including pruned ones).
-    pub nodes_visited: u64,
-    /// Iterations of the hole-filling loop.
-    pub hole_rounds: u64,
-    /// Hole candidates produced by the hitting-set computation and checked.
-    pub holes_checked: u64,
-}
-
-impl WalkStats {
-    /// Publishes the counters into the ambient [`muds_obs::Metrics`]
-    /// registry (no-op without one). Called once per walk at each exit
-    /// point, so per-walk structs stay exact while the registry
-    /// accumulates run-level totals across all walks of an algorithm
-    /// (DUCC + every R\Z sub-lattice + completion sweep).
-    fn flush(&self, minimal_positives: usize, maximal_negatives: usize) {
-        muds_obs::add("walk.runs", 1);
-        muds_obs::add("walk.oracle_calls", self.oracle_calls);
-        muds_obs::add("walk.nodes_visited", self.nodes_visited);
-        muds_obs::add("walk.hole_rounds", self.hole_rounds);
-        muds_obs::add("walk.holes_checked", self.holes_checked);
-        muds_obs::add("walk.minimal_positives", minimal_positives as u64);
-        muds_obs::add("walk.maximal_negatives", maximal_negatives as u64);
-    }
-}
-
-/// Configuration of the random walk.
-#[derive(Debug, Clone)]
-pub struct WalkConfig {
-    /// RNG seed; walks are fully deterministic given the seed.
-    pub seed: u64,
-}
-
-impl Default for WalkConfig {
-    fn default() -> Self {
-        WalkConfig { seed: 0xD0CC }
-    }
-}
-
 /// Outcome of [`find_minimal_positives`].
 #[derive(Debug, Clone)]
 pub struct WalkResult {
@@ -90,8 +47,6 @@ pub struct WalkResult {
     /// All maximal sets violating the predicate, sorted. Empty when the
     /// predicate holds on the empty set.
     pub maximal_negatives: Vec<ColumnSet>,
-    /// Work counters.
-    pub stats: WalkStats,
 }
 
 /// Classification of a visited node.
@@ -118,10 +73,42 @@ struct Search<'a, O: MonotoneOracle> {
     min_pos: MinimalSetFamily,
     max_neg: MaximalSetFamily,
     rng: StdRng,
-    stats: WalkStats,
+    /// Work counters, published into the registry once per walk.
+    oracle_calls: u64,
+    nodes_visited: u64,
+    hole_rounds: u64,
+    holes_checked: u64,
 }
 
 impl<'a, O: MonotoneOracle> Search<'a, O> {
+    /// Ends the walk with its discovered families, sorted.
+    fn finish(self) -> WalkResult {
+        let mut minimal_positives = self.min_pos.sets().to_vec();
+        minimal_positives.sort();
+        let mut maximal_negatives = self.max_neg.sets().to_vec();
+        maximal_negatives.sort();
+        self.publish(minimal_positives, maximal_negatives)
+    }
+
+    /// Publishes the walk's counters into the ambient [`muds_obs::Metrics`]
+    /// registry (no-op without one). Every exit point goes through here
+    /// once, so the registry accumulates run-level totals across all walks
+    /// of an algorithm (DUCC + every R\Z sub-lattice + completion sweep).
+    fn publish(
+        &self,
+        minimal_positives: Vec<ColumnSet>,
+        maximal_negatives: Vec<ColumnSet>,
+    ) -> WalkResult {
+        muds_obs::add("walk.runs", 1);
+        muds_obs::add("walk.oracle_calls", self.oracle_calls);
+        muds_obs::add("walk.nodes_visited", self.nodes_visited);
+        muds_obs::add("walk.hole_rounds", self.hole_rounds);
+        muds_obs::add("walk.holes_checked", self.holes_checked);
+        muds_obs::add("walk.minimal_positives", minimal_positives.len() as u64);
+        muds_obs::add("walk.maximal_negatives", maximal_negatives.len() as u64);
+        WalkResult { minimal_positives, maximal_negatives }
+    }
+
     /// Classifies `set`, consulting pruning information before the oracle.
     fn classify(&mut self, set: &ColumnSet) -> Status {
         if let Some(&s) = self.visited.get(set) {
@@ -132,7 +119,7 @@ impl<'a, O: MonotoneOracle> Search<'a, O> {
         } else if self.max_neg.dominates(set) {
             Status::Negative
         } else {
-            self.stats.oracle_calls += 1;
+            self.oracle_calls += 1;
             if self.oracle.check(set) {
                 Status::Positive
             } else {
@@ -202,7 +189,7 @@ impl<'a, O: MonotoneOracle> Search<'a, O> {
     /// columns of its unvisited-neighbor scan (direct subsets for
     /// positives, direct supersets within the universe for negatives).
     fn new_frame(&mut self, set: ColumnSet) -> Frame {
-        self.stats.nodes_visited += 1;
+        self.nodes_visited += 1;
         let positive = self.classify(&set) == Status::Positive;
         let remaining = if positive { set } else { self.universe.difference(&set) };
         Frame { set, remaining, positive }
@@ -335,25 +322,15 @@ impl<'a, O: MonotoneOracle> Search<'a, O> {
 ///
 /// `known_negatives` seeds the maximal-negative family with sets already
 /// known to violate the predicate (inter-task pruning in MUDS); they must be
-/// genuinely negative.
+/// genuinely negative. `known_positives` are sets *known to be positive* but
+/// not necessarily minimal (e.g. FD left-hand sides found by an earlier
+/// phase): each is walked down to a minimal positive before the regular
+/// search starts, so prior knowledge prunes the walk without affecting
+/// exactness. The walk is fully deterministic given `seed`.
 pub fn find_minimal_positives<O: MonotoneOracle>(
     universe: ColumnSet,
     oracle: &mut O,
-    config: &WalkConfig,
-    known_negatives: &[ColumnSet],
-) -> WalkResult {
-    find_minimal_positives_seeded(universe, oracle, config, known_negatives, &[])
-}
-
-/// [`find_minimal_positives`] additionally seeded with sets *known to be
-/// positive* but not necessarily minimal (e.g. FD left-hand sides found by
-/// an earlier phase). Each seed is walked down to a minimal positive before
-/// the regular search starts, so prior knowledge prunes the walk without
-/// affecting exactness.
-pub fn find_minimal_positives_seeded<O: MonotoneOracle>(
-    universe: ColumnSet,
-    oracle: &mut O,
-    config: &WalkConfig,
+    seed: u64,
     known_negatives: &[ColumnSet],
     known_positives: &[ColumnSet],
 ) -> WalkResult {
@@ -363,8 +340,11 @@ pub fn find_minimal_positives_seeded<O: MonotoneOracle>(
         visited: HashMap::new(),
         min_pos: MinimalSetFamily::new(),
         max_neg: MaximalSetFamily::with_universe(universe),
-        rng: StdRng::seed_from_u64(config.seed),
-        stats: WalkStats::default(),
+        rng: StdRng::seed_from_u64(seed),
+        oracle_calls: 0,
+        nodes_visited: 0,
+        hole_rounds: 0,
+        holes_checked: 0,
     };
     for &n in known_negatives {
         search.max_neg.add(n);
@@ -374,12 +354,7 @@ pub fn find_minimal_positives_seeded<O: MonotoneOracle>(
     // The empty set: positive means it is the unique minimal positive
     // (e.g. a constant column for the FD oracle, a ≤1-row table for UCCs).
     if search.classify(&ColumnSet::empty()) == Status::Positive {
-        search.stats.flush(1, 0);
-        return WalkResult {
-            minimal_positives: vec![ColumnSet::empty()],
-            maximal_negatives: Vec::new(),
-            stats: search.stats,
-        };
+        return search.publish(vec![ColumnSet::empty()], Vec::new());
     }
 
     for &p in known_positives {
@@ -397,16 +372,11 @@ pub fn find_minimal_positives_seeded<O: MonotoneOracle>(
     // (An empty transversal family arises only when the universe itself is
     // a known negative, in which case "no positives" is exact.)
     if !known_negatives.is_empty() || !known_positives.is_empty() {
-        search.stats.hole_rounds += 1;
+        search.hole_rounds += 1;
         let edges = complement_family(search.max_neg.sets(), &universe);
         let transversals = minimal_hitting_sets(&edges, &universe);
         if transversals.iter().all(|t| search.min_pos.sets().contains(t)) {
-            let mut minimal_positives = search.min_pos.sets().to_vec();
-            minimal_positives.sort();
-            let mut maximal_negatives = search.max_neg.sets().to_vec();
-            maximal_negatives.sort();
-            search.stats.flush(minimal_positives.len(), maximal_negatives.len());
-            return WalkResult { minimal_positives, maximal_negatives, stats: search.stats };
+            return search.finish();
         }
     }
 
@@ -419,7 +389,7 @@ pub fn find_minimal_positives_seeded<O: MonotoneOracle>(
 
     // Hole-filling loop: converges when duality certifies completeness.
     loop {
-        search.stats.hole_rounds += 1;
+        search.hole_rounds += 1;
         let edges = complement_family(search.max_neg.sets(), &universe);
         let transversals = minimal_hitting_sets(&edges, &universe);
         let mut progressed = false;
@@ -427,7 +397,7 @@ pub fn find_minimal_positives_seeded<O: MonotoneOracle>(
             if search.min_pos.sets().contains(&hole) {
                 continue;
             }
-            search.stats.holes_checked += 1;
+            search.holes_checked += 1;
             match search.classify(&hole) {
                 Status::Positive => search.minimize_positive(hole),
                 Status::Negative => search.maximize_negative(hole),
@@ -439,17 +409,14 @@ pub fn find_minimal_positives_seeded<O: MonotoneOracle>(
         }
     }
 
-    let mut minimal_positives = search.min_pos.sets().to_vec();
-    minimal_positives.sort();
-    let mut maximal_negatives = search.max_neg.sets().to_vec();
-    maximal_negatives.sort();
-    search.stats.flush(minimal_positives.len(), maximal_negatives.len());
-    WalkResult { minimal_positives, maximal_negatives, stats: search.stats }
+    search.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const SEED: u64 = 0xD0CC;
 
     fn cs(cols: &[usize]) -> ColumnSet {
         ColumnSet::from_indices(cols.iter().copied())
@@ -471,7 +438,7 @@ mod tests {
 
     fn run(universe: usize, minimal: Vec<ColumnSet>) -> WalkResult {
         let mut oracle = FamilyOracle { minimal, calls: 0 };
-        find_minimal_positives(ColumnSet::full(universe), &mut oracle, &WalkConfig::default(), &[])
+        find_minimal_positives(ColumnSet::full(universe), &mut oracle, SEED, &[], &[])
     }
 
     #[test]
@@ -490,8 +457,7 @@ mod tests {
     #[test]
     fn no_positives_at_all() {
         let mut oracle = |_: &ColumnSet| false;
-        let r =
-            find_minimal_positives(ColumnSet::full(3), &mut oracle, &WalkConfig::default(), &[]);
+        let r = find_minimal_positives(ColumnSet::full(3), &mut oracle, SEED, &[], &[]);
         assert!(r.minimal_positives.is_empty());
         assert_eq!(r.maximal_negatives, vec![ColumnSet::full(3)]);
     }
@@ -527,11 +493,11 @@ mod tests {
     fn known_negatives_reduce_oracle_calls() {
         let minimal = vec![cs(&[0, 1, 2])];
         let mut o1 = FamilyOracle { minimal: minimal.clone(), calls: 0 };
-        let r1 = find_minimal_positives(ColumnSet::full(6), &mut o1, &WalkConfig::default(), &[]);
+        let r1 = find_minimal_positives(ColumnSet::full(6), &mut o1, SEED, &[], &[]);
         // Tell the search the largest negatives up front.
         let negs: Vec<ColumnSet> = r1.maximal_negatives.clone();
         let mut o2 = FamilyOracle { minimal, calls: 0 };
-        let r2 = find_minimal_positives(ColumnSet::full(6), &mut o2, &WalkConfig::default(), &negs);
+        let r2 = find_minimal_positives(ColumnSet::full(6), &mut o2, SEED, &negs, &[]);
         assert_eq!(r1.minimal_positives, r2.minimal_positives);
         assert!(
             o2.calls < o1.calls,
@@ -545,17 +511,11 @@ mod tests {
     fn seeded_positives_preserve_exactness() {
         let fam = vec![cs(&[0, 1]), cs(&[2, 3])];
         let mut o1 = FamilyOracle { minimal: fam.clone(), calls: 0 };
-        let r1 = find_minimal_positives(ColumnSet::full(5), &mut o1, &WalkConfig::default(), &[]);
+        let r1 = find_minimal_positives(ColumnSet::full(5), &mut o1, SEED, &[], &[]);
         // Seed with *non-minimal* positive supersets.
         let seeds = vec![cs(&[0, 1, 4]), cs(&[2, 3, 4])];
         let mut o2 = FamilyOracle { minimal: fam, calls: 0 };
-        let r2 = find_minimal_positives_seeded(
-            ColumnSet::full(5),
-            &mut o2,
-            &WalkConfig::default(),
-            &[],
-            &seeds,
-        );
+        let r2 = find_minimal_positives(ColumnSet::full(5), &mut o2, SEED, &[], &seeds);
         assert_eq!(r1.minimal_positives, r2.minimal_positives);
         assert_eq!(r1.maximal_negatives, r2.maximal_negatives);
     }
@@ -563,24 +523,31 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let fam = vec![cs(&[0, 3]), cs(&[1, 2, 4])];
-        let mut o1 = FamilyOracle { minimal: fam.clone(), calls: 0 };
-        let mut o2 = FamilyOracle { minimal: fam, calls: 0 };
-        let cfg = WalkConfig { seed: 99 };
-        let r1 = find_minimal_positives(ColumnSet::full(6), &mut o1, &cfg, &[]);
-        let r2 = find_minimal_positives(ColumnSet::full(6), &mut o2, &cfg, &[]);
-        assert_eq!(r1.minimal_positives, r2.minimal_positives);
-        assert_eq!(r1.stats, r2.stats);
+        let walk = || {
+            let metrics = muds_obs::Metrics::new();
+            let _guard = metrics.install();
+            let mut oracle = FamilyOracle { minimal: fam.clone(), calls: 0 };
+            let r = find_minimal_positives(ColumnSet::full(6), &mut oracle, 99, &[], &[]);
+            (r.minimal_positives, metrics.drain_snapshot().counters)
+        };
+        let (p1, c1) = walk();
+        let (p2, c2) = walk();
+        assert_eq!(p1, p2);
+        assert_eq!(c1, c2);
+        assert!(c1["walk.oracle_calls"] > 0);
     }
 
     #[test]
-    fn walk_stats_flush_into_ambient_registry() {
+    fn walk_counters_publish_into_ambient_registry() {
         let metrics = muds_obs::Metrics::new();
         let _guard = metrics.install();
-        let r = run(5, vec![cs(&[0, 1]), cs(&[3])]);
+        let mut oracle = FamilyOracle { minimal: vec![cs(&[0, 1]), cs(&[3])], calls: 0 };
+        let r = find_minimal_positives(ColumnSet::full(5), &mut oracle, SEED, &[], &[]);
         let snap = metrics.drain_snapshot();
         assert_eq!(snap.counter("walk.runs"), 1);
-        assert_eq!(snap.counter("walk.oracle_calls"), r.stats.oracle_calls);
-        assert_eq!(snap.counter("walk.nodes_visited"), r.stats.nodes_visited);
+        assert_eq!(snap.counter("walk.oracle_calls"), oracle.calls);
+        assert!(snap.counter("walk.nodes_visited") >= 5, "one walk per singleton seed");
+        assert!(snap.counter("walk.hole_rounds") >= 1);
         assert_eq!(snap.counter("walk.minimal_positives"), r.minimal_positives.len() as u64);
         assert_eq!(snap.counter("walk.maximal_negatives"), r.maximal_negatives.len() as u64);
     }

@@ -630,6 +630,30 @@ mod tests {
         assert!(sarif.contains("has \\\"quotes\\\""));
     }
 
+    /// The reverse of L005: every name the DESIGN.md §7 catalogue lists
+    /// must be spelled as a string literal somewhere under `crates/*/src`,
+    /// so the catalogue cannot keep documenting metrics no code registers.
+    #[test]
+    fn every_catalogue_name_is_registered_in_source() {
+        let workspace = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let design = std::fs::read_to_string(workspace.join("DESIGN.md")).expect("read DESIGN.md");
+        let catalogue = parse_catalogue(&design).expect("parse catalogue");
+        let mut files = Vec::new();
+        collect_rs_files(&workspace.join("crates"), &mut files);
+        let mut literals = BTreeSet::new();
+        for path in files.iter().filter(|p| relative_path(&workspace, p).contains("/src/")) {
+            let source = std::fs::read_to_string(path).expect("read source");
+            for token in lexer::lex(&source).tokens {
+                if token.kind == lexer::TokenKind::Str {
+                    literals.insert(token.text.trim_matches('"').to_string());
+                }
+            }
+        }
+        let missing: Vec<&String> =
+            catalogue.iter().filter(|name| !literals.contains(*name)).collect();
+        assert!(missing.is_empty(), "DESIGN.md §7 lists names no source registers: {missing:?}");
+    }
+
     #[test]
     fn stale_baseline_fails_and_update_tightens() {
         let dir = std::env::temp_dir().join(format!("muds-lint-stale-{}", std::process::id()));

@@ -17,27 +17,13 @@ use rayon::prelude::*;
 
 use crate::pli::Pli;
 
-/// Work counters for a [`PliCache`]. These are the quantities the paper's
-/// phase analysis (§6.4) talks about: "the primary time-consuming operation
-/// is the PLI intersect".
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PliCacheStats {
-    /// PLI intersect operations performed.
-    pub intersects: u64,
-    /// Cache hits (PLI served without any intersect).
-    pub hits: u64,
-    /// Cache misses (PLI had to be computed).
-    pub misses: u64,
-    /// Entries evicted from the LRU region.
-    pub evictions: u64,
-    /// Partition-refinement FD checks (`Pli::refines`).
-    pub refinement_checks: u64,
-}
-
-/// Handles into the ambient [`muds_obs::Metrics`] registry, resolved once
-/// at cache construction so the hot path pays one `Cell` add per event and
-/// never touches the name→counter map. When no registry is installed the
-/// handles are detached cells and the adds are dead stores.
+/// The cache's work counters: handles into the ambient
+/// [`muds_obs::Metrics`] registry, resolved once at cache construction so
+/// the hot path pays one relaxed atomic add per event and never touches the
+/// name→counter map. These are the quantities the paper's phase analysis
+/// (§6.4) talks about — "the primary time-consuming operation is the PLI
+/// intersect". When no registry is installed the handles are detached and
+/// the adds are dead stores.
 struct PliMeters {
     requests: muds_obs::Counter,
     hits: muds_obs::Counter,
@@ -65,7 +51,7 @@ impl PliMeters {
 ///
 /// The cache itself is `&mut`-owned by the coordinating thread and needs no
 /// interior mutability: the batch entry points ([`PliCache::get_many`],
-/// [`PliCache::refines_many`]) keep all bookkeeping (stats, LRU stamps,
+/// [`PliCache::refines_many`]) keep all bookkeeping (counters, LRU stamps,
 /// inserts) sequential and fan only the pure PLI work (intersects,
 /// refinement scans) out to worker threads. Handing out `Arc<Pli>` lets
 /// workers share the cached partitions without copying.
@@ -89,7 +75,6 @@ pub struct PliCache<'a> {
     /// Running estimated byte footprint of the LRU region.
     lru_bytes: usize,
     tick: u64,
-    stats: PliCacheStats,
     meters: PliMeters,
 }
 
@@ -120,7 +105,6 @@ impl<'a> PliCache<'a> {
             byte_budget: None,
             lru_bytes: 0,
             tick: 0,
-            stats: PliCacheStats::default(),
             meters: PliMeters::bind(),
         }
     }
@@ -151,7 +135,6 @@ impl<'a> PliCache<'a> {
             if let Some((pli, _)) = self.entries.remove(&victim) {
                 self.lru_bytes = self.lru_bytes.saturating_sub(pli.estimated_bytes());
             }
-            self.stats.evictions += 1;
             self.meters.evictions.inc();
             true
         } else {
@@ -170,16 +153,6 @@ impl<'a> PliCache<'a> {
         self.table
     }
 
-    /// Work counters so far.
-    pub fn stats(&self) -> &PliCacheStats {
-        &self.stats
-    }
-
-    /// Resets the work counters (the cache contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = PliCacheStats::default();
-    }
-
     /// Returns the PLI of `set`, computing and caching it if necessary.
     ///
     /// Multi-column PLIs are assembled by intersecting the PLI of
@@ -190,12 +163,10 @@ impl<'a> PliCache<'a> {
         self.meters.requests.inc();
         match set.cardinality() {
             0 => {
-                self.stats.hits += 1;
                 self.meters.hits.inc();
                 Arc::clone(&self.empty)
             }
             1 => {
-                self.stats.hits += 1;
                 self.meters.hits.inc();
                 // lint:allow(panic): this match arm is cardinality() == 1,
                 // so min_col() always yields a column.
@@ -208,11 +179,9 @@ impl<'a> PliCache<'a> {
                     self.lru.remove(stamp);
                     self.lru.insert(tick, *set);
                     *stamp = tick;
-                    self.stats.hits += 1;
                     self.meters.hits.inc();
                     return Arc::clone(pli);
                 }
-                self.stats.misses += 1;
                 self.meters.misses.inc();
                 // lint:allow(panic): this match arm is cardinality() >= 2,
                 // so max_col() always yields a column.
@@ -220,7 +189,6 @@ impl<'a> PliCache<'a> {
                 let rest = set.without(last);
                 let left = self.get(&rest);
                 let right = Arc::clone(&self.singles[last]);
-                self.stats.intersects += 1;
                 self.meters.intersects.inc();
                 let pli = Arc::new(left.intersect(&right));
                 self.insert_at(*set, Arc::clone(&pli), tick);
@@ -264,13 +232,11 @@ impl<'a> PliCache<'a> {
                 // Duplicate within the batch: a sequential caller would hit
                 // the entry the first occurrence inserted; count it as a
                 // hit and refresh the pending stamp accordingly.
-                self.stats.hits += 1;
                 self.meters.hits.inc();
                 jobs[job].3 = tick;
                 slots.push(Slot::Job(job));
                 continue;
             }
-            self.stats.misses += 1;
             self.meters.misses.inc();
             // lint:allow(panic): jobs are only enqueued for sets of
             // cardinality >= 2 (the singles arm returns earlier).
@@ -278,7 +244,6 @@ impl<'a> PliCache<'a> {
             let rest = set.without(last);
             let left = self.get(&rest);
             let right = Arc::clone(&self.singles[last]);
-            self.stats.intersects += 1;
             self.meters.intersects.inc();
             job_of.insert(*set, jobs.len());
             slots.push(Slot::Job(jobs.len()));
@@ -354,7 +319,6 @@ impl<'a> PliCache<'a> {
             if acc.is_unique() {
                 break;
             }
-            self.stats.intersects += 1;
             self.meters.intersects.inc();
             acc = acc.intersect(&self.singles[c]);
         }
@@ -377,7 +341,6 @@ impl<'a> PliCache<'a> {
             return self.get(set);
         }
         self.meters.requests.inc();
-        self.stats.misses += 1;
         self.meters.misses.inc();
         Arc::new(self.stream_intersect(set))
     }
@@ -399,7 +362,6 @@ impl<'a> PliCache<'a> {
         if lhs.contains(rhs_col) {
             return true;
         }
-        self.stats.refinement_checks += 1;
         self.meters.refinement_checks.inc();
         let pli = self.get_for_check(lhs);
         pli.refines(self.table.column(rhs_col).codes())
@@ -413,7 +375,7 @@ impl<'a> PliCache<'a> {
     /// without touching counters, every real check bumps
     /// `refinement_checks` and materializes its left-hand PLI via
     /// [`PliCache::get`] (hits after the first occurrence of an `lhs`).
-    /// Only the pure `Pli::refines` scans run on worker threads, so stats,
+    /// Only the pure `Pli::refines` scans run on worker threads, so counters,
     /// cache state, and verdict order are thread-count independent.
     pub fn refines_many(&mut self, checks: &[(ColumnSet, usize)]) -> Vec<bool> {
         enum Slot {
@@ -428,7 +390,6 @@ impl<'a> PliCache<'a> {
                 slots.push(Slot::Trivial);
                 continue;
             }
-            self.stats.refinement_checks += 1;
             self.meters.refinement_checks.inc();
             let pli = self.get_for_check(lhs);
             slots.push(Slot::Job(jobs.len()));
@@ -457,7 +418,21 @@ impl<'a> PliCache<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muds_obs::Metrics;
     use muds_table::Table;
+
+    /// A cache over `t` whose counter handles bind to a fresh registry;
+    /// they keep counting into it after the install guard drops.
+    fn metered(t: &Table, capacity: usize) -> (PliCache<'_>, Metrics) {
+        let metrics = Metrics::new();
+        let _guard = metrics.install();
+        (PliCache::with_capacity(t, capacity), metrics)
+    }
+
+    /// Current value of the registry's `pli.<name>` counter.
+    fn pli(metrics: &Metrics, name: &str) -> u64 {
+        metrics.counter(&format!("pli.{name}")).get()
+    }
 
     fn cs(cols: &[usize]) -> ColumnSet {
         ColumnSet::from_indices(cols.iter().copied())
@@ -481,35 +456,38 @@ mod tests {
     #[test]
     fn singletons_are_pinned_hits() {
         let t = table();
-        let mut cache = PliCache::new(&t);
+        let (mut cache, m) = metered(&t, PliCache::DEFAULT_CAPACITY);
         let p = cache.get(&cs(&[0]));
         assert_eq!(p.distinct_count(), 2);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 0);
+        assert_eq!(pli(&m, "hits"), 1);
+        assert_eq!(pli(&m, "misses"), 0);
     }
 
     #[test]
     fn multi_column_composed_and_cached() {
         let t = table();
-        let mut cache = PliCache::new(&t);
+        let (mut cache, m) = metered(&t, PliCache::DEFAULT_CAPACITY);
         let ab = cache.get(&cs(&[0, 1]));
         assert!(ab.is_unique()); // (a,b) pairs are all distinct
-        assert_eq!(cache.stats().intersects, 1);
+        assert_eq!(pli(&m, "intersects"), 1);
         // Second request is a hit, no further intersects.
         let _ = cache.get(&cs(&[0, 1]));
-        assert_eq!(cache.stats().intersects, 1);
-        assert!(cache.stats().hits >= 1);
+        assert_eq!(pli(&m, "intersects"), 1);
+        // Miss for {0,1}, pinned hit for its {0} prefix, then the re-hit.
+        assert_eq!(pli(&m, "misses"), 1);
+        assert_eq!(pli(&m, "hits"), 2);
+        assert_eq!(pli(&m, "requests"), pli(&m, "hits") + pli(&m, "misses"));
     }
 
     #[test]
     fn chained_lookup_reuses_prefix() {
         let t = table();
-        let mut cache = PliCache::new(&t);
+        let (mut cache, m) = metered(&t, PliCache::DEFAULT_CAPACITY);
         let _ = cache.get(&cs(&[0, 1]));
-        let before = cache.stats().intersects;
+        let before = pli(&m, "intersects");
         let _ = cache.get(&cs(&[0, 1, 2]));
         // {0,1,2} = {0,1} ∩ {2}: exactly one extra intersect.
-        assert_eq!(cache.stats().intersects, before + 1);
+        assert_eq!(pli(&m, "intersects"), before + 1);
     }
 
     #[test]
@@ -525,7 +503,7 @@ mod tests {
     #[test]
     fn determines_matches_semantics() {
         let t = table();
-        let mut cache = PliCache::new(&t);
+        let (mut cache, m) = metered(&t, PliCache::DEFAULT_CAPACITY);
         // d is a copy of a: a → d and d → a.
         assert!(cache.determines(&cs(&[0]), 3));
         assert!(cache.determines(&cs(&[3]), 0));
@@ -533,8 +511,9 @@ mod tests {
         assert!(!cache.determines(&cs(&[0]), 1));
         // {a,b} is a key: determines everything.
         assert!(cache.determines(&cs(&[0, 1]), 2));
-        // Trivial FD.
+        // Trivial FD: answered without a refinement check.
         assert!(cache.determines(&cs(&[0]), 0));
+        assert_eq!(pli(&m, "refinement_checks"), 4);
     }
 
     #[test]
@@ -548,68 +527,51 @@ mod tests {
     #[test]
     fn eviction_keeps_capacity_bounded() {
         let t = table();
-        let mut cache = PliCache::with_capacity(&t, 2);
+        let (mut cache, m) = metered(&t, 2);
         let _ = cache.get(&cs(&[0, 1]));
         let _ = cache.get(&cs(&[0, 2]));
         let _ = cache.get(&cs(&[1, 2]));
         assert!(cache.cached_entries() <= 2);
-        assert!(cache.stats().evictions >= 1);
+        assert!(pli(&m, "evictions") >= 1);
         // Evicted entries are recomputed correctly.
         assert!(cache.get(&cs(&[0, 1])).is_unique());
-    }
-
-    #[test]
-    fn obs_counters_mirror_stats() {
-        let metrics = muds_obs::Metrics::new();
-        let _guard = metrics.install();
-        let t = table();
-        let mut cache = PliCache::new(&t);
-        let _ = cache.get(&cs(&[0, 1]));
-        let _ = cache.get(&cs(&[0, 1]));
-        assert!(cache.determines(&cs(&[0]), 3));
-        let stats = cache.stats().clone();
-        drop(cache);
-        let snap = metrics.drain_snapshot();
-        assert_eq!(snap.counter("pli.hits"), stats.hits);
-        assert_eq!(snap.counter("pli.misses"), stats.misses);
-        assert_eq!(snap.counter("pli.intersects"), stats.intersects);
-        assert_eq!(snap.counter("pli.refinement_checks"), stats.refinement_checks);
-        // Every get() resolves to exactly one hit or miss.
-        assert_eq!(
-            snap.counter("pli.requests"),
-            snap.counter("pli.hits") + snap.counter("pli.misses")
-        );
-        assert!(snap.counter("pli.requests") > 0);
     }
 
     #[test]
     fn get_many_matches_sequential_gets() {
         let t = table();
         let sets = [cs(&[0, 1]), cs(&[2]), cs(&[0, 2]), cs(&[0, 1]), cs(&[1, 2]), cs(&[0, 1, 2])];
-        let mut batched = PliCache::new(&t);
+        let (mut batched, mb) = metered(&t, PliCache::DEFAULT_CAPACITY);
         let batch_plis = batched.get_many(&sets[..5]);
-        let mut sequential = PliCache::new(&t);
+        let (mut sequential, ms) = metered(&t, PliCache::DEFAULT_CAPACITY);
         let seq_plis: Vec<_> = sets[..5].iter().map(|s| sequential.get(s)).collect();
         for (b, s) in batch_plis.iter().zip(&seq_plis) {
             assert_eq!(**b, **s);
         }
-        assert_eq!(batched.stats(), sequential.stats(), "batching must not change accounting");
+        let (batch, seq) = (mb.drain_snapshot(), ms.drain_snapshot());
+        assert_eq!(batch.counters, seq.counters, "batching must not change accounting");
+        assert_eq!(batch.counter("pli.requests"), 8, "5 sets + 3 materialized prefixes");
+        assert_eq!(
+            batch.counter("pli.requests"),
+            batch.counter("pli.hits") + batch.counter("pli.misses")
+        );
+        assert_eq!(batch.counter("pli.intersects"), 3);
         // A follow-up level reuses what the batch cached.
-        let before = batched.stats().intersects;
         let _ = batched.get_many(&sets[5..]);
-        assert_eq!(batched.stats().intersects, before + 1, "{{0,1,2}} = cached {{0,1}} ∩ {{2}}");
+        assert_eq!(pli(&mb, "intersects"), 1, "{{0,1,2}} = cached {{0,1}} ∩ {{2}}");
     }
 
     #[test]
     fn get_many_counts_duplicates_as_hits() {
         let t = table();
-        let mut cache = PliCache::new(&t);
+        let (mut cache, m) = metered(&t, PliCache::DEFAULT_CAPACITY);
         let plis = cache.get_many(&[cs(&[0, 1]), cs(&[0, 1]), cs(&[0, 1])]);
-        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(pli(&m, "misses"), 1);
         // Two duplicate hits, plus the pinned-singleton hit for the {0}
         // prefix the miss materialized — as a sequential caller would see.
-        assert_eq!(cache.stats().hits, 3);
-        assert_eq!(cache.stats().intersects, 1);
+        assert_eq!(pli(&m, "hits"), 3);
+        assert_eq!(pli(&m, "requests"), 4);
+        assert_eq!(pli(&m, "intersects"), 1);
         assert_eq!(*plis[0], *plis[1]);
         assert_eq!(*plis[1], *plis[2]);
     }
@@ -625,27 +587,33 @@ mod tests {
             (cs(&[0]), 0), // trivial
             (cs(&[0]), 3), // repeated lhs: second get is a hit
         ];
-        let mut batched = PliCache::new(&t);
+        let (mut batched, mb) = metered(&t, PliCache::DEFAULT_CAPACITY);
         let verdicts = batched.refines_many(&checks);
-        let mut sequential = PliCache::new(&t);
+        let (mut sequential, ms) = metered(&t, PliCache::DEFAULT_CAPACITY);
         let expected: Vec<bool> =
             checks.iter().map(|(lhs, rhs)| sequential.determines(lhs, *rhs)).collect();
         assert_eq!(verdicts, expected);
         assert_eq!(verdicts, vec![true, true, false, true, true, true]);
-        assert_eq!(batched.stats(), sequential.stats(), "batching must not change accounting");
+        let (batch, seq) = (mb.drain_snapshot(), ms.drain_snapshot());
+        assert_eq!(batch.counters, seq.counters, "batching must not change accounting");
+        assert_eq!(batch.counter("pli.refinement_checks"), 5, "the trivial check is free");
+        assert_eq!(
+            batch.counter("pli.requests"),
+            batch.counter("pli.hits") + batch.counter("pli.misses")
+        );
     }
 
     #[test]
     fn lru_evicts_least_recent() {
         let t = table();
-        let mut cache = PliCache::with_capacity(&t, 2);
+        let (mut cache, m) = metered(&t, 2);
         let _ = cache.get(&cs(&[0, 1])); // tick 1
         let _ = cache.get(&cs(&[0, 2])); // tick 2
         let _ = cache.get(&cs(&[0, 1])); // refresh {0,1}, tick 3
         let _ = cache.get(&cs(&[1, 2])); // evicts {0,2}
-        let before = cache.stats().misses;
+        let before = pli(&m, "misses");
         let _ = cache.get(&cs(&[0, 1])); // still cached → hit
-        assert_eq!(cache.stats().misses, before);
+        assert_eq!(pli(&m, "misses"), before);
     }
 
     #[test]
@@ -666,7 +634,7 @@ mod tests {
     #[test]
     fn byte_budget_bounds_the_lru_region() {
         let t = table();
-        let mut cache = PliCache::new(&t);
+        let (mut cache, m) = metered(&t, PliCache::DEFAULT_CAPACITY);
         let pinned = cache.estimated_bytes();
         let one = cache.get(&cs(&[0, 1])).estimated_bytes();
         // Budget for roughly one multi-column entry: every further insert
@@ -677,7 +645,7 @@ mod tests {
             assert!(cache.estimated_bytes() - pinned <= one);
             assert!(cache.cached_entries() <= 1);
         }
-        assert!(cache.stats().evictions >= 4);
+        assert!(pli(&m, "evictions") >= 4);
     }
 
     #[test]
@@ -696,22 +664,22 @@ mod tests {
     #[test]
     fn lowering_the_budget_evicts_immediately() {
         let t = table();
-        let mut cache = PliCache::new(&t);
+        let (mut cache, m) = metered(&t, PliCache::DEFAULT_CAPACITY);
         let _ = cache.get(&cs(&[0, 1]));
         let _ = cache.get(&cs(&[0, 2]));
         assert_eq!(cache.cached_entries(), 2);
         cache.set_byte_budget(Some(0));
         assert_eq!(cache.cached_entries(), 0);
-        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(pli(&m, "evictions"), 2);
         // Oldest-first: with a budget of one entry, {0,1} (older) goes first.
-        let mut cache = PliCache::new(&t);
+        let (mut cache, m) = metered(&t, PliCache::DEFAULT_CAPACITY);
         let _ = cache.get(&cs(&[0, 1]));
         let two = cache.get(&cs(&[0, 2])).estimated_bytes();
         cache.set_byte_budget(Some(two));
-        let before = cache.stats().misses;
+        let before = pli(&m, "misses");
         let _ = cache.get(&cs(&[0, 2])); // survivor → hit
-        assert_eq!(cache.stats().misses, before);
+        assert_eq!(pli(&m, "misses"), before);
         let _ = cache.get(&cs(&[0, 1])); // evicted → miss
-        assert_eq!(cache.stats().misses, before + 1);
+        assert_eq!(pli(&m, "misses"), before + 1);
     }
 }

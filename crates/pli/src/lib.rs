@@ -9,5 +9,5 @@ mod cache;
 mod pli;
 
 pub use agree::{agree_sets, maximal_sets};
-pub use cache::{PliCache, PliCacheStats};
+pub use cache::PliCache;
 pub use pli::{Pli, RowId};

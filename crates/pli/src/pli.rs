@@ -233,10 +233,6 @@ impl Pli {
         Pli { clusters, num_rows: codes.len(), size }
     }
 
-    /// Partition-refinement FD check (Lemma 1): true iff the column with
-    /// per-row `codes` is constant within every cluster — i.e. the
-    /// combination this PLI represents functionally determines that column.
-    ///
     /// Approximate heap footprint of this PLI in bytes: row-id payload
     /// plus per-cluster `Vec` headers. Used by `PliCache`'s byte budget —
     /// an accounting estimate (allocator slack ignored), not an exact
@@ -247,6 +243,10 @@ impl Pli {
             + std::mem::size_of::<Pli>()
     }
 
+    /// Partition-refinement FD check (Lemma 1): true iff the column with
+    /// per-row `codes` is constant within every cluster — i.e. the
+    /// combination this PLI represents functionally determines that column.
+    ///
     /// Strictly cheaper than building the intersected PLI: it short-circuits
     /// on the first violating cluster.
     pub fn refines(&self, codes: &[u32]) -> bool {

@@ -13,9 +13,12 @@ use std::time::Instant;
 use muds_obs::{Counter, Gauge, Histogram};
 
 /// All instruments the daemon exposes. One instance per server, shared by
-/// the connection handlers, the cache, and the scheduler.
+/// the connection handlers, the cache, and the scheduler. Both exporters
+/// render the same private instrument list, the only place that names each
+/// instrument's key.
+#[derive(Default)]
 pub struct ServeMetrics {
-    start: Instant,
+    start: Started,
     /// Requests accepted (connections that produced a parseable request).
     pub requests: Counter,
     /// Responses by status class.
@@ -66,40 +69,20 @@ pub struct ServeMetrics {
     pub reactor_connections: Gauge,
 }
 
-impl Default for ServeMetrics {
+/// Server start time, for `uptime_ms`.
+struct Started(Instant);
+
+impl Default for Started {
     fn default() -> Self {
-        ServeMetrics {
-            start: Instant::now(),
-            requests: Counter::detached(),
-            responses_2xx: Counter::detached(),
-            responses_4xx: Counter::detached(),
-            responses_5xx: Counter::detached(),
-            cache_hits: Counter::detached(),
-            cache_misses: Counter::detached(),
-            cache_coalesced: Counter::detached(),
-            cache_evictions: Counter::detached(),
-            cache_invalidated: Counter::detached(),
-            deltas_applied: Counter::detached(),
-            cache_bytes: Gauge::detached(),
-            cache_entries: Gauge::detached(),
-            jobs_submitted: Counter::detached(),
-            jobs_completed: Counter::detached(),
-            jobs_failed: Counter::detached(),
-            jobs_expired: Counter::detached(),
-            jobs_rejected: Counter::detached(),
-            queue_depth: Gauge::detached(),
-            jobs_running: Gauge::detached(),
-            datasets: Gauge::detached(),
-            trace_ids_generated: Counter::detached(),
-            trace_ids_propagated: Counter::detached(),
-            job_latency_us: Histogram::detached(),
-            connections_active: AtomicU64::new(0),
-            persist_writes: Counter::detached(),
-            persist_recovered: Counter::detached(),
-            persist_torn_skipped: Counter::detached(),
-            reactor_connections: Gauge::detached(),
-        }
+        Started(Instant::now())
     }
+}
+
+/// How a scalar is exposed: Prometheus counters carry a `_total` suffix.
+#[derive(Clone, Copy)]
+enum Kind {
+    Counter,
+    Gauge,
 }
 
 impl ServeMetrics {
@@ -117,56 +100,59 @@ impl ServeMetrics {
         }
     }
 
+    /// Every scalar instrument in exposition order, as `(key, kind,
+    /// value)`. The latency histogram follows the scalars in both formats.
+    fn scalars(&self) -> Vec<(&'static str, Kind, String)> {
+        let counter = |key: &'static str, c: &Counter| (key, Kind::Counter, c.get().to_string());
+        let gauge = |key: &'static str, g: &Gauge| (key, Kind::Gauge, g.get().to_string());
+        let active = self.connections_active.load(Ordering::Relaxed);
+        vec![
+            ("uptime_ms", Kind::Gauge, self.start.0.elapsed().as_millis().to_string()),
+            counter("requests", &self.requests),
+            counter("responses_2xx", &self.responses_2xx),
+            counter("responses_4xx", &self.responses_4xx),
+            counter("responses_5xx", &self.responses_5xx),
+            counter("cache_hits", &self.cache_hits),
+            counter("cache_misses", &self.cache_misses),
+            counter("cache_coalesced", &self.cache_coalesced),
+            counter("cache_evictions", &self.cache_evictions),
+            counter("cache_invalidated", &self.cache_invalidated),
+            counter("deltas_applied", &self.deltas_applied),
+            gauge("cache_bytes", &self.cache_bytes),
+            gauge("cache_entries", &self.cache_entries),
+            counter("jobs_submitted", &self.jobs_submitted),
+            counter("jobs_completed", &self.jobs_completed),
+            counter("jobs_failed", &self.jobs_failed),
+            counter("jobs_expired", &self.jobs_expired),
+            counter("jobs_rejected", &self.jobs_rejected),
+            gauge("queue_depth", &self.queue_depth),
+            gauge("jobs_running", &self.jobs_running),
+            gauge("datasets", &self.datasets),
+            counter("trace_ids_generated", &self.trace_ids_generated),
+            counter("trace_ids_propagated", &self.trace_ids_propagated),
+            ("connections_active", Kind::Gauge, active.to_string()),
+            counter("persist_writes", &self.persist_writes),
+            counter("persist_recovered", &self.persist_recovered),
+            counter("persist_torn_skipped", &self.persist_torn_skipped),
+            gauge("reactor_connections", &self.reactor_connections),
+        ]
+    }
+
     /// The `GET /metrics` document. Flat keys, deterministic order.
     pub fn to_json(&self) -> String {
-        let lat = self.job_latency_us.snapshot();
         let mut out = String::with_capacity(512);
         out.push('{');
-        let mut field = |name: &str, value: String| {
-            if !out.ends_with('{') {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{value}"));
-        };
-        field("uptime_ms", self.start.elapsed().as_millis().to_string());
-        field("requests", self.requests.get().to_string());
-        field("responses_2xx", self.responses_2xx.get().to_string());
-        field("responses_4xx", self.responses_4xx.get().to_string());
-        field("responses_5xx", self.responses_5xx.get().to_string());
-        field("cache_hits", self.cache_hits.get().to_string());
-        field("cache_misses", self.cache_misses.get().to_string());
-        field("cache_coalesced", self.cache_coalesced.get().to_string());
-        field("cache_evictions", self.cache_evictions.get().to_string());
-        field("cache_invalidated", self.cache_invalidated.get().to_string());
-        field("deltas_applied", self.deltas_applied.get().to_string());
-        field("cache_bytes", self.cache_bytes.get().to_string());
-        field("cache_entries", self.cache_entries.get().to_string());
-        field("jobs_submitted", self.jobs_submitted.get().to_string());
-        field("jobs_completed", self.jobs_completed.get().to_string());
-        field("jobs_failed", self.jobs_failed.get().to_string());
-        field("jobs_expired", self.jobs_expired.get().to_string());
-        field("jobs_rejected", self.jobs_rejected.get().to_string());
-        field("queue_depth", self.queue_depth.get().to_string());
-        field("jobs_running", self.jobs_running.get().to_string());
-        field("datasets", self.datasets.get().to_string());
-        field("trace_ids_generated", self.trace_ids_generated.get().to_string());
-        field("trace_ids_propagated", self.trace_ids_propagated.get().to_string());
-        field("connections_active", self.connections_active.load(Ordering::Relaxed).to_string());
-        field("persist_writes", self.persist_writes.get().to_string());
-        field("persist_recovered", self.persist_recovered.get().to_string());
-        field("persist_torn_skipped", self.persist_torn_skipped.get().to_string());
-        field("reactor_connections", self.reactor_connections.get().to_string());
-        field(
-            "job_latency_us",
-            format!(
-                "{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{}}}",
-                lat.count,
-                lat.sum,
-                lat.p50(),
-                lat.p99()
-            ),
-        );
-        out.push('}');
+        for (key, _, value) in self.scalars() {
+            out.push_str(&format!("\"{key}\":{value},"));
+        }
+        let lat = self.job_latency_us.snapshot();
+        out.push_str(&format!(
+            "\"job_latency_us\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{}}}}}",
+            lat.count,
+            lat.sum,
+            lat.p50(),
+            lat.p99()
+        ));
         out
     }
 
@@ -176,51 +162,15 @@ impl ServeMetrics {
     /// quantiles) because the underlying buckets are log2, not cumulative
     /// `le` buckets.
     pub fn to_prometheus(&self) -> String {
-        let lat = self.job_latency_us.snapshot();
         let mut out = String::with_capacity(2048);
-        let mut family = |name: &str, kind: &str, value: String| {
+        for (key, kind, value) in self.scalars() {
+            let (name, kind) = match kind {
+                Kind::Counter => (format!("{key}_total"), "counter"),
+                Kind::Gauge => (key.to_string(), "gauge"),
+            };
             out.push_str(&format!("# TYPE muds_{name} {kind}\nmuds_{name} {value}\n"));
-        };
-        family("uptime_ms", "gauge", self.start.elapsed().as_millis().to_string());
-        family("requests_total", "counter", self.requests.get().to_string());
-        family("responses_2xx_total", "counter", self.responses_2xx.get().to_string());
-        family("responses_4xx_total", "counter", self.responses_4xx.get().to_string());
-        family("responses_5xx_total", "counter", self.responses_5xx.get().to_string());
-        family("cache_hits_total", "counter", self.cache_hits.get().to_string());
-        family("cache_misses_total", "counter", self.cache_misses.get().to_string());
-        family("cache_coalesced_total", "counter", self.cache_coalesced.get().to_string());
-        family("cache_evictions_total", "counter", self.cache_evictions.get().to_string());
-        family("cache_invalidated_total", "counter", self.cache_invalidated.get().to_string());
-        family("deltas_applied_total", "counter", self.deltas_applied.get().to_string());
-        family("cache_bytes", "gauge", self.cache_bytes.get().to_string());
-        family("cache_entries", "gauge", self.cache_entries.get().to_string());
-        family("jobs_submitted_total", "counter", self.jobs_submitted.get().to_string());
-        family("jobs_completed_total", "counter", self.jobs_completed.get().to_string());
-        family("jobs_failed_total", "counter", self.jobs_failed.get().to_string());
-        family("jobs_expired_total", "counter", self.jobs_expired.get().to_string());
-        family("jobs_rejected_total", "counter", self.jobs_rejected.get().to_string());
-        family("queue_depth", "gauge", self.queue_depth.get().to_string());
-        family("jobs_running", "gauge", self.jobs_running.get().to_string());
-        family("datasets", "gauge", self.datasets.get().to_string());
-        family("trace_ids_generated_total", "counter", self.trace_ids_generated.get().to_string());
-        family(
-            "trace_ids_propagated_total",
-            "counter",
-            self.trace_ids_propagated.get().to_string(),
-        );
-        family(
-            "connections_active",
-            "gauge",
-            self.connections_active.load(Ordering::Relaxed).to_string(),
-        );
-        family("persist_writes_total", "counter", self.persist_writes.get().to_string());
-        family("persist_recovered_total", "counter", self.persist_recovered.get().to_string());
-        family(
-            "persist_torn_skipped_total",
-            "counter",
-            self.persist_torn_skipped.get().to_string(),
-        );
-        family("reactor_connections", "gauge", self.reactor_connections.get().to_string());
+        }
+        let lat = self.job_latency_us.snapshot();
         out.push_str("# TYPE muds_job_latency_us summary\n");
         out.push_str(&format!("muds_job_latency_us{{quantile=\"0.5\"}} {}\n", lat.p50()));
         out.push_str(&format!("muds_job_latency_us{{quantile=\"0.99\"}} {}\n", lat.p99()));

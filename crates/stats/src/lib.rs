@@ -43,7 +43,8 @@ pub struct NumericStats {
     /// floating-point cancellation.
     pub variance: f64,
     /// Approximate quartiles from the deterministic sketch; the rank-error
-    /// bound is documented in [`sketch`] (exact below 256 values).
+    /// bound is documented in the private `sketch` module (exact below 256
+    /// values).
     pub q25: f64,
     pub median: f64,
     pub q75: f64,

@@ -10,54 +10,35 @@
 use muds_lattice::{apriori_gen, first_level, ColumnSet};
 use muds_pli::PliCache;
 
-/// Work counters for a level-wise UCC run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AprioriUccStats {
-    /// Uniqueness checks performed (one PLI inspection each).
-    pub checks: u64,
-    /// Deepest lattice level visited.
-    pub max_level: usize,
-}
-
-impl AprioriUccStats {
-    /// Publishes the counters into the ambient [`muds_obs::Metrics`]
-    /// registry (no-op without one).
-    fn flush(&self) {
-        muds_obs::add("apriori_ucc.checks", self.checks);
-        muds_obs::gauge_max("apriori_ucc.max_level", self.max_level as i64);
-    }
-}
-
 /// Discovers all minimal UCCs level-wise. Returns them sorted.
+///
+/// Publishes `apriori_ucc.checks` (uniqueness checks, one PLI inspection
+/// each) and the `apriori_ucc.max_level` gauge into the ambient registry.
 pub fn apriori_uccs(cache: &mut PliCache<'_>) -> Vec<ColumnSet> {
-    apriori_uccs_with_stats(cache).0
-}
-
-/// [`apriori_uccs`] with work counters.
-pub fn apriori_uccs_with_stats(cache: &mut PliCache<'_>) -> (Vec<ColumnSet>, AprioriUccStats) {
-    let mut stats = AprioriUccStats::default();
+    let mut checks = 0u64;
+    let mut max_level = 0usize;
     let universe = ColumnSet::full(cache.table().num_columns());
     let mut minimal = Vec::new();
 
     // Degenerate case: a table with at most one row is "unique" on the
     // empty column combination.
-    stats.checks += 1;
+    checks += 1;
     if cache.is_unique(&ColumnSet::empty()) {
-        stats.flush();
-        return (vec![ColumnSet::empty()], stats);
+        publish(checks, max_level);
+        return vec![ColumnSet::empty()];
     }
 
     let mut level = first_level(&universe);
     let mut depth = 1;
     while !level.is_empty() {
-        stats.max_level = depth;
+        max_level = depth;
         let mut non_unique = Vec::with_capacity(level.len());
         // Every candidate's PLI is needed regardless of outcome, so the
         // level materializes as one parallel batch; verdicts are read in
         // candidate order, matching the per-candidate bookkeeping.
         let plis = cache.get_many(&level);
         for (candidate, pli) in level.iter().zip(&plis) {
-            stats.checks += 1;
+            checks += 1;
             if pli.is_unique() {
                 minimal.push(*candidate);
             } else {
@@ -68,8 +49,13 @@ pub fn apriori_uccs_with_stats(cache: &mut PliCache<'_>) -> (Vec<ColumnSet>, Apr
         depth += 1;
     }
     minimal.sort();
-    stats.flush();
-    (minimal, stats)
+    publish(checks, max_level);
+    minimal
+}
+
+fn publish(checks: u64, max_level: usize) {
+    muds_obs::add("apriori_ucc.checks", checks);
+    muds_obs::gauge_max("apriori_ucc.max_level", max_level as i64);
 }
 
 #[cfg(test)]
@@ -128,9 +114,13 @@ mod tests {
             ],
         )
         .unwrap();
+        let metrics = muds_obs::Metrics::new();
+        let _guard = metrics.install();
         let mut cache = PliCache::new(&t);
-        let (uccs, stats) = apriori_uccs_with_stats(&mut cache);
-        assert_eq!(uccs, vec![ColumnSet::full(3)]);
-        assert_eq!(stats.max_level, 3);
+        assert_eq!(apriori_uccs(&mut cache), vec![ColumnSet::full(3)]);
+        let snap = metrics.drain_snapshot();
+        assert_eq!(snap.gauge("apriori_ucc.max_level"), 3);
+        // ∅, then 3 singletons, 3 pairs and the full set.
+        assert_eq!(snap.counter("apriori_ucc.checks"), 8);
     }
 }

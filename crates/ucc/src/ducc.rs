@@ -11,15 +11,8 @@
 //! (MUDS reuses it verbatim for FD discovery, §5.2); this module plugs in
 //! the uniqueness oracle backed by the shared PLI cache.
 
-use muds_lattice::{find_minimal_positives, ColumnSet, WalkConfig, WalkStats};
+use muds_lattice::{find_minimal_positives, ColumnSet};
 use muds_pli::PliCache;
-
-/// Configuration for a DUCC run.
-#[derive(Debug, Clone, Default)]
-pub struct DuccConfig {
-    /// Random-walk settings (seed).
-    pub walk: WalkConfig,
-}
 
 /// Result of a DUCC run.
 #[derive(Debug, Clone)]
@@ -29,22 +22,20 @@ pub struct DuccResult {
     /// All maximal non-unique column combinations, sorted. (Byproduct of
     /// the walk; DUCC uses them for hole detection.)
     pub maximal_non_uccs: Vec<ColumnSet>,
-    /// Lattice-walk work counters.
-    pub stats: WalkStats,
 }
 
 /// Runs DUCC over the table behind `cache`, discovering all minimal UCCs.
 ///
 /// A table with duplicate rows has no UCC at all (§3); the result is then
-/// empty with the full column set as the single maximal non-UCC.
-pub fn ducc(cache: &mut PliCache<'_>, config: &DuccConfig) -> DuccResult {
+/// empty with the full column set as the single maximal non-UCC. The
+/// random walk is fully deterministic given `seed`.
+pub fn ducc(cache: &mut PliCache<'_>, seed: u64) -> DuccResult {
     let universe = ColumnSet::full(cache.table().num_columns());
     let mut oracle = |set: &ColumnSet| cache.is_unique(set);
-    let result = find_minimal_positives(universe, &mut oracle, &config.walk, &[]);
+    let result = find_minimal_positives(universe, &mut oracle, seed, &[], &[]);
     DuccResult {
         minimal_uccs: result.minimal_positives,
         maximal_non_uccs: result.maximal_negatives,
-        stats: result.stats,
     }
 }
 
@@ -54,6 +45,8 @@ mod tests {
     use crate::naive::naive_minimal_uccs;
     use muds_table::Table;
 
+    const SEED: u64 = 0xD0CC;
+
     fn cs(cols: &[usize]) -> ColumnSet {
         ColumnSet::from_indices(cols.iter().copied())
     }
@@ -62,7 +55,7 @@ mod tests {
     fn single_key_column() {
         let t = Table::from_rows("t", &["id", "x"], &[vec!["1", "a"], vec!["2", "a"]]).unwrap();
         let mut cache = PliCache::new(&t);
-        let r = ducc(&mut cache, &DuccConfig::default());
+        let r = ducc(&mut cache, SEED);
         assert_eq!(r.minimal_uccs, vec![cs(&[0])]);
         assert_eq!(r.maximal_non_uccs, vec![cs(&[1])]);
     }
@@ -73,7 +66,7 @@ mod tests {
             Table::from_rows("t", &["a", "b"], &[vec!["1", "x"], vec!["1", "y"], vec!["2", "x"]])
                 .unwrap();
         let mut cache = PliCache::new(&t);
-        let r = ducc(&mut cache, &DuccConfig::default());
+        let r = ducc(&mut cache, SEED);
         assert_eq!(r.minimal_uccs, vec![cs(&[0, 1])]);
     }
 
@@ -81,7 +74,7 @@ mod tests {
     fn duplicate_rows_mean_no_uccs() {
         let t = Table::from_rows("t", &["a", "b"], &[vec!["1", "x"], vec!["1", "x"]]).unwrap();
         let mut cache = PliCache::new(&t);
-        let r = ducc(&mut cache, &DuccConfig::default());
+        let r = ducc(&mut cache, SEED);
         assert!(r.minimal_uccs.is_empty());
         assert_eq!(r.maximal_non_uccs, vec![cs(&[0, 1])]);
     }
@@ -90,7 +83,7 @@ mod tests {
     fn single_row_table_has_empty_ucc() {
         let t = Table::from_rows("t", &["a", "b"], &[vec!["1", "x"]]).unwrap();
         let mut cache = PliCache::new(&t);
-        let r = ducc(&mut cache, &DuccConfig::default());
+        let r = ducc(&mut cache, SEED);
         assert_eq!(r.minimal_uccs, vec![ColumnSet::empty()]);
     }
 
@@ -104,7 +97,7 @@ mod tests {
         )
         .unwrap();
         let mut cache = PliCache::new(&t);
-        let r = ducc(&mut cache, &DuccConfig::default());
+        let r = ducc(&mut cache, SEED);
         assert_eq!(r.minimal_uccs, naive_minimal_uccs(&t));
     }
 
@@ -122,7 +115,7 @@ mod tests {
                 .collect();
             let t = Table::from_rows("t", &name_refs, &data).unwrap().dedup_rows();
             let mut cache = PliCache::new(&t);
-            let r = ducc(&mut cache, &DuccConfig::default());
+            let r = ducc(&mut cache, SEED);
             assert_eq!(r.minimal_uccs, naive_minimal_uccs(&t), "case {case}");
         }
     }
@@ -140,12 +133,16 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut c1 = PliCache::new(&t);
-        let mut c2 = PliCache::new(&t);
-        let cfg = DuccConfig { walk: WalkConfig { seed: 5 } };
-        let r1 = ducc(&mut c1, &cfg);
-        let r2 = ducc(&mut c2, &cfg);
-        assert_eq!(r1.minimal_uccs, r2.minimal_uccs);
-        assert_eq!(r1.stats, r2.stats);
+        let run = || {
+            let metrics = muds_obs::Metrics::new();
+            let _guard = metrics.install();
+            let mut cache = PliCache::new(&t);
+            (ducc(&mut cache, 5).minimal_uccs, metrics.drain_snapshot().counters)
+        };
+        let (u1, c1) = run();
+        let (u2, c2) = run();
+        assert_eq!(u1, u2);
+        assert_eq!(c1, c2, "walk and PLI counters are seed-determined");
+        assert_eq!(c1["walk.runs"], 1);
     }
 }

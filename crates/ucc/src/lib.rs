@@ -9,6 +9,6 @@ mod apriori;
 mod ducc;
 mod naive;
 
-pub use apriori::{apriori_uccs, apriori_uccs_with_stats, AprioriUccStats};
-pub use ducc::{ducc, DuccConfig, DuccResult};
+pub use apriori::apriori_uccs;
+pub use ducc::{ducc, DuccResult};
 pub use naive::{is_unique, naive_minimal_uccs};

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example spider_walkthrough`
 
 use muds_core::{profile, Algorithm, ProfilerConfig};
-use muds_ind::{format_inds, spider_with_stats};
+use muds_ind::{format_inds, spider};
 use muds_table::Table;
 
 fn main() {
@@ -31,8 +31,13 @@ fn main() {
         println!("  {}: {:?}", table.column_names()[i], col.sorted_distinct_values());
     }
 
-    let (inds, stats) = spider_with_stats(&table);
-    println!("\ncomparison phase: {} value groups processed", stats.groups_formed);
+    // SPIDER publishes its work counters into the installed registry.
+    let metrics = muds_obs::Metrics::new();
+    let guard = metrics.install();
+    let inds = spider(&table);
+    drop(guard);
+    let groups = metrics.drain_snapshot().counter("spider.groups_formed");
+    println!("\ncomparison phase: {groups} value groups processed");
     println!("\nsurviving unary INDs (paper: B ⊆ A, B ⊆ C, C ⊆ A):");
     for line in format_inds(&inds, &table.column_names()) {
         println!("  {line}");
