@@ -196,7 +196,7 @@ mod tests {
     /// reduced to a tiny repro.
     #[test]
     fn sabotaged_validator_is_caught_and_shrunk() {
-        let suite = CheckSuite { sabotage_drop_first_fd: true, ..Default::default() };
+        let suite = CheckSuite { sabotage_drop_first_fd: true };
         let config = FuzzConfig { seed: 7, iters: STRATEGIES.len(), suite, ..Default::default() };
         let report = run_fuzz(&config);
         let f = report

@@ -66,54 +66,43 @@ fn fingerprint(table: &Table, algorithm: Algorithm, config: &ProfilerConfig) -> 
     }
 }
 
+/// Profiler configuration shared by all pipeline runs. Stats ride every
+/// pipeline run, so the json-roundtrip and incremental invariants exercise
+/// the column-profile payload for free; `check_stats` adds the naive
+/// second-pass oracle.
+fn profiler() -> ProfilerConfig {
+    ProfilerConfig { stats: true, ..ProfilerConfig::default() }
+}
+
+/// Run the exponential naive oracles when the table has at most this many
+/// columns (they are hard-gated at 16).
+const NAIVE_MAX_COLS: usize = 8;
+/// Skip the naive oracles (and g₃ sweeps) above this row count.
+const NAIVE_MAX_ROWS: usize = 64;
+/// Maximum arity for the n-ary IND projection-closure check.
+const NARY_ARITY: usize = 3;
+/// Thread counts cross-checked for bit-identical results and counters;
+/// the pool is restored to its default (all cores) afterwards.
+const THREAD_MATRIX: [usize; 2] = [1, 2];
+/// Deltas per table for the incremental ≡ from-scratch invariant. Deltas
+/// are derived deterministically from the table fingerprint and
+/// [`DELTA_SEED`], so a banked corpus CSV regenerates the exact failing
+/// delta on replay — no separate delta file is needed.
+const INCREMENTAL_DELTAS: usize = 2;
+/// Seed folded into the table fingerprint when deriving deltas.
+const DELTA_SEED: u64 = 0xD1FA;
+
+fn narrow(table: &Table) -> bool {
+    table.num_columns() <= NAIVE_MAX_COLS && table.num_rows() <= NAIVE_MAX_ROWS
+}
+
 /// The differential + invariant check suite.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CheckSuite {
-    /// Profiler configuration shared by all pipeline runs.
-    pub profiler: ProfilerConfig,
-    /// Run the exponential naive oracles when the table has at most this
-    /// many columns (they are hard-gated at 16).
-    pub naive_max_cols: usize,
-    /// Skip the naive oracles (and g₃ sweeps) above this row count.
-    pub naive_max_rows: usize,
-    /// Maximum arity for the n-ary IND projection-closure check.
-    pub nary_arity: usize,
-    /// Thread counts to cross-check for bit-identical results and
-    /// counters; the pool is restored to `restore_threads` afterwards.
-    pub thread_matrix: Vec<usize>,
-    /// Thread count to restore after the matrix (0 = all cores).
-    pub restore_threads: usize,
-    /// Deltas per table for the incremental ≡ from-scratch invariant
-    /// (0 disables it). Deltas are derived deterministically from the
-    /// table fingerprint and [`CheckSuite::delta_seed`], so a banked
-    /// corpus CSV regenerates the exact failing delta on replay — no
-    /// separate delta file is needed.
-    pub incremental_deltas: usize,
-    /// Seed folded into the table fingerprint when deriving deltas.
-    pub delta_seed: u64,
     /// Test hook for the shrinker self-test: deliberately drop the first
     /// FD from the MUDS result before comparing against the naive oracle,
     /// manufacturing a reproducible "missed FD" disagreement.
     pub sabotage_drop_first_fd: bool,
-}
-
-impl Default for CheckSuite {
-    fn default() -> Self {
-        CheckSuite {
-            // Stats ride every pipeline run, so the json-roundtrip and
-            // incremental invariants exercise the column-profile payload
-            // for free; `check_stats` adds the naive second-pass oracle.
-            profiler: ProfilerConfig { stats: true, ..ProfilerConfig::default() },
-            naive_max_cols: 8,
-            naive_max_rows: 64,
-            nary_arity: 3,
-            thread_matrix: vec![1, 2],
-            restore_threads: 0,
-            incremental_deltas: 2,
-            delta_seed: 0xD1FA,
-            sabotage_drop_first_fd: false,
-        }
-    }
 }
 
 impl CheckSuite {
@@ -133,14 +122,10 @@ impl CheckSuite {
             .or_else(|| self.check_incremental(table))
     }
 
-    fn narrow(&self, table: &Table) -> bool {
-        table.num_columns() <= self.naive_max_cols && table.num_rows() <= self.naive_max_rows
-    }
-
     /// All four pipelines agree on FDs, UCCs, and INDs.
     fn check_pipelines(&self, table: &Table) -> Option<FailureDetail> {
         let runs: Vec<(Algorithm, Fingerprint)> =
-            Algorithm::ALL.iter().map(|&a| (a, fingerprint(table, a, &self.profiler))).collect();
+            Algorithm::ALL.iter().map(|&a| (a, fingerprint(table, a, &profiler()))).collect();
         for pair in runs.windows(2) {
             let [(a, fa), (b, fb)] = pair else { continue };
             if fa.fds != fb.fds {
@@ -185,13 +170,10 @@ impl CheckSuite {
 
     /// Results AND counters are invariant under the worker-thread count.
     fn check_thread_invariance(&self, table: &Table) -> Option<FailureDetail> {
-        if self.thread_matrix.len() < 2 {
-            return None;
-        }
         let mut failure = None;
         'outer: for &algorithm in &Algorithm::ALL {
             let mut reference: Option<(usize, Fingerprint)> = None;
-            for &n in &self.thread_matrix {
+            for n in THREAD_MATRIX {
                 // lint:allow(panic): the fuzz harness owns the process;
                 // if the vendored pool refuses to reconfigure, aborting the
                 // campaign loudly beats fuzzing with the wrong thread count.
@@ -199,7 +181,7 @@ impl CheckSuite {
                     .num_threads(n)
                     .build_global()
                     .expect("vendored rayon pool is reconfigurable");
-                let run = fingerprint(table, algorithm, &self.profiler);
+                let run = fingerprint(table, algorithm, &profiler());
                 match &reference {
                     None => reference = Some((n, run)),
                     Some((n0, reference)) if *reference != run => {
@@ -220,7 +202,7 @@ impl CheckSuite {
         // lint:allow(panic): same as above — restoring the ambient pool
         // must not fail silently mid-campaign.
         rayon::ThreadPoolBuilder::new()
-            .num_threads(self.restore_threads)
+            .num_threads(0)
             .build_global()
             .expect("vendored rayon pool is reconfigurable");
         failure
@@ -228,10 +210,10 @@ impl CheckSuite {
 
     /// MUDS agrees with the exponential ground-truth oracles.
     fn check_naive_oracles(&self, table: &Table) -> Option<FailureDetail> {
-        if !self.narrow(table) {
+        if !narrow(table) {
             return None;
         }
-        let run = fingerprint(table, Algorithm::Muds, &self.profiler);
+        let run = fingerprint(table, Algorithm::Muds, &profiler());
         let mut fds = run.fds.clone();
         if self.sabotage_drop_first_fd && !fds.is_empty() {
             fds.remove(0); // deliberate mutation; see `sabotage_drop_first_fd`
@@ -271,7 +253,7 @@ impl CheckSuite {
 
     /// Every reported FD holds and no direct subset of its lhs does.
     fn check_fd_minimality(&self, table: &Table) -> Option<FailureDetail> {
-        let run = fingerprint(table, Algorithm::Muds, &self.profiler);
+        let run = fingerprint(table, Algorithm::Muds, &profiler());
         for fd in &run.fds {
             if !holds(table, &fd.lhs, fd.rhs) {
                 return Some(FailureDetail {
@@ -293,7 +275,7 @@ impl CheckSuite {
 
     /// Every reported UCC is unique and no direct subset is.
     fn check_ucc_minimality(&self, table: &Table) -> Option<FailureDetail> {
-        let run = fingerprint(table, Algorithm::Muds, &self.profiler);
+        let run = fingerprint(table, Algorithm::Muds, &profiler());
         for ucc in &run.uccs {
             if !is_unique(table, ucc) {
                 return Some(FailureDetail {
@@ -357,10 +339,10 @@ impl CheckSuite {
     /// projection (the apriori property SPIDER's n-ary extension relies
     /// on).
     fn check_ind_projection_closure(&self, table: &Table) -> Option<FailureDetail> {
-        if !self.narrow(table) {
+        if !narrow(table) {
             return None;
         }
-        let inds = nary_inds(table, self.nary_arity);
+        let inds = nary_inds(table, NARY_ARITY);
         let seen: BTreeSet<(Vec<usize>, Vec<usize>)> =
             inds.iter().map(|i| (i.dependent.clone(), i.referenced.clone())).collect();
         for ind in &inds {
@@ -395,7 +377,7 @@ impl CheckSuite {
     fn check_json_roundtrip(&self, table: &Table) -> Option<FailureDetail> {
         let metrics = Metrics::new();
         let _guard = metrics.install();
-        let result = profile(table, Algorithm::Muds, &self.profiler);
+        let result = profile(table, Algorithm::Muds, &profiler());
         let names = table.column_names();
         let json = profile_to_json(&result, table.name(), &names);
         let parsed = match profile_from_json(&json) {
@@ -430,8 +412,7 @@ impl CheckSuite {
         const TOL: f64 = 1e-9;
         let metrics = Metrics::new();
         let _guard = metrics.install();
-        let config = ProfilerConfig { stats: true, ..self.profiler.clone() };
-        let result = profile(table, Algorithm::Muds, &config);
+        let result = profile(table, Algorithm::Muds, &profiler());
         let Some(stats) = result.stats.as_ref() else {
             return Some(FailureDetail {
                 invariant: "stats-oracle",
@@ -718,17 +699,17 @@ impl CheckSuite {
     /// [`apply_incremental`] must reproduce exactly the dependencies of
     /// profiling the patched table from scratch.
     fn check_incremental(&self, table: &Table) -> Option<FailureDetail> {
-        if self.incremental_deltas == 0 || !self.narrow(table) || table.num_columns() == 0 {
+        if !narrow(table) || table.num_columns() == 0 {
             return None;
         }
         let fp = muds_table::fingerprint(table).0;
-        let mut rng = StdRng::seed_from_u64(fp as u64 ^ (fp >> 64) as u64 ^ self.delta_seed);
-        for _ in 0..self.incremental_deltas {
+        let mut rng = StdRng::seed_from_u64(fp as u64 ^ (fp >> 64) as u64 ^ DELTA_SEED);
+        for _ in 0..INCREMENTAL_DELTAS {
             let delta = random_delta(&mut rng, table);
             for &algorithm in &Algorithm::ALL {
                 let metrics = Metrics::new();
                 let _guard = metrics.install();
-                let old = profile(table, algorithm, &self.profiler);
+                let old = profile(table, algorithm, &profiler());
                 let inc = match apply_incremental(&old, table, &delta) {
                     Ok(out) => out,
                     Err(e) => {
@@ -741,7 +722,7 @@ impl CheckSuite {
                         });
                     }
                 };
-                let scratch = profile(&inc.table, algorithm, &self.profiler);
+                let scratch = profile(&inc.table, algorithm, &profiler());
                 if inc.result.fds.to_sorted_vec() != scratch.fds.to_sorted_vec() {
                     return Some(FailureDetail {
                         invariant: "incremental-fd",
@@ -798,7 +779,7 @@ impl CheckSuite {
     /// g₃ is monotonically non-increasing in the lhs, and zero exactly for
     /// FDs that hold.
     fn check_g3(&self, table: &Table) -> Option<FailureDetail> {
-        if !self.narrow(table) {
+        if !narrow(table) {
             return None;
         }
         let n = table.num_columns();
@@ -909,9 +890,6 @@ pub fn check_overwide_rejection(width: usize) -> Option<FailureDetail> {
 mod tests {
     use super::*;
 
-    /// The wire-format round-trip must survive dataset and column names
-    /// that need JSON escaping (quotes, backslashes, control characters,
-    /// non-ASCII).
     /// Delta derivation is a pure function of table content: the same
     /// table (e.g. re-read from a corpus CSV) always yields the same
     /// deltas, so a banked repro regenerates its failing delta exactly.
@@ -922,7 +900,7 @@ mod tests {
         let b = Table::from_rows("t", &["p", "q"], &rows).unwrap();
         let suite = CheckSuite::default();
         let fp = muds_table::fingerprint(&a).0;
-        let seed = fp as u64 ^ (fp >> 64) as u64 ^ suite.delta_seed;
+        let seed = fp as u64 ^ (fp >> 64) as u64 ^ DELTA_SEED;
         let mut ra = StdRng::seed_from_u64(seed);
         let mut rb = StdRng::seed_from_u64(seed);
         for _ in 0..4 {
@@ -956,6 +934,9 @@ mod tests {
         }
     }
 
+    /// The wire-format round-trip must survive dataset and column names
+    /// that need JSON escaping (quotes, backslashes, control characters,
+    /// non-ASCII).
     #[test]
     fn json_roundtrip_survives_hostile_names() {
         let cols = ["a\"quote", "b\\slash", "c\tcontrol", "déjà"];

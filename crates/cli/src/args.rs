@@ -69,8 +69,6 @@ pub enum Command {
     Fuzz {
         seed: u64,
         iters: usize,
-        /// Worker threads restored between thread-invariance probes.
-        threads: Option<usize>,
         /// Directory for shrunken repro CSVs (`None` = don't write).
         corpus: Option<String>,
         metrics: Option<MetricsFormat>,
@@ -79,10 +77,8 @@ pub enum Command {
     Serve {
         /// Bind address (`host:port`; port 0 picks an ephemeral port).
         addr: String,
-        /// Worker threads for the intra-job parallel execution layer.
-        threads: Option<usize>,
-        /// Scheduler worker threads (concurrent profiling jobs;
-        /// 0 = derived from available parallelism).
+        /// Scheduler worker threads (concurrent profiling jobs, each run
+        /// single-threaded on its worker; 0 = available parallelism).
         workers: usize,
         /// Result-cache byte budget.
         cache_capacity: usize,
@@ -153,6 +149,17 @@ fn algorithm_by_name(name: &str) -> Result<Algorithm, ArgError> {
 fn take_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, ArgError> {
     *i += 1;
     args.get(*i).map(|s| s.as_str()).ok_or_else(|| ArgError(format!("{flag} needs a value")))
+}
+
+/// Takes `flag`'s value as an integer of at least 1.
+fn positive_count(args: &[String], i: &mut usize, flag: &str) -> Result<usize, ArgError> {
+    let v: usize = take_value(args, i, flag)?
+        .parse()
+        .map_err(|_| ArgError(format!("{flag} must be an integer")))?;
+    if v == 0 {
+        return Err(ArgError(format!("{flag} must be at least 1")));
+    }
+    Ok(v)
 }
 
 fn metrics_format(value: &str) -> Result<MetricsFormat, ArgError> {
@@ -228,13 +235,7 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                     }
                     "--stats" if cmd == "profile" => stats = true,
                     "--threads" | "-t" => {
-                        let v: usize = take_value(args, &mut i, "--threads")?
-                            .parse()
-                            .map_err(|_| ArgError("--threads must be an integer".into()))?;
-                        if v == 0 {
-                            return Err(ArgError("--threads must be at least 1".into()));
-                        }
-                        threads = Some(v);
+                        threads = Some(positive_count(args, &mut i, "--threads")?)
                     }
                     "--algorithm" | "-a" => {
                         algorithm = algorithm_by_name(take_value(args, &mut i, "--algorithm")?)?
@@ -287,7 +288,6 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
         "fuzz" => {
             let mut seed = 42u64;
             let mut iters = 500usize;
-            let mut threads: Option<usize> = None;
             let mut corpus: Option<String> = None;
             let mut metrics: Option<MetricsFormat> = None;
             let mut i = 1;
@@ -303,15 +303,6 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                             .parse()
                             .map_err(|_| ArgError("--iters must be an integer".into()))?;
                     }
-                    "--threads" | "-t" => {
-                        let v: usize = take_value(args, &mut i, "--threads")?
-                            .parse()
-                            .map_err(|_| ArgError("--threads must be an integer".into()))?;
-                        if v == 0 {
-                            return Err(ArgError("--threads must be at least 1".into()));
-                        }
-                        threads = Some(v);
-                    }
                     "--corpus" => corpus = Some(take_value(args, &mut i, "--corpus")?.to_string()),
                     "--metrics" => {
                         metrics = Some(metrics_format(take_value(args, &mut i, "--metrics")?)?)
@@ -323,7 +314,7 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                 }
                 i += 1;
             }
-            Ok(Command::Fuzz { seed, iters, threads, corpus, metrics })
+            Ok(Command::Fuzz { seed, iters, corpus, metrics })
         }
         "generate" => {
             let mut dataset: Option<String> = None;
@@ -361,7 +352,6 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
         }
         "serve" => {
             let mut addr = "127.0.0.1:7171".to_string();
-            let mut threads: Option<usize> = None;
             let mut workers = 0usize;
             let mut cache_capacity = 64 << 20;
             let mut queue_capacity = 128usize;
@@ -372,15 +362,6 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
             while i < args.len() {
                 match args[i].as_str() {
                     "--addr" => addr = take_value(args, &mut i, "--addr")?.to_string(),
-                    "--threads" | "-t" => {
-                        let v: usize = take_value(args, &mut i, "--threads")?
-                            .parse()
-                            .map_err(|_| ArgError("--threads must be an integer".into()))?;
-                        if v == 0 {
-                            return Err(ArgError("--threads must be at least 1".into()));
-                        }
-                        threads = Some(v);
-                    }
                     "--workers" => {
                         workers = take_value(args, &mut i, "--workers")?
                             .parse()
@@ -393,13 +374,7 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                         )?;
                     }
                     "--queue-capacity" => {
-                        let v: usize = take_value(args, &mut i, "--queue-capacity")?
-                            .parse()
-                            .map_err(|_| ArgError("--queue-capacity must be an integer".into()))?;
-                        if v == 0 {
-                            return Err(ArgError("--queue-capacity must be at least 1".into()));
-                        }
-                        queue_capacity = v;
+                        queue_capacity = positive_count(args, &mut i, "--queue-capacity")?
                     }
                     "--timeout-ms" => {
                         timeout_ms = take_value(args, &mut i, "--timeout-ms")?
@@ -427,7 +402,6 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
             }
             Ok(Command::Serve {
                 addr,
-                threads,
                 workers,
                 cache_capacity,
                 queue_capacity,
@@ -458,24 +432,10 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
                     }
                     "--all" => all = true,
                     "--threads" | "-t" => {
-                        let v: usize = take_value(args, &mut i, "--threads")?
-                            .parse()
-                            .map_err(|_| ArgError("--threads must be an integer".into()))?;
-                        if v == 0 {
-                            return Err(ArgError("--threads must be at least 1".into()));
-                        }
-                        threads = Some(v);
+                        threads = Some(positive_count(args, &mut i, "--threads")?)
                     }
                     "--out" | "-o" => out = take_value(args, &mut i, "--out")?.to_string(),
-                    "--repeat" | "-r" => {
-                        let v: usize = take_value(args, &mut i, "--repeat")?
-                            .parse()
-                            .map_err(|_| ArgError("--repeat must be an integer".into()))?;
-                        if v == 0 {
-                            return Err(ArgError("--repeat must be at least 1".into()));
-                        }
-                        repeat = v;
-                    }
+                    "--repeat" | "-r" => repeat = positive_count(args, &mut i, "--repeat")?,
                     "--check" => check = Some(take_value(args, &mut i, "--check")?.to_string()),
                     "--wall-tolerance" => {
                         wall_tolerance = Some(tolerance(
@@ -536,9 +496,8 @@ USAGE:
   mudsprof compare <file.csv> [-d <delim>] [--no-header] [--threads N]
                    [--metrics pretty|json] [--trace <file.jsonl>]
   mudsprof generate <dataset> [--rows N] [--cols N] [-o out.csv]
-  mudsprof fuzz [--seed S] [--iters N] [--threads T] [--corpus DIR]
-                [--metrics pretty|json]
-  mudsprof serve [--addr HOST:PORT] [--threads N] [--workers N]
+  mudsprof fuzz [--seed S] [--iters N] [--corpus DIR] [--metrics pretty|json]
+  mudsprof serve [--addr HOST:PORT] [--workers N]
                  [--cache-capacity BYTES] [--queue-capacity N]
                  [--timeout-ms MS] [--max-body-bytes BYTES]
                  [--data-dir DIR]
@@ -585,21 +544,27 @@ SERVING:
   (fingerprint, algorithm, config) and concurrent identical requests
   coalesced into one run, GET /jobs/:id reports job status, GET /metrics
   exposes server counters. --addr binds (port 0 = ephemeral), --workers
-  sizes the job pool, --cache-capacity bounds the result cache in bytes
-  (k/m/g suffixes allowed), --queue-capacity bounds the job queue (429 on
-  overflow), --timeout-ms is the default wait before a request parks as a
-  202 job, --max-body-bytes caps request bodies (default 64m; 413 beyond
-  it, k/m/g suffixes allowed). --data-dir makes the daemon restart-proof:
-  registered datasets and finished results write through to that
-  directory (content-addressed blobs + a manifest, atomic-rename writes)
-  and are replayed on the next boot; torn files are skipped and deleted.
-  SIGTERM or POST /shutdown drains in-flight work and exits.
+  sizes the job pool and is the daemon's whole CPU budget (each job runs
+  on one worker thread; default: all cores), --cache-capacity bounds the
+  result cache in bytes (k/m/g suffixes allowed), --queue-capacity bounds
+  the job queue (429 on overflow), --timeout-ms is the default wait before
+  a request parks as a 202 job, --max-body-bytes caps request bodies
+  (default 64m; 413 beyond it, k/m/g suffixes allowed). --data-dir makes
+  the daemon restart-proof: registered datasets and finished results write
+  through to that directory (content-addressed blobs + a manifest,
+  atomic-rename writes) and are replayed on the next boot; torn files are
+  skipped and deleted. SIGTERM or POST /shutdown drains in-flight work and
+  exits.
 
 PARALLELISM:
-  --threads N        worker threads for PLI construction, lattice-level
-                     validation, and dictionary sorting (default: all
-                     cores). Results and counters are identical for any N;
-                     --threads 1 reproduces the sequential execution.
+  --threads N        worker threads for profile, compare and bench: the
+                     per-column dictionary encoding and single-column PLIs,
+                     batched PLI intersections and refinement checks,
+                     lattice-level candidate filtering, and SPIDER running
+                     beside PLI construction (default: all cores). Results
+                     and counters are identical for any N; --threads 1
+                     reproduces the sequential execution. serve has no
+                     --threads: each job runs on one --workers thread.
 
 OBSERVABILITY:
   --metrics pretty   print the span tree and all work counters (PLI cache,
@@ -716,7 +681,6 @@ mod tests {
             parse(&argv("serve")).unwrap(),
             Command::Serve {
                 addr: "127.0.0.1:7171".into(),
-                threads: None,
                 workers: 0,
                 cache_capacity: 64 << 20,
                 queue_capacity: 128,
@@ -726,14 +690,13 @@ mod tests {
             }
         );
         let cmd = parse(&argv(
-            "serve --addr 0.0.0.0:9000 -t 2 --workers 3 --cache-capacity 16m --queue-capacity 8 --timeout-ms 500 --max-body-bytes 1m --data-dir /tmp/muds-state",
+            "serve --addr 0.0.0.0:9000 --workers 3 --cache-capacity 16m --queue-capacity 8 --timeout-ms 500 --max-body-bytes 1m --data-dir /tmp/muds-state",
         ))
         .unwrap();
         assert_eq!(
             cmd,
             Command::Serve {
                 addr: "0.0.0.0:9000".into(),
-                threads: Some(2),
                 workers: 3,
                 cache_capacity: 16 << 20,
                 queue_capacity: 8,
@@ -747,7 +710,7 @@ mod tests {
         assert!(parse(&argv("serve --max-body-bytes 0")).unwrap_err().0.contains("at least 1"));
         assert!(parse(&argv("serve --max-body-bytes big")).is_err());
         assert!(parse(&argv("serve --data-dir")).is_err(), "--data-dir needs a value");
-        assert!(parse(&argv("serve --threads 0")).unwrap_err().0.contains("at least 1"));
+        assert!(parse(&argv("serve --threads 2")).unwrap_err().0.contains("unknown flag"));
         assert!(parse(&argv("serve stray")).is_err());
     }
 
@@ -841,24 +804,22 @@ mod tests {
     fn fuzz_defaults_and_flags() {
         assert_eq!(
             parse(&argv("fuzz")).unwrap(),
-            Command::Fuzz { seed: 42, iters: 500, threads: None, corpus: None, metrics: None }
+            Command::Fuzz { seed: 42, iters: 500, corpus: None, metrics: None }
         );
         let cmd =
-            parse(&argv("fuzz --seed 7 --iters 100 -t 2 --corpus tests/corpus --metrics json"))
-                .unwrap();
+            parse(&argv("fuzz --seed 7 --iters 100 --corpus tests/corpus --metrics json")).unwrap();
         assert_eq!(
             cmd,
             Command::Fuzz {
                 seed: 7,
                 iters: 100,
-                threads: Some(2),
                 corpus: Some("tests/corpus".into()),
                 metrics: Some(MetricsFormat::Json),
             }
         );
         assert!(parse(&argv("fuzz --seed x")).is_err());
         assert!(parse(&argv("fuzz --iters")).is_err());
-        assert!(parse(&argv("fuzz --threads 0")).unwrap_err().0.contains("at least 1"));
+        assert!(parse(&argv("fuzz --threads 2")).unwrap_err().0.contains("unknown flag"));
         assert!(parse(&argv("fuzz stray")).is_err());
     }
 

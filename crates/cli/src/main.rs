@@ -407,12 +407,14 @@ fn run(command: Command) -> Result<(), String> {
             }
             Ok(())
         }
-        Command::Fuzz { seed, iters, threads, corpus, metrics } => {
-            configure_threads(threads)?;
+        Command::Fuzz { seed, iters, corpus, metrics } => {
             let (registry, _guard) = install_metrics(None)?;
-            let mut config = muds_check::FuzzConfig { seed, iters, ..Default::default() };
-            config.suite.restore_threads = threads.unwrap_or(0);
-            config.corpus_dir = corpus.map(std::path::PathBuf::from);
+            let config = muds_check::FuzzConfig {
+                seed,
+                iters,
+                corpus_dir: corpus.map(std::path::PathBuf::from),
+                ..Default::default()
+            };
 
             // The suite intentionally drives the profilers into panics and
             // catches them; the default hook would spray a backtrace per
@@ -492,7 +494,6 @@ fn run(command: Command) -> Result<(), String> {
         Command::Lint { .. } => unreachable!("handled in main before dispatch"),
         Command::Serve {
             addr,
-            threads,
             workers,
             cache_capacity,
             queue_capacity,
@@ -500,9 +501,6 @@ fn run(command: Command) -> Result<(), String> {
             max_body_bytes,
             data_dir,
         } => {
-            // --threads sizes the *intra-job* pool (same knob as the batch
-            // commands); --workers sizes the scheduler's job pool.
-            configure_threads(threads)?;
             let config = ServeConfig {
                 addr,
                 workers,

@@ -9,8 +9,8 @@
 //! * RAII [`SpanTimer`]s that nest into a phase tree ([`SpanNode`]),
 //!   replacing flat phase lists with a hierarchy that mirrors the actual
 //!   call structure;
-//! * a pluggable [`EventSink`] ([`JsonlSink`] for `--trace`, [`NullSink`]
-//!   / no sink for zero overhead) that streams span and counter events.
+//! * a pluggable [`EventSink`] ([`JsonlSink`] for `--trace`, no sink for
+//!   zero overhead) that streams span and counter events.
 //!
 //! It also hosts the workspace's one JSON codec ([`json`]), shared by the
 //! wire formats, the serving layer, the bench reports and the linter.
@@ -60,7 +60,7 @@ mod sink;
 mod snapshot;
 
 pub use rss::{RssSample, RssSampler};
-pub use sink::{Event, EventSink, JsonlSink, MemorySink, NullSink};
+pub use sink::{Event, EventSink, JsonlSink};
 pub use snapshot::{flatten_phases, HistogramSnapshot, MetricsSnapshot, SpanNode};
 
 /// Number of shards per counter. Eight padded lines bound the memory cost

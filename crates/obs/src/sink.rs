@@ -1,8 +1,7 @@
 //! Pluggable event sinks. A sink receives span lifecycle events and
 //! snapshot dumps as they happen; the JSONL sink streams them to a file so
-//! a run can be traced after the fact, the no-op sink costs one virtual
-//! call that the branch predictor eats (and is skipped entirely by the
-//! `Metrics` fast path, which only dispatches when a real sink is set).
+//! a run can be traced after the fact. A registry with no sink set
+//! dispatches nothing.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -72,14 +71,6 @@ pub trait EventSink: Send {
     fn flush(&mut self) {}
 }
 
-/// Discards everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&mut self, _event: &Event<'_>) {}
-}
-
 /// Streams events as JSON Lines to a writer (typically a file).
 pub struct JsonlSink<W: Write> {
     writer: W,
@@ -110,29 +101,6 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn flush(&mut self) {
         // lint:allow(swallowed-result): tracing is best-effort by design.
         let _ = self.writer.flush();
-    }
-}
-
-/// Collects events in memory — for tests and programmatic inspection.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    lines: Vec<String>,
-}
-
-impl MemorySink {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// JSONL lines received so far.
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-}
-
-impl EventSink for MemorySink {
-    fn emit(&mut self, event: &Event<'_>) {
-        self.lines.push(event.to_json());
     }
 }
 

@@ -1,13 +1,14 @@
 //! Nonblocking epoll reactor (Linux): connection scalability without a
 //! thread per connection.
 //!
-//! The legacy accept loop spawns one OS thread per connection, so 10k
-//! idle keep-alive clients cost 10k stacks. This reactor owns *all*
-//! sockets on one thread behind `epoll`: read/write readiness and request
-//! framing happen here, and only *complete* requests are handed to a
-//! small fixed pool of handler threads (which route, wait on scheduler
-//! flights, and push serialized responses back). Idle connections cost a
-//! file descriptor and a small buffer — nothing else.
+//! This reactor owns *all* sockets on one thread behind `epoll`:
+//! read/write readiness and request framing happen here, and only
+//! *complete* requests are handed to a small fixed pool of handler threads
+//! (which route, wait on scheduler flights, and push serialized responses
+//! back). Idle connections cost a file descriptor and a small buffer —
+//! nothing else. Like the scheduler's workers, handlers run inside
+//! [`rayon::run_inline`], so an upload's ingest or a delta's apply runs on
+//! the handler itself rather than fanning out over spawned threads.
 //!
 //! The epoll calls go through a raw `extern "C"` shim (std already links
 //! libc; the same philosophy as the `signal(2)` latch in `server.rs` and
@@ -308,7 +309,7 @@ pub(crate) fn run(listener: TcpListener, state: Arc<ServerState>) -> io::Result<
         threads.push(
             std::thread::Builder::new()
                 .name(format!("muds-serve-http-{i}"))
-                .spawn(move || handler_loop(state, shared))?,
+                .spawn(move || rayon::run_inline(|| handler_loop(state, shared)))?,
         );
     }
     let pool = HandlerPool { shared: Arc::clone(&shared), threads };

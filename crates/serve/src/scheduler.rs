@@ -10,9 +10,12 @@
 //! never killed — a client that stops waiting gets `202 Accepted`, the run
 //! completes detached, and the result lands in the cache for the retry.
 //!
-//! Workers are plain `std::thread`s, deliberately *outside* the vendored
-//! rayon pool: each profiling run keeps its full intra-run parallelism, and
-//! because the ambient `muds-obs` registry is thread-local and workers
+//! Job-level concurrency is the daemon's only parallelism: each worker
+//! runs its jobs inside [`rayon::run_inline`], so a job's per-column and
+//! lattice fan-outs run on the worker itself instead of multiplying
+//! `--workers` by freshly spawned threads on the same cores. Results are
+//! unchanged (the fan-outs are order-preserving for any thread count).
+//! Because the ambient `muds-obs` registry is thread-local and workers
 //! install none, every `profile()` call gets a private registry — job
 //! metrics never bleed into each other or into the server counters.
 
@@ -142,7 +145,7 @@ impl Scheduler {
             let worker_shared = Arc::clone(&shared);
             let spawned = std::thread::Builder::new()
                 .name(format!("muds-serve-worker-{i}"))
-                .spawn(move || worker_loop(worker_shared));
+                .spawn(move || rayon::run_inline(|| worker_loop(worker_shared)));
             match spawned {
                 Ok(handle) => handles.push(handle),
                 Err(e) => {

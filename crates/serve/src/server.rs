@@ -46,7 +46,9 @@ use crate::scheduler::{retry_after_secs, JobSpec, JobStatus, Scheduler};
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7171` (port 0 picks an ephemeral one).
     pub addr: String,
-    /// Scheduler worker threads (0 = available parallelism, capped at 4).
+    /// Scheduler worker threads (0 = available parallelism). Jobs run
+    /// single-threaded on their worker, so this is the daemon's whole CPU
+    /// budget.
     pub workers: usize,
     /// Bounded job-queue capacity; overflow answers 429.
     pub queue_capacity: usize,
@@ -190,7 +192,7 @@ impl Server {
             metrics.datasets.set(registry.names_len() as i64);
         }
         let workers = if config.workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).min(4)
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2)
         } else {
             config.workers
         };

@@ -4,10 +4,10 @@
 //!
 //! The parallel execution layer is deterministic by construction — batch
 //! APIs keep all bookkeeping sequential and only fan out pure compute
-//! (PLI intersections, partition-refinement scans, dictionary sorts), and
-//! the vendored `rayon`'s parallel sort is stable for every split — so
-//! dependency sets, counter totals, and span-tree structure may not vary
-//! with `--threads`. This matrix pins that contract on the paper's stand-in
+//! (per-column encodes and PLI builds, PLI intersections,
+//! partition-refinement scans), and the vendored `rayon`'s iterators
+//! concatenate their parts in input order — so dependency sets, counter
+//! totals, and span-tree structure may not vary with `--threads`. This matrix pins that contract on the paper's stand-in
 //! datasets.
 //!
 //! Everything runs inside ONE `#[test]` function: the worker-pool size is
