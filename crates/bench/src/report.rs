@@ -37,8 +37,8 @@ pub struct BenchEntry {
     /// phases), nanoseconds.
     pub wall_ns: u64,
     pub rows_per_sec: f64,
-    /// Peak RSS sampled over this entry's window (0 on platforms without
-    /// a probe).
+    /// Peak RSS over this entry's window: the kernel's high-water mark,
+    /// reset when the window opens (0 on platforms without procfs).
     pub peak_rss_bytes: u64,
     /// Bytes requested from the allocator during the run (0 unless the
     /// `bench-alloc` feature is on — see the report's `alloc_tracking`).

@@ -32,7 +32,7 @@ use muds_core::json::parse_json;
 use muds_core::{profile_csv, Algorithm, ProfileResult, ProfilerConfig};
 use muds_datagen::{ionosphere_like, ncvoter_like, uci_dataset, uniprot_like, TABLE3_DATASETS};
 use muds_lattice::{ColumnSet, SetTrie};
-use muds_obs::{flatten_phases, Metrics, RssSampler};
+use muds_obs::{flatten_phases, Metrics};
 use muds_serve::{ServeConfig, Server};
 use muds_table::{table_to_csv, CsvOptions, Table};
 use rand::prelude::*;
@@ -218,8 +218,6 @@ pub struct RunOptions {
     /// so tests can exercise the full matrix quickly. 1 = full size;
     /// committed baselines use 1.
     pub scale: usize,
-    /// RSS sampler poll interval.
-    pub rss_interval: Duration,
 }
 
 /// Column cap of scaled-down runs: FD discovery is exponential in the
@@ -228,7 +226,7 @@ const SCALED_MAX_COLS: usize = 10;
 
 impl Default for RunOptions {
     fn default() -> Self {
-        RunOptions { threads: 0, repeat: 3, scale: 1, rss_interval: Duration::from_millis(2) }
+        RunOptions { threads: 0, repeat: 3, scale: 1 }
     }
 }
 
@@ -343,8 +341,8 @@ impl Agreement {
 }
 
 /// Measures every cell on `table` (each entry is the best of
-/// `opts.repeat` runs), appends one entry per cell, and returns the peak
-/// RSS sampled over the cells. Errors if two exact-config cells disagree
+/// `opts.repeat` runs), appends one entry per cell, and returns the
+/// highest peak RSS of its cells. Errors if two exact-config cells disagree
 /// on the INDs, UCCs or FDs.
 fn run_cells(
     table: &Table,
@@ -356,7 +354,7 @@ fn run_cells(
     let mut agreement = Agreement::default();
     let mut peak = 0u64;
     for cell in cells {
-        let sampler = RssSampler::start(opts.rss_interval);
+        let window = muds_obs::rss::reset_peak_rss();
         let mut best: Option<(BenchEntry, ProfileResult)> = None;
         for _ in 0..opts.repeat.max(1) {
             // A fresh registry per run: the profiler drains it into the
@@ -396,14 +394,14 @@ fn run_cells(
                 best = Some((entry, result));
             }
         }
-        let window = sampler.stop();
-        peak = peak.max(window.peak_bytes);
+        let window_peak = peak_rss_since_reset(window);
+        peak = peak.max(window_peak);
         let (mut entry, result) =
             best.ok_or_else(|| format!("{}: no runs executed", cell.label()))?;
         if cell.is_exact() {
             agreement.check(table.name(), cell.label(), &result)?;
         }
-        entry.peak_rss_bytes = window.peak_bytes;
+        entry.peak_rss_bytes = window_peak;
         entries.push(entry);
     }
     Ok(peak)
@@ -427,6 +425,16 @@ fn report(
         alloc_tracking: muds_obs::alloc::tracking_enabled(),
         peak_rss_bytes,
         entries,
+    }
+}
+
+/// Closes a peak-RSS window opened by [`muds_obs::rss::reset_peak_rss`]:
+/// the kernel's high-water mark when the reset succeeded, else 0.
+fn peak_rss_since_reset(reset: bool) -> u64 {
+    if reset {
+        muds_obs::rss::lifetime_peak_rss_bytes().unwrap_or(0)
+    } else {
+        0
     }
 }
 
@@ -615,7 +623,7 @@ const HIT_REQUESTS: usize = 100;
 fn run_serve(spec: &ScenarioSpec, opts: &RunOptions) -> Result<BenchReport, String> {
     let table = generate(spec, opts);
     let csv = table_to_csv(&table, &CsvOptions::default());
-    let sampler = RssSampler::start(opts.rss_interval);
+    let window = muds_obs::rss::reset_peak_rss();
 
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -635,14 +643,14 @@ fn run_serve(spec: &ScenarioSpec, opts: &RunOptions) -> Result<BenchReport, Stri
     let _ = http_call(addr, "POST", "/shutdown", &[], b"");
     state.request_shutdown();
     let join = server_thread.join();
-    let window = sampler.stop();
+    let peak = peak_rss_since_reset(window);
     let mut entries = outcome?;
     join.map_err(|_| "bench server thread panicked".to_string())?
         .map_err(|e| format!("bench server failed: {e}"))?;
     for entry in &mut entries {
-        entry.peak_rss_bytes = window.peak_bytes;
+        entry.peak_rss_bytes = peak;
     }
-    Ok(report(spec, opts, dims(&table), window.peak_bytes, entries))
+    Ok(report(spec, opts, dims(&table), peak, entries))
 }
 
 fn drive_roundtrips(

@@ -1,6 +1,7 @@
 //! Hand-rolled argument parsing for `mudsprof` (no CLI dependency).
 
 use muds_core::Algorithm;
+use muds_lattice::MAX_COLUMNS;
 
 /// Output format of the `--metrics` report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -348,6 +349,19 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
             let dataset = dataset.ok_or_else(|| {
                 ArgError("generate needs a dataset name (uniprot, ionosphere, ncvoter, or a Table 3 name)".into())
             })?;
+            // The shaped generators need a minimum width and a table holds
+            // at most MAX_COLUMNS columns; the Table 3 names ignore --cols.
+            let min_cols = match dataset.as_str() {
+                "uniprot" => Some(5),
+                "ncvoter" => Some(8),
+                "ionosphere" => Some(1),
+                _ => None,
+            };
+            if let Some(min) = min_cols.filter(|min| !(*min..=MAX_COLUMNS).contains(&cols)) {
+                return Err(ArgError(format!(
+                    "--cols for {dataset} must be in {min}..={MAX_COLUMNS}, got {cols}"
+                )));
+            }
             Ok(Command::Generate { dataset, rows, cols, output })
         }
         "serve" => {
@@ -579,7 +593,7 @@ BENCHMARKING:
   with the column-statistics layer off vs on, and the paper's evaluation:
   fig6, fig7, table3, fig8 and ablation) and writes one machine-readable
   BENCH_<scenario>.json per scenario into --out: rows/s, span-tree wall and
-  per-phase times, work-counter deltas, sampled peak RSS, and (when built
+  per-phase times, work-counter deltas, peak RSS, and (when built
   with --features bench-alloc) allocated bytes. --repeat K reports each
   entry's best of K runs. With --check DIR the fresh numbers are diffed
   against the baseline reports in DIR and the exit status is non-zero when
@@ -789,6 +803,25 @@ mod tests {
                 output: Some("out.csv".into())
             }
         );
+    }
+
+    #[test]
+    fn generate_rejects_cols_outside_the_shape_range() {
+        for (dataset, min) in [("uniprot", 5), ("ncvoter", 8), ("ionosphere", 1)] {
+            for cols in [min, MAX_COLUMNS] {
+                let cmd = parse(&argv(&format!("generate {dataset} --cols {cols}"))).unwrap();
+                assert!(matches!(cmd, Command::Generate { cols: c, .. } if c == cols));
+            }
+            for cols in [min - 1, MAX_COLUMNS + 1] {
+                let err = parse(&argv(&format!("generate {dataset} --cols {cols}"))).unwrap_err();
+                assert_eq!(
+                    err.0,
+                    format!("--cols for {dataset} must be in {min}..={MAX_COLUMNS}, got {cols}")
+                );
+            }
+        }
+        // Table 3 datasets have a fixed width and ignore --cols.
+        assert!(parse(&argv("generate iris --cols 0")).is_ok());
     }
 
     #[test]

@@ -95,25 +95,9 @@ impl ProfilerConfig {
     }
 }
 
-/// One timed phase of an algorithm run. Phases form a tree: a phase that
-/// contains nested instrumented spans (e.g. an algorithm phase with timed
-/// sub-steps) carries them as `children`.
-#[derive(Debug, Clone)]
-pub struct Phase {
-    pub name: String,
-    pub duration: Duration,
-    pub children: Vec<Phase>,
-}
-
-impl Phase {
-    fn from_span(span: &SpanNode) -> Phase {
-        Phase {
-            name: span.name.clone(),
-            duration: span.duration,
-            children: span.children.iter().map(Phase::from_span).collect(),
-        }
-    }
-}
+/// One timed phase of an algorithm run: the profiler's span tree node. A
+/// phase with nested instrumented spans carries them as `children`.
+pub type Phase = SpanNode;
 
 /// The dependency sets one algorithm run discovers.
 #[derive(Debug, Clone)]
@@ -184,7 +168,7 @@ pub(crate) fn finish(
     metrics: &Metrics,
 ) -> ProfileResult {
     let snapshot = metrics.drain_snapshot();
-    let phases = snapshot.spans.iter().map(Phase::from_span).collect();
+    let phases = snapshot.spans.clone();
     ProfileResult { algorithm, inds, minimal_uccs, fds, phases, metrics: snapshot, stats: None }
 }
 

@@ -198,7 +198,7 @@ const ORDER_INSENSITIVE_SINKS: [&str; 22] = [
 ];
 
 /// Obs registration functions whose first string argument is a metric name.
-const METRIC_FNS: [&str; 6] = ["counter", "gauge", "histogram", "add", "gauge_set", "gauge_max"];
+const METRIC_FNS: [&str; 5] = ["counter", "gauge", "add", "gauge_set", "gauge_max"];
 
 /// Wall-clock acquisition points: `<type>::<fn>` paths.
 const CLOCK_PATHS: [(&str, &str); 3] =

@@ -1,6 +1,6 @@
 use std::collections::HashMap;
 
-pub fn histogram(items: &[u32]) -> Vec<(u32, usize)> {
+pub fn value_counts(items: &[u32]) -> Vec<(u32, usize)> {
     let mut counts: HashMap<u32, usize> = HashMap::new();
     for item in items {
         *counts.entry(*item).or_insert(0) += 1;

@@ -1,16 +1,15 @@
 //! Byte-count allocation tracking behind the `bench-alloc` feature.
 //!
 //! When the feature is on, a global counting allocator wraps the system
-//! allocator and keeps two process-wide relaxed counters: cumulative bytes
-//! allocated and cumulative bytes freed. The bench harness reads the
-//! *allocated* counter before and after a run and reports the delta as
-//! `alloc_bytes`. With the feature off (the default — nothing in the
-//! workspace enables it, so normal builds keep the stock allocator), every
-//! probe returns 0 and [`tracking_enabled`] returns `false`, which the
-//! BENCH JSON schema carries as `alloc_tracking: false` so baseline diffs
-//! never compare tracked numbers against untracked zeros.
+//! allocator and keeps one process-wide relaxed counter of cumulative bytes
+//! allocated. The bench harness reads it before and after a run and
+//! reports the delta as `alloc_bytes`. With the feature off (the default
+//! — nothing in the workspace enables it, so normal builds keep the stock
+//! allocator), every probe returns 0 and [`tracking_enabled`] returns
+//! `false`, which the BENCH JSON schema carries as `alloc_tracking: false`
+//! so baseline diffs never compare tracked numbers against untracked zeros.
 //!
-//! The counters deliberately count *requested* layout sizes, not
+//! The counter deliberately counts *requested* layout sizes, not
 //! allocator-internal rounding — the number answers "how many bytes did
 //! the algorithm ask for", which is stable across allocator versions.
 
@@ -32,35 +31,15 @@ pub fn allocated_bytes() -> u64 {
     }
 }
 
-/// Cumulative bytes returned to the allocator since process start
-/// (0 when tracking is off).
-pub fn deallocated_bytes() -> u64 {
-    #[cfg(feature = "bench-alloc")]
-    {
-        counting::DEALLOCATED.load(core::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "bench-alloc"))]
-    {
-        0
-    }
-}
-
-/// Bytes currently live according to the counters (saturating: transient
-/// reorderings between the two relaxed counters never underflow).
-pub fn live_bytes() -> u64 {
-    allocated_bytes().saturating_sub(deallocated_bytes())
-}
-
 #[cfg(feature = "bench-alloc")]
 mod counting {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     pub(super) static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-    pub(super) static DEALLOCATED: AtomicU64 = AtomicU64::new(0);
 
     /// System allocator wrapper that tallies requested bytes. The counter
-    /// updates are relaxed: they are independent monotonic sums, read only
+    /// updates are relaxed: it is an independent monotonic sum, read only
     /// at bench-run boundaries where the run's own joins provide the
     /// happens-before edges.
     struct CountingAllocator;
@@ -85,10 +64,9 @@ mod counting {
             unsafe { System.alloc_zeroed(layout) }
         }
 
-        // SAFETY: unsafe-by-signature (trait contract); body only counts
-        // and delegates to `System`.
+        // SAFETY: unsafe-by-signature (trait contract); body only
+        // delegates to `System`.
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            DEALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
             // SAFETY: ptr/layout came from this allocator, i.e. `System`.
             unsafe { System.dealloc(ptr, layout) }
         }
@@ -96,11 +74,9 @@ mod counting {
         // SAFETY: unsafe-by-signature (trait contract); body only counts
         // and delegates to `System`.
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            // A grow allocates the delta; a shrink frees it.
-            if new_size >= layout.size() {
+            // A grow allocates the delta; a shrink allocates nothing.
+            if new_size > layout.size() {
                 ALLOCATED.fetch_add((new_size - layout.size()) as u64, Ordering::Relaxed);
-            } else {
-                DEALLOCATED.fetch_add((layout.size() - new_size) as u64, Ordering::Relaxed);
             }
             // SAFETY: ptr/layout came from this allocator; new_size
             // obligations are the caller's, forwarded unchanged.
@@ -123,11 +99,8 @@ mod tests {
             let block = vec![0u8; 1 << 16];
             std::hint::black_box(&block);
             assert!(allocated_bytes() >= before + (1 << 16));
-            assert!(live_bytes() <= allocated_bytes());
         } else {
             assert_eq!(allocated_bytes(), 0);
-            assert_eq!(deallocated_bytes(), 0);
-            assert_eq!(live_bytes(), 0);
         }
     }
 }

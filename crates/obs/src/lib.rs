@@ -3,9 +3,8 @@
 //! Three pieces:
 //!
 //! * a [`Metrics`] registry of named monotonic [`Counter`]s and [`Gauge`]s.
-//!   Counter handles are sharded atomics behind the scenes, so hot paths
-//!   fetch a handle once at construction and pay one relaxed atomic add per
-//!   event — from any thread, without contending on a single cache line;
+//!   Hot paths fetch a handle once at construction and pay one relaxed
+//!   atomic add per event, from any thread;
 //! * RAII [`SpanTimer`]s that nest into a phase tree ([`SpanNode`]),
 //!   replacing flat phase lists with a hierarchy that mirrors the actual
 //!   call structure;
@@ -26,15 +25,12 @@
 //! # Threading model
 //!
 //! A registry is shared state: `Metrics` is `Send + Sync` and cheap to
-//! clone (shared `Arc`). [`Counter`]s are *sharded* — eight cache-line
-//! padded atomics, with each thread writing one shard chosen by a
-//! thread-local index — so concurrent increments from the parallel
-//! execution layer neither race nor serialize on one line; [`Counter::get`]
-//! sums the shards. [`Gauge`]s are single atomics ([`Gauge::set_max`] uses
-//! `fetch_max`). Because counter adds are commutative and the profiler's
-//! parallel sections perform a fixed multiset of increments regardless of
-//! thread count, drained counter totals are deterministic for any
-//! `--threads N`.
+//! clone (shared `Arc`). [`Counter`]s and [`Gauge`]s are single atomics
+//! ([`Gauge::set_max`] uses `fetch_max`). No parallel closure in the
+//! profiler writes a counter — the fan-outs run pure PLI, dictionary and
+//! set work, and SPIDER adds its counts once at exit — so one atomic per
+//! counter never contends. Because counter adds are commutative, drained
+//! counter totals are deterministic for any thread count.
 //!
 //! The *ambient* registry stays thread-local: worker threads spawned by the
 //! parallel layer start with no ambient registry and must explicitly
@@ -47,9 +43,9 @@
 //! resets counters non-atomically with respect to concurrent writers, so
 //! callers drain only at quiescent points (end of a run).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -59,42 +55,8 @@ pub mod rss;
 mod sink;
 mod snapshot;
 
-pub use rss::{RssSample, RssSampler};
 pub use sink::{Event, EventSink, JsonlSink};
 pub use snapshot::{flatten_phases, HistogramSnapshot, MetricsSnapshot, SpanNode};
-
-/// Number of shards per counter. Eight padded lines bound the memory cost
-/// per counter while spreading writers enough for the profiler's depth-1
-/// parallelism (worker counts are typically ≤ core count).
-const COUNTER_SHARDS: usize = 8;
-
-/// One cache-line padded counter shard.
-///
-/// Shard atomics use `Ordering::Relaxed` throughout: each shard is an
-/// independent monotonic sum and no other data is published through it,
-/// so cross-variable ordering buys nothing. [`Counter::get`] is exact
-/// only once writers are quiescent — the pool join that ends a profiling
-/// phase provides the happens-before edge that flushes all shard writes
-/// before the drain reads them.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct CounterShard(AtomicU64);
-
-/// The shard this thread writes. Assigned round-robin on first use.
-fn shard_index() -> usize {
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-    SHARD.with(|slot| {
-        let mut idx = slot.get();
-        if idx == usize::MAX {
-            idx = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS;
-            slot.set(idx);
-        }
-        idx
-    })
-}
 
 /// Locks ignoring poisoning: a panicking phase must not wedge the registry
 /// (the data is counters and span names, always in a usable state).
@@ -102,15 +64,20 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Monotonic counter handle. Cloning shares the underlying shards; adds
-/// are safe (and non-contending) from any thread.
+/// Monotonic counter handle. Cloning shares the underlying atomic; adds
+/// are safe from any thread.
+///
+/// Adds use `Ordering::Relaxed`: the counter is an independent monotonic
+/// sum and no other data is published through it. [`Counter::get`] is
+/// exact once writers are quiescent — the join that ends a profiling
+/// phase provides the happens-before edge the drain relies on.
 #[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<[CounterShard; COUNTER_SHARDS]>);
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// Fresh counter detached from any registry (used when no ambient
     /// `Metrics` is installed; increments are simply dropped on the floor
-    /// when the shards are never read).
+    /// when the counter is never read).
     pub fn detached() -> Self {
         Self::default()
     }
@@ -122,19 +89,18 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, delta: u64) {
-        self.0[shard_index()].0.fetch_add(delta, Ordering::Relaxed);
+        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Sum over all shards. Exact once writers are quiescent.
+    /// Current value. Exact once writers are quiescent.
     pub fn get(&self) -> u64 {
-        self.0.iter().fold(0u64, |acc, shard| acc.wrapping_add(shard.0.load(Ordering::Relaxed)))
+        self.0.load(Ordering::Relaxed)
     }
 
-    /// Zeroes all shards (drain path; callers ensure writers are quiescent).
+    /// Zeroes the counter (drain path; callers ensure writers are
+    /// quiescent).
     fn reset(&self) {
-        for shard in self.0.iter() {
-            shard.0.store(0, Ordering::Relaxed);
-        }
+        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -195,17 +161,17 @@ impl Default for HistogramInner {
 }
 
 /// Log₂-bucketed value histogram — the latency-distribution counterpart of
-/// [`Counter`]. Cloning shares the underlying buckets; recording is safe
-/// from any thread. Quantiles come out of the drained
-/// [`HistogramSnapshot`], resolved to the upper edge of the bucket the
-/// quantile falls in (a ≤2× over-estimate by construction, which is the
-/// right bias for latency SLO reporting).
+/// [`Counter`]. It lives outside the [`Metrics`] registry: its owner keeps
+/// the handle and reads it with [`Histogram::snapshot`]. Cloning shares the
+/// underlying buckets; recording is safe from any thread. Quantiles come
+/// out of the [`HistogramSnapshot`], resolved to the upper edge of the
+/// bucket the quantile falls in (a ≤2× over-estimate by construction, which
+/// is the right bias for latency SLO reporting).
 #[derive(Debug, Clone, Default)]
 pub struct Histogram(Arc<HistogramInner>);
 
 impl Histogram {
-    /// Fresh histogram detached from any registry (recordings vanish when
-    /// the buckets are never read).
+    /// Fresh, empty histogram.
     pub fn detached() -> Self {
         Self::default()
     }
@@ -237,16 +203,6 @@ impl Histogram {
             buckets: self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
         }
     }
-
-    /// Zeroes everything (drain path; callers ensure writers are
-    /// quiescent).
-    fn reset(&self) {
-        for b in self.0.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.0.count.store(0, Ordering::Relaxed);
-        self.0.sum.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A span that has been opened but not yet closed.
@@ -259,7 +215,6 @@ struct OpenSpan {
 struct MetricsInner {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
     /// LIFO stack of currently open spans; index 0 is the outermost.
     open: Mutex<Vec<OpenSpan>>,
     /// Completed top-level spans.
@@ -288,7 +243,6 @@ impl Metrics {
             inner: Arc::new(MetricsInner {
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
-                histograms: Mutex::new(BTreeMap::new()),
                 open: Mutex::new(Vec::new()),
                 roots: Mutex::new(Vec::new()),
                 sink: Mutex::new(None),
@@ -316,17 +270,6 @@ impl Metrics {
         let g = Gauge::default();
         gauges.insert(name.to_string(), g.clone());
         g
-    }
-
-    /// Returns the named histogram, creating it (empty) on first use.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut histograms = lock(&self.inner.histograms);
-        if let Some(h) = histograms.get(name) {
-            return h.clone();
-        }
-        let h = Histogram::default();
-        histograms.insert(name.to_string(), h.clone());
-        h
     }
 
     /// Adds `delta` to the named counter and publishes the bulk add to the
@@ -365,7 +308,7 @@ impl Metrics {
             open.len() - 1
         };
         self.emit(&Event::SpanStart { name: &name, depth });
-        SpanTimer { metrics: Some(self.clone()), depth, start: Instant::now(), name }
+        SpanTimer { metrics: Some(self.clone()), depth, start: Instant::now() }
     }
 
     /// Closes the span opened at `depth`, force-closing any deeper spans
@@ -428,10 +371,6 @@ impl Metrics {
             snapshot.gauges.insert(name.clone(), gauge.get());
             gauge.set(0);
         }
-        for (name, histogram) in lock(&self.inner.histograms).iter() {
-            snapshot.histograms.insert(name.clone(), histogram.snapshot());
-            histogram.reset();
-        }
         snapshot.spans = std::mem::take(&mut *lock(&self.inner.roots));
         self.emit(&Event::Snapshot { snapshot: &snapshot });
         if let Some(sink) = lock(&self.inner.sink).as_mut() {
@@ -478,20 +417,14 @@ impl Drop for AmbientGuard {
 /// value returned by [`SpanTimer::stop`].
 pub struct SpanTimer {
     metrics: Option<Metrics>,
-    name: String,
     depth: usize,
     start: Instant,
 }
 
 impl SpanTimer {
     /// Timer with no registry: measures but records nowhere.
-    fn detached(name: String) -> Self {
-        SpanTimer { metrics: None, name, depth: 0, start: Instant::now() }
-    }
-
-    /// The span's name.
-    pub fn name(&self) -> &str {
-        &self.name
+    fn detached() -> Self {
+        SpanTimer { metrics: None, depth: 0, start: Instant::now() }
     }
 
     /// Stops the timer, records the span, and returns the measured
@@ -538,15 +471,6 @@ pub fn gauge(name: &str) -> Gauge {
     }
 }
 
-/// Handle to `name` in the ambient registry, or a detached histogram
-/// whose recordings vanish when none is installed.
-pub fn histogram(name: &str) -> Histogram {
-    match Metrics::current() {
-        Some(m) => m.histogram(name),
-        None => Histogram::detached(),
-    }
-}
-
 /// Bulk-adds `delta` to the ambient counter `name` (no-op without an
 /// ambient registry). This is the end-of-phase flush entry point.
 pub fn add(name: &str, delta: u64) {
@@ -575,10 +499,9 @@ pub fn gauge_max(name: &str, value: i64) {
 /// Opens a span in the ambient registry; without one, returns a detached
 /// timer that still measures wall time.
 pub fn span(name: impl Into<String>) -> SpanTimer {
-    let name = name.into();
     match Metrics::current() {
         Some(m) => m.span(name),
-        None => SpanTimer::detached(name),
+        None => SpanTimer::detached(),
     }
 }
 
@@ -639,28 +562,21 @@ mod tests {
     }
 
     #[test]
-    fn histograms_record_and_drain() {
-        let metrics = Metrics::new();
-        let h = metrics.histogram("job.latency");
+    fn histograms_record_values_and_durations() {
+        let h = Histogram::detached();
         h.record(0);
         h.record(3);
         h.record(1000);
-        metrics.histogram("job.latency").record_duration(Duration::from_nanos(5));
-        let snap = metrics.drain_snapshot();
-        let hs = snap.histogram("job.latency");
+        h.clone().record_duration(Duration::from_nanos(5));
+        let hs = h.snapshot();
         assert_eq!(hs.count, 4);
         assert_eq!(hs.sum, 1008);
         assert!(hs.p99() >= 512, "1000ns value lands in the [512,1024) bucket");
-        // Drained: next snapshot is empty.
-        assert_eq!(metrics.drain_snapshot().histogram("job.latency").count, 0);
-        // Missing histogram is the empty default.
-        assert_eq!(snap.histogram("nope"), HistogramSnapshot::default());
     }
 
     #[test]
     fn histograms_aggregate_across_threads() {
-        let metrics = Metrics::new();
-        let h = metrics.histogram("shared");
+        let h = Histogram::detached();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let handle = h.clone();
@@ -671,14 +587,7 @@ mod tests {
                 });
             }
         });
-        let snap = metrics.drain_snapshot();
-        assert_eq!(snap.histogram("shared").count, 400);
-        // Ambient free function resolves like counters do.
-        let _guard = metrics.install();
-        histogram("ambient").record(7);
-        assert_eq!(metrics.drain_snapshot().histogram("ambient").count, 1);
-        // Detached histogram drops recordings silently.
-        Histogram::detached().record(1);
+        assert_eq!(h.snapshot().count, 400);
     }
 
     #[test]

@@ -1,23 +1,16 @@
-//! Peak-RSS self-sampling for the bench harness.
+//! Peak RSS for the bench harness, from the kernel's own high-water mark.
 //!
-//! Linux exposes a process's resident set in `/proc/self/status` (`VmRSS`,
-//! with the kernel-maintained lifetime high-water mark in `VmHWM`). The
-//! kernel's `VmHWM` is useless for *per-scenario* peaks — it never goes
-//! back down — so [`RssSampler`] runs its own sampler thread that polls
-//! `VmRSS` at a fixed interval and keeps the maximum seen inside the
-//! sampled window. On platforms without procfs every probe returns `None`
-//! and the sampler degrades to a no-op that reports a zero peak; callers
-//! surface that as `peak_rss_bytes: 0` rather than failing.
+//! Linux reports a process's peak resident set in `/proc/self/status`
+//! (`VmHWM`) and resets it to the current resident set when `5` is written
+//! to `/proc/self/clear_refs`. A measurement window is therefore one reset
+//! at its start ([`reset_peak_rss`]) and one read at its end
+//! ([`lifetime_peak_rss_bytes`]). The kernel raises the mark before it
+//! lowers the resident set, so memory allocated and freed inside the
+//! window — on any thread, between any two reads — still counts.
 //!
-//! The peak is an atomic high-water mark (`fetch_max`), so concurrent
-//! readers calling [`RssSampler::peak_bytes`] observe a monotone
-//! non-decreasing sequence even while the sampler thread is still
-//! running.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
+//! On platforms without procfs the reset fails and the read returns
+//! `None`; callers surface that as `peak_rss_bytes: 0` rather than
+//! failing.
 
 /// Reads one field of `/proc/self/status` given its `Vm*:` label, in
 /// bytes. The file reports kB.
@@ -33,21 +26,8 @@ fn proc_status_bytes(label: &str) -> Option<u64> {
     None
 }
 
-/// Current resident set size in bytes, if the platform exposes it.
-pub fn current_rss_bytes() -> Option<u64> {
-    #[cfg(target_os = "linux")]
-    {
-        proc_status_bytes("VmRSS")
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        None
-    }
-}
-
-/// Process-lifetime peak RSS in bytes (`VmHWM`), if the platform exposes
-/// it. Prefer an [`RssSampler`] window when attributing memory to one
-/// measured region.
+/// Peak RSS in bytes (`VmHWM`) since process start or the last
+/// [`reset_peak_rss`], if the platform exposes it.
 pub fn lifetime_peak_rss_bytes() -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
@@ -59,93 +39,22 @@ pub fn lifetime_peak_rss_bytes() -> Option<u64> {
     }
 }
 
-/// Final report of one sampling window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RssSample {
-    /// Highest `VmRSS` observed in the window (0 when the platform has no
-    /// probe).
-    pub peak_bytes: u64,
-    /// How many probes the window took (at least 1 on platforms with a
-    /// probe: start and stop both sample synchronously).
-    pub samples: u64,
-}
-
-/// Background sampler tracking the peak RSS over one measurement window.
+/// Resets the kernel's peak-RSS mark to the current resident set (writes
+/// `5` to `/proc/self/clear_refs`) and returns whether that succeeded.
 ///
-/// `start` probes once synchronously (so even a window shorter than the
-/// interval reports a real peak), then spawns a thread probing every
-/// `interval` until [`RssSampler::stop`] joins it with a final probe.
-pub struct RssSampler {
-    stop: Arc<AtomicBool>,
-    peak: Arc<AtomicU64>,
-    samples: Arc<AtomicU64>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl RssSampler {
-    pub fn start(interval: Duration) -> RssSampler {
-        let stop = Arc::new(AtomicBool::new(false));
-        let peak = Arc::new(AtomicU64::new(0));
-        let samples = Arc::new(AtomicU64::new(0));
-        probe(&peak, &samples);
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let peak = Arc::clone(&peak);
-            let samples = Arc::clone(&samples);
-            thread::Builder::new()
-                .name("muds-rss-sampler".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        // park_timeout may wake spuriously or early via
-                        // unpark; the loop re-checks the flag either way.
-                        thread::park_timeout(interval);
-                        probe(&peak, &samples);
-                    }
-                })
-                .ok()
-        };
-        RssSampler { stop, peak, samples, handle }
+/// The mark is process-wide: a reset moves the peak every thread and
+/// every other reader of [`lifetime_peak_rss_bytes`] sees. Only the bench
+/// harness, which owns its process's measurement windows, calls this;
+/// profiling, serving and library code never do, so a process that reads
+/// the mark once for its whole run gets its true lifetime peak.
+pub fn reset_peak_rss() -> bool {
+    #[cfg(target_os = "linux")]
+    {
+        std::fs::write("/proc/self/clear_refs", "5").is_ok()
     }
-
-    /// Highest RSS observed so far in this window. Monotone non-decreasing
-    /// across calls; 0 on platforms without a probe.
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak.load(Ordering::Acquire)
-    }
-
-    /// Stops the sampler thread, takes one final probe, and returns the
-    /// window's report.
-    pub fn stop(mut self) -> RssSample {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            // lint:allow(swallowed-result): the sampler loop has no panic
-            // paths of its own; a poisoned join must not lose the report.
-            let _ = handle.join();
-        }
-        probe(&self.peak, &self.samples);
-        RssSample {
-            peak_bytes: self.peak.load(Ordering::Acquire),
-            samples: self.samples.load(Ordering::Acquire),
-        }
-    }
-}
-
-impl Drop for RssSampler {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            // lint:allow(swallowed-result): panicking in Drop would abort.
-            let _ = handle.join();
-        }
-    }
-}
-
-fn probe(peak: &AtomicU64, samples: &AtomicU64) {
-    if let Some(rss) = current_rss_bytes() {
-        peak.fetch_max(rss, Ordering::AcqRel);
-        samples.fetch_add(1, Ordering::Relaxed);
+    #[cfg(not(target_os = "linux"))]
+    {
+        false
     }
 }
 
@@ -153,62 +62,33 @@ fn probe(peak: &AtomicU64, samples: &AtomicU64) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sampler_reports_a_window_peak() {
-        let sampler = RssSampler::start(Duration::from_millis(1));
-        // Touch enough pages that the RSS probe has something to see.
-        let ballast: Vec<u8> = (0..8 * 1024 * 1024).map(|i| (i % 251) as u8).collect();
-        let mid = sampler.peak_bytes();
-        let report = sampler.stop();
-        assert!(ballast.iter().map(|&b| b as u64).sum::<u64>() > 0);
-        if cfg!(target_os = "linux") {
-            assert!(report.samples >= 2, "start + stop probes at minimum");
-            assert!(report.peak_bytes > 0);
-            assert!(report.peak_bytes >= mid, "stop never lowers the peak");
-            assert!(
-                report.peak_bytes >= current_rss_bytes().unwrap_or(0) / 4,
-                "window peak is in the ballpark of the live RSS"
-            );
-        } else {
-            assert_eq!(report.peak_bytes, 0, "no-op fallback reports zero");
-        }
+    const BLOCK: usize = 64 << 20;
+
+    /// Allocates, touches and frees `BLOCK` bytes on a joined thread, so
+    /// the block is gone again before the caller reads the mark.
+    fn touch_block_on_a_thread() {
+        std::thread::spawn(|| {
+            let block = vec![1u8; BLOCK];
+            std::hint::black_box(&block);
+        })
+        .join()
+        .expect("ballast thread");
     }
 
     #[test]
-    fn peaks_are_monotone_under_concurrent_load() {
-        let sampler = RssSampler::start(Duration::from_millis(1));
-        let observed = std::thread::scope(|s| {
-            // Writer threads grow and drop allocations while a reader
-            // polls the peak; the high-water mark must never move down.
-            for t in 0..2 {
-                s.spawn(move || {
-                    for round in 1..=8usize {
-                        let block = vec![(t + round) as u8; round * 512 * 1024];
-                        std::hint::black_box(&block);
-                    }
-                });
-            }
-            let reader = s.spawn(|| {
-                let mut seen = Vec::with_capacity(64);
-                for _ in 0..50 {
-                    seen.push(sampler.peak_bytes());
-                    thread::yield_now();
-                }
-                seen
-            });
-            reader.join().expect("reader thread")
-        });
-        assert!(observed.windows(2).all(|w| w[0] <= w[1]), "peaks regressed: {observed:?}");
-        let report = sampler.stop();
-        assert!(report.peak_bytes >= *observed.last().unwrap());
-    }
-
-    #[test]
-    fn lifetime_peak_is_at_least_the_current_rss() {
-        match (current_rss_bytes(), lifetime_peak_rss_bytes()) {
-            (Some(now), Some(hwm)) => assert!(hwm >= now / 2, "hwm={hwm} now={now}"),
-            (None, None) => {} // portable fallback
-            other => panic!("probes disagree about platform support: {other:?}"),
+    fn a_window_peak_covers_a_block_freed_inside_it() {
+        if !cfg!(target_os = "linux") {
+            assert!(!reset_peak_rss());
+            assert_eq!(lifetime_peak_rss_bytes(), None);
+            return;
         }
+        // Raise the mark first, so a reset that did nothing would leave the
+        // window's starting mark a full block high.
+        touch_block_on_a_thread();
+        assert!(reset_peak_rss(), "clear_refs is writable by the process itself");
+        let start = lifetime_peak_rss_bytes().expect("VmHWM");
+        touch_block_on_a_thread();
+        let peak = lifetime_peak_rss_bytes().expect("VmHWM");
+        assert!(peak >= start + BLOCK as u64 / 2, "start={start} peak={peak}");
     }
 }

@@ -46,7 +46,7 @@ impl SpanNode {
     }
 }
 
-/// Drained copy of one [`crate::Histogram`]: total count and sum plus the
+/// Copy of one [`crate::Histogram`]: total count and sum plus the
 /// power-of-two bucket populations (bucket 0 = zero values, bucket `i` =
 /// `[2^(i-1), 2^i)`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -83,39 +83,16 @@ impl HistogramSnapshot {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-
-    /// Arithmetic mean of all recorded values (0 for an empty histogram).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    fn write_json(&self, out: &mut String) {
-        out.push('{');
-        write_key(out, "count");
-        out.push_str(&self.count.to_string());
-        out.push(',');
-        write_key(out, "sum");
-        out.push_str(&self.sum.to_string());
-        out.push(',');
-        write_key(out, "p50");
-        out.push_str(&self.p50().to_string());
-        out.push(',');
-        write_key(out, "p99");
-        out.push_str(&self.p99().to_string());
-        out.push('}');
-    }
 }
 
-/// Point-in-time copy of every counter, gauge, histogram, and finished
-/// span.
+/// Point-in-time copy of every counter, gauge, and finished span.
 ///
-/// Counter/gauge/histogram maps are `BTreeMap`s so iteration (and
-/// therefore JSON output) is deterministic.
+/// Counter/gauge maps are `BTreeMap`s so iteration (and therefore JSON
+/// output) is deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, i64>,
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
     pub spans: Vec<SpanNode>,
 }
 
@@ -130,17 +107,6 @@ impl MetricsSnapshot {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
-    /// Snapshot of a histogram, empty when never recorded to.
-    pub fn histogram(&self, name: &str) -> HistogramSnapshot {
-        self.histograms.get(name).cloned().unwrap_or_default()
-    }
-
-    /// Flattens the span tree into `(path, total_ns)` rows. See
-    /// [`flatten_phases`].
-    pub fn flatten_phases(&self) -> Vec<(String, u64)> {
-        flatten_phases(&self.spans)
-    }
-
     /// Compact single-line JSON object:
     /// `{"counters":{...},"gauges":{...},"spans":[...]}`.
     pub fn to_json(&self) -> String {
@@ -151,17 +117,6 @@ impl MetricsSnapshot {
         out.push(',');
         write_key(&mut out, "gauges");
         write_i64_map(&mut out, self.gauges.iter());
-        out.push(',');
-        write_key(&mut out, "histograms");
-        out.push('{');
-        for (i, (name, histogram)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_key(&mut out, name);
-            histogram.write_json(&mut out);
-        }
-        out.push('}');
         out.push(',');
         write_key(&mut out, "spans");
         out.push('[');
@@ -197,19 +152,6 @@ impl MetricsSnapshot {
             let width = self.gauges.keys().map(|k| k.len()).max().unwrap_or(0);
             for (name, value) in &self.gauges {
                 out.push_str(&format!("  {name:<width$}  {value}\n"));
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            let width = self.histograms.keys().map(|k| k.len()).max().unwrap_or(0);
-            for (name, h) in &self.histograms {
-                out.push_str(&format!(
-                    "  {name:<width$}  count={} mean={}ns p50={}ns p99={}ns\n",
-                    h.count,
-                    h.mean(),
-                    h.p50(),
-                    h.p99()
-                ));
             }
         }
         out
@@ -274,34 +216,15 @@ mod tests {
             json,
             "{\"counters\":{\"pli.hits\":7,\"pli.misses\":3},\
              \"gauges\":{\"walk.depth\":-2},\
-             \"histograms\":{},\
              \"spans\":[{\"name\":\"MUDS\",\"duration_ns\":100,\"children\":\
              [{\"name\":\"SPIDER\",\"duration_ns\":40,\"children\":[]}]}]}"
         );
     }
 
     #[test]
-    fn histogram_json_reports_quantiles() {
-        let mut snap = sample();
-        let mut h = HistogramSnapshot { count: 0, sum: 0, buckets: vec![0; 64] };
-        // 99 values of ~1000ns (bucket 10: [512, 1024)), 1 of ~1e6ns.
-        h.buckets[10] = 99;
-        h.buckets[20] = 1;
-        h.count = 100;
-        h.sum = 99 * 1000 + 1_000_000;
-        snap.histograms.insert("lat".into(), h);
-        let json = snap.to_json();
-        assert!(json.contains("\"lat\":{\"count\":100,\"sum\":1099000,\"p50\":1023,\"p99\":1023}"));
-        let pretty = snap.render_pretty();
-        assert!(pretty.contains("histograms:"), "{pretty}");
-        assert!(pretty.contains("count=100"), "{pretty}");
-    }
-
-    #[test]
     fn histogram_quantiles_resolve_bucket_edges() {
         let empty = HistogramSnapshot::default();
         assert_eq!(empty.p50(), 0);
-        assert_eq!(empty.mean(), 0);
         let mut h = HistogramSnapshot { count: 10, sum: 10, buckets: vec![0; 64] };
         h.buckets[0] = 5; // five zeros
         h.buckets[1] = 5; // five ones
@@ -309,7 +232,6 @@ mod tests {
         assert_eq!(h.p50(), 0, "5th of 10 values is still a zero");
         assert_eq!(h.quantile(0.6), 1);
         assert_eq!(h.p99(), 1);
-        assert_eq!(h.mean(), 1);
     }
 
     #[test]
@@ -319,7 +241,6 @@ mod tests {
             assert_eq!(empty.quantile(q), 0, "q={q}");
         }
         assert_eq!(empty.p99(), 0);
-        assert_eq!(empty.mean(), 0);
     }
 
     #[test]
@@ -330,7 +251,6 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(snap.quantile(q), 7, "q={q}");
         }
-        assert_eq!(snap.mean(), 7);
         // Out-of-range q clamps rather than panicking or escaping.
         assert_eq!(snap.quantile(-1.0), 7);
         assert_eq!(snap.quantile(2.0), 7);
@@ -354,7 +274,6 @@ mod tests {
         assert_eq!(snap.quantile(0.51), 127, "ceil(1.02) = rank 2");
         assert_eq!(snap.p99(), 127, "p99 of two samples is the upper one (rank ceil(1.98) = 2)");
         assert_eq!(snap.quantile(1.0), 127);
-        assert_eq!(snap.mean(), 50);
 
         // Two equal samples: every quantile lands in the shared bucket.
         let h = crate::Histogram::detached();
@@ -408,7 +327,7 @@ mod tests {
         });
         snap.spans.push(SpanNode::leaf("report", Duration::from_nanos(9)));
         assert_eq!(
-            snap.flatten_phases(),
+            flatten_phases(&snap.spans),
             vec![
                 ("MUDS".to_string(), 100),
                 ("MUDS/walk".to_string(), 42), // 30 + 12, repeats merged

@@ -14,12 +14,24 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 use muds_core::json::parse_json;
 use muds_core::{profile_from_json, Algorithm, ProfilePayload};
 use muds_serve::{ServeConfig, Server, ServerState};
+
+/// The tests in this binary share one process, and
+/// `a_thousand_idle_keep_alive_connections_cost_no_threads` counts its OS
+/// threads. Every test holds this lock for its whole body, so no other
+/// test's client threads are alive during that count.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a test that panicked while holding it must not fail
+/// the others.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn start_server(
     config: ServeConfig,
@@ -111,6 +123,7 @@ fn profile_request(dataset: &str, algorithm: Algorithm) -> String {
 
 #[test]
 fn sixty_four_concurrent_profiles_over_three_datasets() {
+    let _serial = serial();
     let (addr, state, handle) = start_server(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 4,
@@ -251,6 +264,7 @@ fn os_thread_count() -> usize {
 /// that does not grow with the connection count.
 #[test]
 fn a_thousand_idle_keep_alive_connections_cost_no_threads() {
+    let _serial = serial();
     const CONNS: usize = 1000;
     let (addr, state, handle) = start_server(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -337,6 +351,7 @@ fn a_thousand_idle_keep_alive_connections_cost_no_threads() {
 
 #[test]
 fn k_concurrent_identical_requests_run_one_profile() {
+    let _serial = serial();
     let (addr, state, handle) = start_server(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
