@@ -293,7 +293,7 @@ impl<'a> PliCache<'a> {
     /// caching intermediates, stopping as soon as the partition strips
     /// empty (an empty stripped partition refines every column and stays
     /// empty under further intersection).
-    fn stream_intersect(&mut self, set: &ColumnSet) -> Pli {
+    fn stream_intersect(&mut self, set: &ColumnSet) -> Arc<Pli> {
         // A single-class partition covering every row (a constant column)
         // is an identity operand of `intersect`; dropping such columns up
         // front turns checks over mostly-constant wide sets from chains of
@@ -305,22 +305,18 @@ impl<'a> PliCache<'a> {
                 !(p.cluster_count() == 1 && p.size() == p.num_rows())
             })
             .collect();
-        if cols.is_empty() {
-            // Every column is constant: the intersection is any one of them.
-            // lint:allow(panic): callers pass non-empty sets (the empty
-            // set is served from the dedicated empty PLI earlier).
-            return (*self.singles[set.iter().next().expect("non-empty set")]).clone();
-        }
         cols.sort_by_key(|&c| self.singles[c].size());
-        // lint:allow(panic): cols.is_empty() returned two lines above, so
-        // index 0 exists.
-        let mut acc = (*self.singles[cols[0]]).clone();
-        for &c in &cols[1..] {
+        // With every column constant, the intersection is any one of them.
+        let Some(head) = cols.first().copied().or_else(|| set.iter().next()) else {
+            return Arc::clone(&self.empty);
+        };
+        let mut acc = Arc::clone(&self.singles[head]);
+        for &c in cols.iter().skip(1) {
             if acc.is_unique() {
                 break;
             }
             self.meters.intersects.inc();
-            acc = acc.intersect(&self.singles[c]);
+            acc = Arc::new(acc.intersect(&self.singles[c]));
         }
         acc
     }
@@ -342,7 +338,7 @@ impl<'a> PliCache<'a> {
         }
         self.meters.requests.inc();
         self.meters.misses.inc();
-        Arc::new(self.stream_intersect(set))
+        self.stream_intersect(set)
     }
 
     /// Number of distinct values of the projection on `set` (Lemma 1's

@@ -14,6 +14,9 @@
 //! profiling algorithms — which is why the holistic algorithms of the paper
 //! share them across tasks via `PliCache`.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+
 use muds_table::Column;
 
 /// Row identifier within a table.
@@ -22,18 +25,23 @@ pub type RowId = u32;
 /// A stripped partition: clusters of row ids with equal values, singletons
 /// removed.
 ///
+/// Stored flat (CSR): cluster `i` is `rows[offsets[i]..offsets[i + 1]]`,
+/// so a PLI is two allocations however many clusters it has.
+///
 /// Clusters are kept in *canonical order*: row ids ascending within each
 /// cluster, clusters ordered by their first (= smallest) row id. Since
 /// clusters are disjoint, this order is unique, so two PLIs describing the
 /// same partition compare equal under `PartialEq` no matter how they were
-/// built — construction path, operand order of [`Pli::intersect`], hash-map
-/// iteration history, or thread count.
+/// built — construction path, operand order of [`Pli::intersect`], or
+/// thread count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pli {
-    clusters: Vec<Vec<RowId>>,
+    /// Cluster boundaries into `rows`: starts at 0, one entry per cluster
+    /// plus the final end (`rows.len()`).
+    offsets: Vec<u32>,
+    /// The clustered row ids, cluster after cluster.
+    rows: Vec<RowId>,
     num_rows: usize,
-    /// Sum of cluster sizes (cached).
-    size: usize,
 }
 
 impl Pli {
@@ -45,17 +53,31 @@ impl Pli {
     /// Builds a PLI by bucketing `codes`; `code_domain` bounds the code
     /// values (codes must be `< code_domain`).
     pub fn from_codes(codes: &[u32], code_domain: usize) -> Pli {
-        let mut buckets: Vec<Vec<RowId>> = vec![Vec::new(); code_domain];
-        for (row, &code) in codes.iter().enumerate() {
-            buckets[code as usize].push(row as RowId);
+        let mut count = vec![0u32; code_domain];
+        for &code in codes {
+            count[code as usize] += 1;
         }
-        // Buckets fill in row order (rows ascending within each cluster),
-        // but bucket order is code order; sort by first row to canonicalize.
-        let mut clusters: Vec<Vec<RowId>> = buckets.into_iter().filter(|b| b.len() >= 2).collect();
-        // lint:allow(panic): clusters were just filtered to len() >= 2.
-        clusters.sort_unstable_by_key(|c| c[0]);
-        let size = clusters.iter().map(|c| c.len()).sum();
-        Pli { clusters, num_rows: codes.len(), size }
+        // Number the clusters in the order the scan meets their first row:
+        // that is canonical order, and rows land ascending in each cluster.
+        let mut next = vec![UNSEEN; code_domain];
+        let mut offsets = vec![0u32];
+        let mut end = 0u32;
+        let total: u32 = count.iter().filter(|&&c| c >= 2).sum();
+        let mut rows = vec![0 as RowId; total as usize];
+        for (row, &code) in codes.iter().enumerate() {
+            let c = code as usize;
+            if count[c] < 2 {
+                continue;
+            }
+            if next[c] == UNSEEN {
+                next[c] = end;
+                end += count[c];
+                offsets.push(end);
+            }
+            rows[next[c] as usize] = row as RowId;
+            next[c] += 1;
+        }
+        Pli { offsets, rows, num_rows: codes.len() }
     }
 
     /// The PLI of the empty column combination: every row agrees with every
@@ -63,32 +85,42 @@ impl Pli {
     /// fewer than two rows). Needed for `∅ → A` checks on constant columns.
     pub fn empty_set(num_rows: usize) -> Pli {
         if num_rows < 2 {
-            return Pli { clusters: Vec::new(), num_rows, size: 0 };
+            return Pli { offsets: vec![0], rows: Vec::new(), num_rows };
         }
-        let all: Vec<RowId> = (0..num_rows as RowId).collect();
-        Pli { clusters: vec![all], num_rows, size: num_rows }
+        Pli { offsets: vec![0, num_rows as u32], rows: (0..num_rows as RowId).collect(), num_rows }
     }
 
-    /// Constructs a PLI from explicit clusters (test/support use). Clusters
-    /// of size < 2 are stripped, and the input is normalized to canonical
-    /// order; rows must be unique and `< num_rows`.
-    pub fn from_clusters(clusters: Vec<Vec<RowId>>, num_rows: usize) -> Pli {
+    /// Constructs a PLI from explicit clusters. Clusters of size < 2 are
+    /// stripped, and the input is normalized to canonical order; rows must
+    /// be unique and `< num_rows`.
+    #[cfg(test)]
+    fn from_clusters(clusters: Vec<Vec<RowId>>, num_rows: usize) -> Pli {
         let mut clusters: Vec<Vec<RowId>> = clusters.into_iter().filter(|c| c.len() >= 2).collect();
         debug_assert!(clusters.iter().flatten().all(|&r| (r as usize) < num_rows));
         for cluster in &mut clusters {
             cluster.sort_unstable();
         }
-        // lint:allow(panic): from_clusters rejects clusters shorter than 2
-        // entries via the debug_assert contract above; stripped clusters
-        // are never empty.
-        clusters.sort_unstable_by_key(|c| c[0]);
-        let size = clusters.iter().map(|c| c.len()).sum();
-        Pli { clusters, num_rows, size }
+        clusters.sort_unstable_by_key(|c| c.first().copied());
+        let mut offsets = vec![0u32];
+        let mut rows = Vec::new();
+        for cluster in clusters {
+            rows.extend(cluster);
+            offsets.push(rows.len() as u32);
+        }
+        Pli { offsets, rows, num_rows }
     }
 
-    /// The stripped clusters.
-    pub fn clusters(&self) -> &[Vec<RowId>] {
-        &self.clusters
+    /// The stripped clusters, in canonical order.
+    pub fn clusters(&self) -> impl ExactSizeIterator<Item = &[RowId]> {
+        self.bounds().map(|(start, end)| &self.rows[start..end])
+    }
+
+    /// `(start, end)` of every cluster within `rows`.
+    fn bounds(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+        self.offsets
+            .iter()
+            .zip(self.offsets.iter().skip(1))
+            .map(|(&s, &e)| (s as usize, e as usize))
     }
 
     /// Number of rows of the underlying table.
@@ -98,31 +130,31 @@ impl Pli {
 
     /// Number of clusters.
     pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
+        self.offsets.len() - 1
     }
 
     /// Sum of cluster sizes (rows appearing in some duplicate group).
     pub fn size(&self) -> usize {
-        self.size
+        self.rows.len()
     }
 
     /// True iff the column combination has no duplicate projections — i.e.
     /// it is a unique column combination.
     pub fn is_unique(&self) -> bool {
-        self.clusters.is_empty()
+        self.rows.is_empty()
     }
 
     /// Number of distinct values of the projection:
     /// `num_rows - size + cluster_count`.
     pub fn distinct_count(&self) -> usize {
-        self.num_rows - self.size + self.clusters.len()
+        self.num_rows - self.size() + self.cluster_count()
     }
 
     /// The probe vector: `probe[row] = cluster index + 1`, or 0 for rows not
-    /// in any cluster. Used for intersection and refinement checks.
-    pub fn probe_vector(&self) -> Vec<u32> {
+    /// in any cluster.
+    fn probe_vector(&self) -> Vec<u32> {
         let mut probe = vec![0u32; self.num_rows];
-        for (i, cluster) in self.clusters.iter().enumerate() {
+        for (i, cluster) in self.clusters().enumerate() {
             for &row in cluster {
                 probe[row as usize] = (i + 1) as u32;
             }
@@ -131,44 +163,15 @@ impl Pli {
     }
 
     /// Intersects two stripped partitions: the PLI of the union of the two
-    /// column combinations. Linear in `self.size() + other.size()`.
+    /// column combinations. Linear in `self.size() + other.size()`. The
+    /// working memory is a per-thread scratch kept between calls, so the
+    /// only allocations are the result's two vectors.
     pub fn intersect(&self, other: &Pli) -> Pli {
         assert_eq!(self.num_rows, other.num_rows, "PLIs over different tables");
         // Iterate the smaller partition and probe the larger.
-        let (small, large) = if self.size <= other.size { (self, other) } else { (other, self) };
-        let probe = large.probe_vector();
-        let mut clusters: Vec<Vec<RowId>> = Vec::new();
-        let mut groups: std::collections::HashMap<u32, Vec<RowId>> =
-            std::collections::HashMap::new();
-        for cluster in &small.clusters {
-            groups.clear();
-            for &row in cluster {
-                let p = probe[row as usize];
-                if p != 0 {
-                    groups.entry(p).or_default().push(row);
-                }
-            }
-            // lint:allow(hash-order): drain order only permutes the
-            // intermediate clusters vec, which is canonicalized by the
-            // sort-by-first-row below before the Pli is built; covered by
-            // the tests/determinism.rs matrix.
-            for (_, rows) in groups.drain() {
-                if rows.len() >= 2 {
-                    clusters.push(rows);
-                }
-            }
-        }
-        // `groups.drain()` yields in arbitrary (hash) order; restore the
-        // canonical order. Rows within each group were pushed in small-
-        // cluster order, which is ascending by the canonical-order
-        // invariant, so sorting by first row id fully canonicalizes —
-        // making the result independent of operand order (which operand
-        // played "small") and of hash-map history.
-        // lint:allow(panic): intersection emits only clusters with >= 2
-        // rows, so every cluster has a first element.
-        clusters.sort_unstable_by_key(|c| c[0]);
-        let size = clusters.iter().map(|c| c.len()).sum();
-        Pli { clusters, num_rows: self.num_rows, size }
+        let (small, large) =
+            if self.size() <= other.size() { (self, other) } else { (other, self) };
+        SCRATCH.with(|scratch| scratch.borrow_mut().intersect(small, large))
     }
 
     /// Incrementally extends this PLI across an append: `self` is the PLI
@@ -178,68 +181,71 @@ impl Pli {
     /// but the prefix rows' partition must be unchanged, which is exactly
     /// what `Table::apply_delta` guarantees for an append.
     ///
-    /// Cost: O(appended + clusters), plus one O(rows) scan for singleton
-    /// partners only when an appended value collides with a previously
-    /// unique row — cheaper than re-bucketing the column whenever appends
-    /// are small relative to the table.
+    /// Cost: O(size + appended), since every old cluster is copied into the
+    /// result, plus one O(rows) scan for singleton partners only when an
+    /// appended value collides with a previously unique row — cheaper than
+    /// re-bucketing the column whenever appends are small relative to the
+    /// table.
     pub fn apply_append(&self, codes: &[u32]) -> Pli {
         let old_n = self.num_rows;
         debug_assert!(codes.len() >= old_n, "append cannot shrink the table");
-        let mut clusters = self.clusters.clone();
-        // lint:allow(hash-order): cluster/pending maps only route appended
-        // rows to their cluster; the result is canonicalized by the
-        // sort-by-first-row below.
-        // lint:allow(panic): stripped clusters always hold at least two rows.
-        let mut by_code: std::collections::HashMap<u32, usize> =
-            clusters.iter().enumerate().map(|(i, c)| (codes[c[0] as usize], i)).collect();
-        let mut pending: std::collections::HashMap<u32, Vec<RowId>> =
-            std::collections::HashMap::new();
+        let by_code: HashMap<u32, usize> = self
+            .bounds()
+            .enumerate()
+            .map(|(i, (start, _))| (codes[self.rows[start] as usize], i))
+            .collect();
+        // Appended rows per old cluster, and per value no old cluster holds.
+        // Appended ids exceed all old ids and arrive ascending, so both stay
+        // in canonical ascending order.
+        let mut grown: Vec<Vec<RowId>> = vec![Vec::new(); self.cluster_count()];
+        let mut pending: HashMap<u32, Vec<RowId>> = HashMap::new();
         for (row, &code) in codes.iter().enumerate().skip(old_n) {
             match by_code.get(&code) {
-                // Appended ids exceed all old ids and arrive ascending, so
-                // pushing keeps clusters in canonical ascending order.
-                Some(&i) => clusters[i].push(row as RowId),
+                Some(&i) => grown[i].push(row as RowId),
                 None => pending.entry(code).or_default().push(row as RowId),
             }
         }
+        let mut fresh: Vec<Vec<RowId>> = Vec::new();
         if !pending.is_empty() {
             // Some appended value matched no existing cluster: it either
             // pairs up with a previously unique old row or forms a cluster
             // of appended rows only. One pass recovers the old singletons.
             let probe = self.probe_vector();
-            let mut partner: std::collections::HashMap<u32, RowId> =
-                std::collections::HashMap::new();
             for (row, &code) in codes.iter().enumerate().take(old_n) {
-                if probe[row] == 0 && pending.contains_key(&code) {
-                    partner.insert(code, row as RowId);
+                if probe[row] == 0 {
+                    if let Some(rows) = pending.get_mut(&code) {
+                        rows.insert(0, row as RowId);
+                    }
                 }
             }
-            // lint:allow(hash-order): drain order only picks provisional
-            // cluster indexes; the sort-by-first-row below canonicalizes.
-            for (code, mut rows) in pending.drain() {
-                if let Some(&first) = partner.get(&code) {
-                    rows.insert(0, first);
-                }
-                if rows.len() >= 2 {
-                    let i = clusters.len();
-                    clusters.push(rows);
-                    by_code.insert(code, i);
-                }
-            }
+            // lint:allow(hash-order): drain order only permutes `fresh`,
+            // whose clusters are put in canonical order by the
+            // sort-by-first-row below.
+            fresh.extend(pending.into_values().filter(|rows| rows.len() >= 2));
         }
-        // lint:allow(panic): every cluster holds at least two rows.
-        clusters.sort_unstable_by_key(|c| c[0]);
-        let size = clusters.iter().map(|c| c.len()).sum();
-        Pli { clusters, num_rows: codes.len(), size }
+        let mut parts: Vec<(&[RowId], &[RowId])> = self
+            .clusters()
+            .zip(&grown)
+            .map(|(old, new)| (old, new.as_slice()))
+            .chain(fresh.iter().map(|rows| (rows.as_slice(), &[][..])))
+            .collect();
+        parts.sort_unstable_by_key(|(head, _)| head.first().copied());
+        let mut offsets = Vec::with_capacity(parts.len() + 1);
+        offsets.push(0);
+        let mut rows = Vec::with_capacity(parts.iter().map(|(h, t)| h.len() + t.len()).sum());
+        for (head, tail) in parts {
+            rows.extend_from_slice(head);
+            rows.extend_from_slice(tail);
+            offsets.push(rows.len() as u32);
+        }
+        Pli { offsets, rows, num_rows: codes.len() }
     }
 
-    /// Approximate heap footprint of this PLI in bytes: row-id payload
-    /// plus per-cluster `Vec` headers. Used by `PliCache`'s byte budget —
-    /// an accounting estimate (allocator slack ignored), not an exact
-    /// measurement.
+    /// Approximate heap footprint of this PLI in bytes: row ids plus
+    /// cluster offsets. Used by `PliCache`'s byte budget — an accounting
+    /// estimate (allocator slack ignored), not an exact measurement.
     pub fn estimated_bytes(&self) -> usize {
-        self.size * std::mem::size_of::<RowId>()
-            + self.clusters.len() * std::mem::size_of::<Vec<RowId>>()
+        (self.rows.len() + self.offsets.len()) * std::mem::size_of::<u32>()
             + std::mem::size_of::<Pli>()
     }
 
@@ -251,14 +257,142 @@ impl Pli {
     /// on the first violating cluster.
     pub fn refines(&self, codes: &[u32]) -> bool {
         debug_assert_eq!(codes.len(), self.num_rows);
-        for cluster in &self.clusters {
-            // lint:allow(panic): PLI clusters always hold >= 2 rows.
-            let first = codes[cluster[0] as usize];
-            if cluster[1..].iter().any(|&r| codes[r as usize] != first) {
-                return false;
+        self.clusters().all(|cluster| match cluster.split_first() {
+            Some((&first, rest)) => {
+                let value = codes[first as usize];
+                rest.iter().all(|&r| codes[r as usize] == value)
+            }
+            None => true,
+        })
+    }
+}
+
+/// Marks a code whose cluster `from_codes` has not met yet.
+const UNSEEN: u32 = u32::MAX;
+
+thread_local! {
+    /// One intersect workspace per thread, reused across calls: rayon
+    /// workers and the daemon's scheduler workers each keep their own.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Working memory of [`Pli::intersect`]. It grows to the largest table and
+/// cluster count its thread has intersected and is never shrunk. `count`
+/// is all-zero between calls, so no call clears more than the entries it
+/// set, and `probe` is never cleared row by row (see `base`).
+#[derive(Default)]
+struct Scratch {
+    /// During a call, `probe[row]` minus the call's stamp (`base` as the
+    /// call began) is 1 + the row's cluster index in the larger operand;
+    /// an entry at or below the stamp means the row is in none of its
+    /// clusters.
+    probe: Vec<u32>,
+    /// The largest value any earlier call wrote into `probe`. Each call
+    /// stamps its clusters above it and then raises it past them, which
+    /// retires the whole probe without touching it; only on `u32`
+    /// wrap-around is the probe zeroed.
+    base: u32,
+    /// Per probe value: rows of the current small cluster that carry it.
+    count: Vec<u32>,
+    /// Per probe value: next write position in `rows` for the current
+    /// small cluster.
+    cursor: Vec<u32>,
+    /// Probe values met in the current small cluster, in first-row order.
+    touched: Vec<u32>,
+    /// The result as it is emitted, before it is copied out at exact size.
+    offsets: Vec<u32>,
+    rows: Vec<RowId>,
+    /// `(first row, start, end)` per emitted cluster, for the gather into
+    /// canonical order when the emitted order is not already canonical.
+    order: Vec<(RowId, u32, u32)>,
+}
+
+impl Scratch {
+    fn intersect(&mut self, small: &Pli, large: &Pli) -> Pli {
+        let Scratch { probe, base, count, cursor, touched, offsets, rows, order } = self;
+        if probe.len() < large.num_rows {
+            probe.resize(large.num_rows, 0);
+        }
+        let slots = large.cluster_count() + 1;
+        if count.len() < slots {
+            count.resize(slots, 0);
+            cursor.resize(slots, 0);
+        }
+        let stamp = match base.checked_add(slots as u32) {
+            Some(_) => *base,
+            None => {
+                probe.fill(0);
+                0
+            }
+        };
+        *base = stamp + large.cluster_count() as u32;
+        for (i, cluster) in large.clusters().enumerate() {
+            for &row in cluster {
+                probe[row as usize] = stamp + i as u32 + 1;
             }
         }
-        true
+        offsets.clear();
+        offsets.push(0);
+        rows.clear();
+        for cluster in small.clusters() {
+            // Pass 1: count the cluster's rows per large cluster. Rows not
+            // in one (p = 0) are never counted, so `count[0]` stays 0.
+            for &row in cluster {
+                let p = probe[row as usize].saturating_sub(stamp) as usize;
+                if p != 0 {
+                    if count[p] == 0 {
+                        touched.push(p as u32);
+                    }
+                    count[p] += 1;
+                }
+            }
+            // Lay out the groups of ≥2 rows in first-row order.
+            let mut end = rows.len() as u32;
+            for &p in touched.iter() {
+                let c = count[p as usize];
+                if c >= 2 {
+                    cursor[p as usize] = end;
+                    end += c;
+                    offsets.push(end);
+                }
+            }
+            // Pass 2: write the rows, ascending within each group.
+            if end as usize > rows.len() {
+                rows.resize(end as usize, 0);
+                for &row in cluster {
+                    let p = probe[row as usize].saturating_sub(stamp) as usize;
+                    if count[p] >= 2 {
+                        rows[cursor[p] as usize] = row;
+                        cursor[p] += 1;
+                    }
+                }
+            }
+            for &p in touched.iter() {
+                count[p as usize] = 0;
+            }
+            touched.clear();
+        }
+        // Groups of one small cluster come out in first-row order, but a
+        // later small cluster can hold a group starting below an earlier
+        // one's; only then is a reorder needed.
+        let firsts = offsets.iter().take(offsets.len() - 1).map(|&s| rows[s as usize]);
+        let ordered = firsts.clone().zip(firsts.skip(1)).all(|(a, b)| a < b);
+        if ordered {
+            return Pli { offsets: offsets.clone(), rows: rows.clone(), num_rows: large.num_rows };
+        }
+        order.clear();
+        order.extend(
+            offsets.iter().zip(offsets.iter().skip(1)).map(|(&s, &e)| (rows[s as usize], s, e)),
+        );
+        order.sort_unstable();
+        let mut out_offsets = Vec::with_capacity(offsets.len());
+        out_offsets.push(0);
+        let mut out_rows = Vec::with_capacity(rows.len());
+        for &(_, s, e) in order.iter() {
+            out_rows.extend_from_slice(&rows[s as usize..e as usize]);
+            out_offsets.push(out_rows.len() as u32);
+        }
+        Pli { offsets: out_offsets, rows: out_rows, num_rows: large.num_rows }
     }
 }
 
@@ -271,6 +405,10 @@ mod tests {
         Column::from_values("c", values)
     }
 
+    fn clusters(p: &Pli) -> Vec<Vec<RowId>> {
+        p.clusters().map(<[RowId]>::to_vec).collect()
+    }
+
     #[test]
     fn from_column_strips_singletons() {
         let p = Pli::from_column(&col(&["a", "b", "a", "c", "b"]));
@@ -280,7 +418,7 @@ mod tests {
         assert_eq!(p.distinct_count(), 3);
         assert!(!p.is_unique());
         // Canonical order: no re-sorting needed to compare.
-        assert_eq!(p.clusters(), &[vec![0, 2], vec![1, 4]]);
+        assert_eq!(clusters(&p), [vec![0, 2], vec![1, 4]]);
     }
 
     #[test]
@@ -295,7 +433,7 @@ mod tests {
     fn nulls_form_a_cluster() {
         let p = Pli::from_column(&col(&["", "", "x"]));
         assert_eq!(p.cluster_count(), 1);
-        assert_eq!(p.clusters()[0], vec![0, 1]);
+        assert_eq!(clusters(&p)[0], vec![0, 1]);
     }
 
     #[test]
@@ -318,7 +456,7 @@ mod tests {
         let y = Pli::from_column(&col(&["p", "q", "p", "p"]));
         let xy = x.intersect(&y);
         assert_eq!(xy.cluster_count(), 1);
-        assert_eq!(xy.clusters()[0], vec![2, 3]);
+        assert_eq!(clusters(&xy)[0], vec![2, 3]);
         assert_eq!(xy.distinct_count(), 3);
     }
 
@@ -337,16 +475,16 @@ mod tests {
         // Dictionary order differs from first-row order: "z" rows come
         // first positionally but sort last by code.
         let p = Pli::from_column(&col(&["z", "a", "z", "a"]));
-        assert_eq!(p.clusters(), &[vec![0, 2], vec![1, 3]]);
+        assert_eq!(clusters(&p), [vec![0, 2], vec![1, 3]]);
         // Intersections preserve the canonical order too.
         let q = Pli::from_column(&col(&["k", "k", "k", "k"]));
-        assert_eq!(p.intersect(&q).clusters(), &[vec![0, 2], vec![1, 3]]);
+        assert_eq!(clusters(&p.intersect(&q)), [vec![0, 2], vec![1, 3]]);
     }
 
     #[test]
     fn intersect_is_deterministic_across_repetitions() {
-        // Many clusters per operand so a hash-order regression would have
-        // plenty of chances to show: every repetition must match exactly.
+        // Many clusters per operand, intersected again and again through
+        // this thread's reused scratch: every repetition must match exactly.
         let xs: Vec<String> = (0..200).map(|i| format!("x{}", i % 20)).collect();
         let ys: Vec<String> = (0..200).map(|i| format!("y{}", i % 31)).collect();
         let x = Pli::from_column(&Column::from_values(
@@ -367,7 +505,7 @@ mod tests {
     #[test]
     fn from_clusters_normalizes_to_canonical_order() {
         let p = Pli::from_clusters(vec![vec![5, 3], vec![2, 0, 4]], 6);
-        assert_eq!(p.clusters(), &[vec![0, 2, 4], vec![3, 5]]);
+        assert_eq!(clusters(&p), [vec![0, 2, 4], vec![3, 5]]);
     }
 
     #[test]
@@ -444,7 +582,7 @@ mod tests {
         let new = col(&["a", "b", "a", "a", "c"]);
         let p = Pli::from_column(&old).apply_append(new.codes());
         assert_eq!(p, Pli::from_column(&new));
-        assert_eq!(p.clusters(), &[vec![0, 2, 3]]);
+        assert_eq!(clusters(&p), [vec![0, 2, 3]]);
     }
 
     #[test]
@@ -453,7 +591,7 @@ mod tests {
         let new = col(&["a", "b", "c", "b"]);
         let p = Pli::from_column(&old).apply_append(new.codes());
         assert_eq!(p, Pli::from_column(&new));
-        assert_eq!(p.clusters(), &[vec![1, 3]]);
+        assert_eq!(clusters(&p), [vec![1, 3]]);
     }
 
     #[test]
@@ -462,7 +600,7 @@ mod tests {
         let new = col(&["a", "z", "z"]);
         let p = Pli::from_column(&old).apply_append(new.codes());
         assert_eq!(p, Pli::from_column(&new));
-        assert_eq!(p.clusters(), &[vec![1, 2]]);
+        assert_eq!(clusters(&p), [vec![1, 2]]);
     }
 
     #[test]
@@ -500,5 +638,122 @@ mod tests {
     fn from_clusters_strips_small() {
         let p = Pli::from_clusters(vec![vec![0, 1], vec![2], vec![]], 3);
         assert_eq!(p.cluster_count(), 1);
+    }
+
+    /// Asserts the CSR invariants: offsets start at 0, ascend strictly in
+    /// steps of ≥2 and end at `rows.len()`; rows ascend within a cluster
+    /// and stay below `num_rows`; clusters are ordered by first row.
+    fn assert_canonical(p: &Pli) {
+        assert_eq!(p.offsets.first(), Some(&0));
+        assert_eq!(p.offsets.last().map(|&e| e as usize), Some(p.rows.len()));
+        let mut previous_first = None;
+        for cluster in p.clusters() {
+            assert!(cluster.len() >= 2, "stripped cluster of {} rows", cluster.len());
+            assert!(cluster.windows(2).all(|w| w[0] < w[1]), "rows not ascending: {cluster:?}");
+            assert!(cluster.iter().all(|&r| (r as usize) < p.num_rows));
+            let first = cluster.first().copied();
+            assert!(previous_first < first, "clusters not ordered by first row");
+            previous_first = first;
+        }
+    }
+
+    /// The PLI of the column pair `(a, b)`, built directly from codes.
+    fn paired(a: &[u32], a_domain: u32, b: &[u32], b_domain: u32) -> Pli {
+        let codes: Vec<u32> = a.iter().zip(b).map(|(&x, &y)| x * b_domain + y).collect();
+        Pli::from_codes(&codes, (a_domain * b_domain) as usize)
+    }
+
+    fn random_codes(rng: &mut rand::rngs::StdRng, rows: usize, domain: u32) -> Vec<u32> {
+        use rand::Rng;
+        (0..rows).map(|_| rng.gen_range(0..domain)).collect()
+    }
+
+    #[test]
+    fn intersect_matches_paired_codes_on_random_tables() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(23);
+        // Row counts jump between tiny and large tables on this one thread,
+        // so a scratch left dirty by one call would corrupt the next.
+        for round in 0..400 {
+            let rows = match round % 4 {
+                0 => rng.gen_range(0..=2),
+                1 => rng.gen_range(3..40),
+                2 => rng.gen_range(200..600),
+                _ => rng.gen_range(2..12),
+            };
+            // Domain 1 makes every row equal; large domains make most
+            // rows unique.
+            let (da, db) = (rng.gen_range(1..=rows as u32 + 2), rng.gen_range(1..=6));
+            let (ca, cb) = (random_codes(&mut rng, rows, da), random_codes(&mut rng, rows, db));
+            let (a, b) = (Pli::from_codes(&ca, da as usize), Pli::from_codes(&cb, db as usize));
+            assert_canonical(&a);
+            assert_canonical(&b);
+            let ab = a.intersect(&b);
+            assert_canonical(&ab);
+            assert_eq!(ab, paired(&ca, da, &cb, db), "round {round}: {ca:?} ∩ {cb:?}");
+            assert_eq!(ab, b.intersect(&a), "round {round}: operand order");
+        }
+    }
+
+    #[test]
+    fn intersect_covers_the_ordered_and_the_gather_branch() {
+        // X's cluster {0,1,2,3} splits by Y into {0,1} and {2,3}, which
+        // are emitted in canonical order as they are: no reorder.
+        let x = Pli::from_column(&col(&["a", "a", "a", "a", "u"]));
+        let y = Pli::from_column(&col(&["p", "p", "q", "q", "q"]));
+        let xy = x.intersect(&y);
+        assert_canonical(&xy);
+        assert_eq!(clusters(&xy), [vec![0, 1], vec![2, 3]]);
+        // X (the smaller operand, 6 rows in clusters) has clusters
+        // {0,2,4,6} and {1,3}. The first emits {0,2} and {4,6}, the second
+        // {1,3}: first rows 0, 4, 1 must be gathered into canonical order.
+        let x = Pli::from_column(&col(&["a", "b", "a", "b", "a", "c", "a", "d", "e"]));
+        let y = Pli::from_column(&col(&["p", "r", "p", "r", "q", "t", "q", "s", "s"]));
+        assert!(x.size() < y.size());
+        let xy = x.intersect(&y);
+        assert_canonical(&xy);
+        assert_eq!(clusters(&xy), [vec![0, 2], vec![1, 3], vec![4, 6]]);
+        assert_eq!(xy, y.intersect(&x));
+    }
+
+    #[test]
+    fn intersect_survives_the_probe_stamp_wrapping_around() {
+        // The first intersect stamps every row just below the wrap; the
+        // second wraps, and its larger operand leaves rows 4 and 5
+        // unstamped, so a probe not zeroed on the wrap would read them
+        // as clusters of its own.
+        let x = Pli::from_column(&col(&["a", "a", "b", "b", "a", "c"]));
+        let y = Pli::from_column(&col(&["p", "q", "p", "p", "p", "q"]));
+        let a = Pli::from_column(&col(&["a", "a", "b", "b", "c", "d"]));
+        let s = Pli::from_column(&col(&["k", "m", "k", "n", "k", "o"]));
+        SCRATCH.with(|scratch| scratch.borrow_mut().base = u32::MAX - 4);
+        let xy = Pli::from_column(&col(&["ap", "aq", "bp", "bp", "ap", "cq"]));
+        assert_eq!(x.intersect(&y), xy);
+        assert!(s.intersect(&a).is_unique());
+        assert!(SCRATCH.with(|scratch| scratch.borrow().base) < 8, "the stamp wrapped");
+        assert_eq!(y.intersect(&x), xy);
+    }
+
+    #[test]
+    fn intersect_gives_the_same_results_on_concurrent_threads() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(29);
+        let pairs: Vec<(Pli, Pli)> = (0..60)
+            .map(|i| {
+                let rows = if i % 2 == 0 { 500 } else { 17 };
+                let (da, db) = (rng.gen_range(1..60), rng.gen_range(1..8));
+                let ca = random_codes(&mut rng, rows, da);
+                let cb = random_codes(&mut rng, rows, db);
+                (Pli::from_codes(&ca, da as usize), Pli::from_codes(&cb, db as usize))
+            })
+            .collect();
+        let sequential: Vec<Pli> = pairs.iter().map(|(a, b)| a.intersect(b)).collect();
+        let run = || pairs.iter().map(|(a, b)| a.intersect(b)).collect::<Vec<Pli>>();
+        std::thread::scope(|s| {
+            let left = s.spawn(run);
+            let right = s.spawn(run);
+            assert_eq!(left.join().expect("left thread"), sequential);
+            assert_eq!(right.join().expect("right thread"), sequential);
+        });
     }
 }
