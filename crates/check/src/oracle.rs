@@ -697,11 +697,16 @@ impl CheckSuite {
     /// Incremental ≡ from-scratch: for every algorithm and a handful of
     /// deterministically derived deltas, patching a cached profile through
     /// [`apply_incremental`] must reproduce exactly the dependencies of
-    /// profiling the patched table from scratch.
+    /// profiling the patched table from scratch. Counts which way each
+    /// delete went into the caller's registry: `check.delete.border_kept`
+    /// (the old UCCs and FDs carried over) or `check.delete.reprofiled`.
     fn check_incremental(&self, table: &Table) -> Option<FailureDetail> {
         if !narrow(table) || table.num_columns() == 0 {
             return None;
         }
+        // Bound before the per-run registries below are installed.
+        let border_kept = muds_obs::counter("check.delete.border_kept");
+        let reprofiled = muds_obs::counter("check.delete.reprofiled");
         let fp = muds_table::fingerprint(table).0;
         let mut rng = StdRng::seed_from_u64(fp as u64 ^ (fp >> 64) as u64 ^ DELTA_SEED);
         for _ in 0..INCREMENTAL_DELTAS {
@@ -770,6 +775,39 @@ impl CheckSuite {
                             scratch.stats
                         ),
                     });
+                }
+                if inc.deleted_rows > 0 {
+                    // A kept border runs none of the algorithm's own
+                    // phases. With the result correct, it must also be
+                    // kept exactly when the delete left the UCCs and FDs
+                    // as they were: an old maximal negative that turned
+                    // positive changes the minimal positives, and if none
+                    // did, nothing changed.
+                    let kept = inc.result.phases.iter().all(|p| {
+                        matches!(
+                            p.name.as_str(),
+                            "delta apply" | "delta border" | "SPIDER" | "stats"
+                        )
+                    });
+                    let unchanged =
+                        scratch.minimal_uccs == old.minimal_uccs && scratch.fds == old.fds;
+                    if kept != unchanged {
+                        return Some(FailureDetail {
+                            invariant: "incremental-border",
+                            detail: format!(
+                                "{}: delete {delta:?} {} the old result, but the dependencies \
+                                 {} changed",
+                                algorithm.name(),
+                                if kept { "kept" } else { "re-profiled" },
+                                if unchanged { "had not" } else { "had" }
+                            ),
+                        });
+                    }
+                    if kept {
+                        border_kept.inc();
+                    } else {
+                        reprofiled.inc();
+                    }
                 }
             }
         }

@@ -13,12 +13,20 @@
 //! *are* SPIDER's sorted duplicate-free input (the join-aware reuse of
 //! arXiv 2012.06237: unary-IND state stays live across deltas).
 //!
-//! Deletes re-profile the post-delta table from scratch. Exact maintenance
-//! under updates has no cheap general form (Bläsius/Friedrich/Schirneck,
-//! arXiv 2103.13331): a delete can only make dependencies *appear*, and
-//! finding them is a lattice search that the algorithms' own pruned walks
-//! do better than a sweep pruned only by the already-valid sets (measured
-//! in DESIGN.md §13).
+//! Deletes run the other way: they can only turn negatives (non-UCCs,
+//! non-FDs) positive. Negatives are downward closed, so the old labelling
+//! of the whole lattice survives iff its *maximal* negatives all stay
+//! negative — and those follow from the old minimal positives alone by
+//! hypergraph duality (Bläsius/Friedrich/Schirneck, arXiv 2103.13331): the
+//! maximal non-UCCs are the complements of the minimal hitting sets of the
+//! minimal UCCs, and per right-hand side `a` the maximal non-FD left-hand
+//! sides are the complements, within `R \ {a}`, of the minimal hitting sets
+//! of `a`'s minimal left-hand sides. A border set can only turn positive if
+//! every column of it is affected, so only those are checked
+//! (`delta.revalidated` counts them), stopping at the first that turned.
+//! If none did, the old UCCs and FDs carry over (`delta.skipped` counts
+//! them) and only the INDs are recomputed; otherwise the delete re-profiles
+//! the post-delta table from scratch.
 //!
 //! An identity delta (nothing appended or deleted) carries the old result
 //! wholesale. Every path is equivalent to re-running [`profile`] on the
@@ -29,7 +37,7 @@
 use std::collections::BTreeMap;
 
 use muds_fd::FdSet;
-use muds_lattice::ColumnSet;
+use muds_lattice::{minimal_hitting_sets, ColumnSet};
 use muds_pli::PliCache;
 use muds_table::{DeltaOutcome, Table, TableDelta, TableError};
 
@@ -53,17 +61,20 @@ pub struct IncrementalOutcome {
     pub deleted_rows: usize,
     /// Appended rows dropped as duplicates of existing rows.
     pub rows_deduplicated: usize,
-    /// UCC/FD validity checks performed (`delta.revalidated`; 0 for
-    /// deletes, which re-profile).
+    /// UCC/FD validity checks performed (`delta.revalidated`): on an
+    /// append, checks of old and candidate dependencies; on a delete, checks
+    /// of the old result's maximal negatives (see the module docs).
     pub revalidated: u64,
-    /// Dependencies carried over without touching the data
-    /// (`delta.skipped`).
+    /// Dependencies carried over without being checked (`delta.skipped`):
+    /// on a delete, every old UCC and FD when the negative border held, and
+    /// 0 when the delete re-profiled.
     pub skipped: u64,
 }
 
 /// Applies `delta` to `old_table` and brings `old`'s dependency sets up to
 /// date: appends revalidate only what they could have broken, deletes
-/// re-profile the post-delta table. See the module docs.
+/// check the old negative border and re-profile only if it moved. See the
+/// module docs.
 ///
 /// `old` must be the result of profiling `old_table` (any algorithm — the
 /// dependency sets agree across all four).
@@ -73,8 +84,8 @@ pub fn apply_incremental(
     delta: &TableDelta,
 ) -> Result<IncrementalOutcome, TableError> {
     // The guard (when this installs the registry) outlives the inner
-    // profile() of a delete, so every span and counter lands in the one
-    // snapshot that profile() drains.
+    // profile() of a delete whose border moved, so every span and counter
+    // lands in the one snapshot that profile() drains.
     let (metrics, _guard) = ensure_ambient();
     let revalidated_meter = muds_obs::counter("delta.revalidated");
     let skipped_meter = muds_obs::counter("delta.skipped");
@@ -84,6 +95,7 @@ pub fn apply_incremental(
         old_table.apply_delta(delta)?;
     span.stop();
     let identity = appended_rows == 0 && deleted_rows == 0;
+    let d = ColumnSet::from_indices(affected_columns);
 
     // Column statistics, when the old result carried them: an identity
     // delta carries them untouched, any real delta recomputes them
@@ -107,18 +119,25 @@ pub fn apply_incremental(
         result.stats = old.stats.clone();
         (result, 0, skipped)
     } else if deleted_rows > 0 {
-        let config = ProfilerConfig { stats: old.stats.is_some(), ..ProfilerConfig::default() };
-        (profile(&table, old.algorithm, &config), 0, 0)
+        let span = muds_obs::span("delta border");
+        let (held, revalidated) = border_holds(&mut PliCache::new(&table), old, &d);
+        span.stop();
+        revalidated_meter.add(revalidated);
+        if held {
+            let skipped = (old.minimal_uccs.len() + old.fds.len()) as u64;
+            skipped_meter.add(skipped);
+            let result =
+                with_fresh_inds(old, &table, old.minimal_uccs.clone(), old.fds.clone(), &metrics);
+            (result, revalidated, skipped)
+        } else {
+            let config = ProfilerConfig { stats: old.stats.is_some(), ..ProfilerConfig::default() };
+            (profile(&table, old.algorithm, &config), revalidated, 0)
+        }
     } else {
         let (mut revalidated, mut skipped) = (0u64, 0u64);
         // The post-delta single-column PLIs: one bucket pass over each
         // column's new codes.
         let mut cache = PliCache::new(&table);
-        let d = ColumnSet::from_indices(affected_columns.iter().copied());
-        let span = muds_obs::span("SPIDER");
-        let inds = muds_ind::spider(&table);
-        span.stop();
-
         let span = muds_obs::span("delta revalidate");
         let minimal_uccs =
             append_uccs(&mut cache, &old.minimal_uccs, &d, &mut revalidated, &mut skipped);
@@ -126,11 +145,7 @@ pub fn apply_incremental(
         span.stop();
         revalidated_meter.add(revalidated);
         skipped_meter.add(skipped);
-
-        let stats = old.stats.as_ref().map(|_| table_stats(&table, &inds, &minimal_uccs));
-        let mut result = finish(old.algorithm, inds, minimal_uccs, fds, &metrics);
-        result.stats = stats;
-        (result, revalidated, skipped)
+        (with_fresh_inds(old, &table, minimal_uccs, fds, &metrics), revalidated, skipped)
     };
     Ok(IncrementalOutcome {
         table,
@@ -141,6 +156,67 @@ pub fn apply_incremental(
         revalidated,
         skipped,
     })
+}
+
+/// Completes a result whose UCCs and FDs are settled: unary INDs by SPIDER
+/// on the post-delta table, and column statistics iff `old` carried them.
+fn with_fresh_inds(
+    old: &ProfileResult,
+    table: &Table,
+    minimal_uccs: Vec<ColumnSet>,
+    fds: FdSet,
+    metrics: &muds_obs::Metrics,
+) -> ProfileResult {
+    let span = muds_obs::span("SPIDER");
+    let inds = muds_ind::spider(table);
+    span.stop();
+    let stats = old.stats.as_ref().map(|_| table_stats(table, &inds, &minimal_uccs));
+    let mut result = finish(old.algorithm, inds, minimal_uccs, fds, metrics);
+    result.stats = stats;
+    result
+}
+
+/// Delete direction: true iff every maximal negative of `old` is still
+/// negative on `cache`'s post-delete table, plus the number of checks run.
+/// The maximal negatives come from `old`'s minimal positives by duality
+/// (module docs); one with a column outside the affected set `d` keeps a
+/// violating pair of surviving rows, so only subsets of `d` are checked.
+/// Stops at the first set that turned positive.
+fn border_holds(cache: &mut PliCache<'_>, old: &ProfileResult, d: &ColumnSet) -> (bool, u64) {
+    let n = cache.table().num_columns();
+    let all = ColumnSet::full(n);
+    let mut checks = 0u64;
+    for hit in minimal_hitting_sets(&old.minimal_uccs, &all) {
+        let negative = all.difference(&hit);
+        if negative.is_subset_of(d) {
+            checks += 1;
+            if cache.is_unique(&negative) {
+                return (false, checks);
+            }
+        }
+    }
+    let mut lhss: Vec<Vec<ColumnSet>> = vec![Vec::new(); n];
+    for (lhs, rhs_set) in old.fds.iter_entries() {
+        for a in rhs_set.iter() {
+            lhss[a].push(*lhs);
+        }
+    }
+    for (a, mut lhss) in lhss.into_iter().enumerate() {
+        // `iter_entries` walks a hash map; sort so the check order (and
+        // with it the counters of an early stop) is reproducible.
+        lhss.sort_unstable();
+        let others = all.without(a);
+        for hit in minimal_hitting_sets(&lhss, &others) {
+            let negative = others.difference(&hit);
+            if negative.is_subset_of(d) {
+                checks += 1;
+                if cache.determines(&negative, a) {
+                    return (false, checks);
+                }
+            }
+        }
+    }
+    (true, checks)
 }
 
 /// True iff some set in `minimal` is a subset of `x` (so `x` is valid but
@@ -316,24 +392,60 @@ mod tests {
 
     /// `apply_incremental` must agree with a from-scratch profile of the
     /// post-delta table on every dependency set, for every algorithm.
-    fn assert_incremental_equivalent(t: &Table, delta: &TableDelta) -> IncrementalOutcome {
+    /// Returns each algorithm's old result and outcome.
+    fn incremental_runs(t: &Table, delta: &TableDelta) -> Vec<(ProfileResult, IncrementalOutcome)> {
         let cfg = ProfilerConfig::default();
-        let mut last = None;
-        for &alg in &Algorithm::ALL {
-            let old = profile(t, alg, &cfg);
-            let inc = apply_incremental(&old, t, delta).unwrap();
-            let scratch = profile(&inc.table, alg, &cfg);
-            assert_eq!(inc.result.inds, scratch.inds, "{} INDs", alg.name());
-            assert_eq!(inc.result.minimal_uccs, scratch.minimal_uccs, "{} UCCs", alg.name());
-            assert_eq!(
-                inc.result.fds.to_sorted_vec(),
-                scratch.fds.to_sorted_vec(),
-                "{} FDs",
-                alg.name()
-            );
-            last = Some(inc);
+        Algorithm::ALL
+            .iter()
+            .map(|&alg| {
+                let old = profile(t, alg, &cfg);
+                let inc = apply_incremental(&old, t, delta).unwrap();
+                let scratch = profile(&inc.table, alg, &cfg);
+                assert_eq!(inc.result.inds, scratch.inds, "{} INDs", alg.name());
+                assert_eq!(inc.result.minimal_uccs, scratch.minimal_uccs, "{} UCCs", alg.name());
+                assert_eq!(
+                    inc.result.fds.to_sorted_vec(),
+                    scratch.fds.to_sorted_vec(),
+                    "{} FDs",
+                    alg.name()
+                );
+                (old, inc)
+            })
+            .collect()
+    }
+
+    /// [`incremental_runs`], returning the last algorithm's outcome.
+    fn assert_incremental_equivalent(t: &Table, delta: &TableDelta) -> IncrementalOutcome {
+        incremental_runs(t, delta).pop().unwrap().1
+    }
+
+    /// Deletes `rows` under every algorithm, asserts equivalence with a
+    /// from-scratch profile, and pins the branch taken. `border_kept`: the
+    /// old maximal negatives all stayed negative, so only the delta, the
+    /// border checks and SPIDER ran and every old UCC and FD was carried;
+    /// otherwise the delete re-profiled (the algorithm's own phases ran)
+    /// and carried nothing. Returns the last algorithm's outcome.
+    fn assert_delete_branch(t: &Table, rows: &[usize], border_kept: bool) -> IncrementalOutcome {
+        let runs = incremental_runs(t, &TableDelta::Delete { rows: rows.to_vec() });
+        for (old, inc) in &runs {
+            let alg = old.algorithm;
+            let mut phases: Vec<&str> = inc.result.phases.iter().map(|p| p.name.as_str()).collect();
+            phases.sort_unstable();
+            phases.dedup();
+            if border_kept {
+                assert_eq!(phases, ["SPIDER", "delta apply", "delta border"], "{}", alg.name());
+                assert_eq!(inc.skipped, (old.minimal_uccs.len() + old.fds.len()) as u64);
+            } else {
+                assert_eq!(inc.skipped, 0, "{}", alg.name());
+                assert!(phases.contains(&"delta border"), "{}: {phases:?}", alg.name());
+                let scratch = profile(&inc.table, alg, &ProfilerConfig::default());
+                assert!(!scratch.phases.is_empty());
+                for p in &scratch.phases {
+                    assert!(phases.contains(&p.name.as_str()), "{} not in {phases:?}", p.name);
+                }
+            }
         }
-        last.unwrap()
+        runs.into_iter().last().unwrap().1
     }
 
     fn append(rows: &[&[&str]]) -> TableDelta {
@@ -389,20 +501,72 @@ mod tests {
         // c1 has duplicates only through row 2; deleting it makes {c1}
         // unique, demoting any wider minimal UCC that contained it.
         let t = table(&[&["1", "a", "x"], &["2", "b", "x"], &["3", "a", "y"]]);
-        assert_incremental_equivalent(&t, &TableDelta::Delete { rows: vec![2] });
+        assert_delete_branch(&t, &[2], false);
     }
 
     #[test]
     fn delete_revealing_an_fd() {
         // a→x, a→y blocks c1 → c2; deleting the y row restores the FD.
         let t = table(&[&["1", "a", "x"], &["2", "a", "y"], &["3", "b", "x"]]);
-        assert_incremental_equivalent(&t, &TableDelta::Delete { rows: vec![1] });
+        assert_delete_branch(&t, &[1], false);
+    }
+
+    #[test]
+    fn delete_keeping_the_border_carries_uccs_and_fds() {
+        // {c1, c2} is the only wide minimal UCC; every maximal negative
+        // ({c1}, {c2}, and c1 ↛ c0, c2 ↛ c0, c1 ↛ c2, c2 ↛ c1) keeps a
+        // violating pair after row 3 goes.
+        let t = table(&[&["1", "a", "x"], &["2", "a", "y"], &["3", "b", "x"], &["4", "b", "y"]]);
+        let out = assert_delete_branch(&t, &[3], true);
+        assert_eq!(out.revalidated, 6);
+        // Row 4 was unique in both columns, so no border set containing a
+        // column can flip: only the empty lhs of ∅ ↛ c1 is checked.
+        let t = table(&[&["1", "a"], &["2", "a"], &["3", "b"], &["4", "b"], &["5", "c"]]);
+        let out = assert_delete_branch(&t, &[4], true);
+        assert_eq!(out.revalidated, 1);
     }
 
     #[test]
     fn delete_all_rows() {
-        let t = table(&[&["1", "a"], &["2", "b"]]);
-        assert_incremental_equivalent(&t, &TableDelta::Delete { rows: vec![0, 1] });
+        // One row: every set is unique already, so there is no negative
+        // border to move.
+        assert_delete_branch(&table(&[&["1", "a"]]), &[0], true);
+        // Two rows: ∅ is the maximal non-UCC, and it turns unique.
+        assert_delete_branch(&table(&[&["1", "a"], &["2", "b"]]), &[0, 1], false);
+    }
+
+    #[test]
+    fn delete_down_to_one_row_makes_everything_unique() {
+        let t = table(&[&["1", "a", "x"], &["2", "a", "y"], &["3", "b", "x"]]);
+        let out = assert_delete_branch(&t, &[0, 2], false);
+        assert_eq!(out.result.minimal_uccs, vec![ColumnSet::empty()]);
+    }
+
+    #[test]
+    fn constant_column_has_no_fd_border() {
+        // ∅ → c1 leaves rhs c1 without maximal negatives; the border is
+        // the non-UCC {c1} and the non-FD c1 ↛ c0.
+        let t = table(&[&["1", "k"], &["2", "k"], &["3", "k"]]);
+        let out = assert_delete_branch(&t, &[0], true);
+        assert_eq!(out.revalidated, 2);
+    }
+
+    #[test]
+    fn delete_across_the_64_column_word_boundary() {
+        // Columns 0 and 64–65 vary; the 63 between are constant.
+        let rows = [["1", "a", "x"], ["2", "a", "y"], ["3", "b", "x"], ["4", "b", "y"]];
+        let wide: Vec<Vec<&str>> = rows
+            .iter()
+            .map(|r| {
+                let mut row = vec!["k"; 66];
+                (row[0], row[64], row[65]) = (r[0], r[1], r[2]);
+                row
+            })
+            .collect();
+        let wide: Vec<&[&str]> = wide.iter().map(|r| r.as_slice()).collect();
+        let t = table(&wide);
+        assert_delete_branch(&t, &[3], true);
+        assert_delete_branch(&t, &[1, 2], false);
     }
 
     #[test]
@@ -433,22 +597,34 @@ mod tests {
     fn counters_flow_into_the_ambient_registry() {
         let metrics = muds_obs::Metrics::new();
         let _guard = metrics.install();
-        let t = table(&[&["1", "a"], &["2", "a"], &["3", "b"]]);
+        let t = table(&[&["1", "a"], &["2", "a"], &["3", "b"], &["4", "b"]]);
         let cfg = ProfilerConfig::default();
         let old = profile(&t, Algorithm::Muds, &cfg);
-        let inc = apply_incremental(&old, &t, &append(&[&["3", "a"]])).unwrap();
+        let inc = apply_incremental(&old, &t, &append(&[&["4", "a"]])).unwrap();
         assert_eq!(inc.result.metrics.counter("delta.revalidated"), inc.revalidated);
         assert_eq!(inc.result.metrics.counter("delta.skipped"), inc.skipped);
         assert!(inc.result.metrics.spans.iter().any(|s| s.name == "delta revalidate"));
 
-        // A delete re-profiles: no revalidation work, and the `delta apply`
-        // span shares one snapshot with the algorithm's own phases.
-        let del = apply_incremental(&old, &t, &TableDelta::Delete { rows: vec![0] }).unwrap();
-        assert_eq!((del.revalidated, del.skipped), (0, 0));
-        assert_eq!(del.result.metrics.counter("delta.revalidated"), 0);
+        // Deleting row 0 leaves "b" duplicated in c1: the border ({c1},
+        // ∅ ↛ c1, c1 ↛ c0) holds after three checks, and both the old UCC
+        // {c0} and the FD c0 → c1 carry over.
+        let kept = apply_incremental(&old, &t, &TableDelta::Delete { rows: vec![0] }).unwrap();
+        assert_eq!((kept.revalidated, kept.skipped), (3, 2));
+        assert_eq!(kept.result.metrics.counter("delta.revalidated"), 3);
+        assert_eq!(kept.result.metrics.counter("delta.skipped"), 2);
+        assert!(kept.result.metrics.spans.iter().any(|s| s.name == "delta border"));
+
+        // Deleting rows 0 and 2 leaves c1 unique: the first border check
+        // turns positive, the delete re-profiles, and the `delta apply`
+        // and `delta border` spans share one snapshot with the algorithm's
+        // own phases.
+        let del = apply_incremental(&old, &t, &TableDelta::Delete { rows: vec![0, 2] }).unwrap();
+        assert_eq!((del.revalidated, del.skipped), (1, 0));
+        assert_eq!(del.result.metrics.counter("delta.revalidated"), 1);
         assert_eq!(del.result.metrics.counter("delta.skipped"), 0);
         let phases: Vec<&str> = del.result.phases.iter().map(|p| p.name.as_str()).collect();
         assert!(phases.contains(&"delta apply"), "{phases:?}");
+        assert!(phases.contains(&"delta border"), "{phases:?}");
         let scratch = profile(&del.table, Algorithm::Muds, &cfg);
         assert!(!scratch.phases.is_empty());
         for p in &scratch.phases {

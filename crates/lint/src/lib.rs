@@ -198,8 +198,9 @@ pub fn file_options(rel: &str, catalogue: &BTreeSet<String>) -> FileOptions {
 /// metric names, and rejects duplicates (L005's uniqueness requirement).
 ///
 /// Each table row contributes backticked spans: spans ending in `.` are
-/// prefixes, bare `[a-z0-9_]+` spans are counter suffixes; the row's
-/// names are `prefix` × `suffix`. Spans with other characters (formulae,
+/// prefixes (one or more dot-separated `[a-z0-9_]+` words), bare
+/// `[a-z0-9_]+` spans are counter suffixes; the row's names are
+/// `prefix` × `suffix`. Spans with other characters (formulae,
 /// section refs) are ignored.
 pub fn parse_catalogue(design: &str) -> Result<BTreeSet<String>, String> {
     let mut names = BTreeSet::new();
@@ -215,7 +216,8 @@ pub fn parse_catalogue(design: &str) -> Result<BTreeSet<String>, String> {
         let mut prefixes = Vec::new();
         let mut suffixes = Vec::new();
         for span in backtick_spans(line) {
-            if span.ends_with('.') && span.len() > 1 && is_metric_word(&span[..span.len() - 1]) {
+            let head = span.strip_suffix('.').unwrap_or_default();
+            if !head.is_empty() && head.split('.').all(is_metric_word) {
                 prefixes.push(span);
             } else if is_metric_word(span) {
                 suffixes.push(span);
@@ -543,13 +545,17 @@ mod tests {
 |--------|----------|
 | `pli.` | `requests`, `hits`, `misses` (`hits + misses == requests`) |
 | `walk.` | `runs` (§5.1) |
+| `check.delete.` | `reprofiled` |
 
 ## 8. Next
 | `bogus.` | `ignored` |
 ";
         let catalogue = parse_catalogue(design).expect("parse");
         let names: Vec<&str> = catalogue.iter().map(|s| s.as_str()).collect();
-        assert_eq!(names, vec!["pli.hits", "pli.misses", "pli.requests", "walk.runs"]);
+        assert_eq!(
+            names,
+            vec!["check.delete.reprofiled", "pli.hits", "pli.misses", "pli.requests", "walk.runs"]
+        );
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! (see `muds-core`): a UCC or FD left-hand side can only *break*, and only
 //! if it is fully contained in the affected set; columns outside the set
 //! carry their verdicts over unchanged. After a deletion dependencies can
-//! only *appear*, again only inside the affected set; the set is reported
-//! (the serving layer's delete responses carry it), but `muds-core`
-//! re-profiles deletions from scratch.
+//! only *appear*, again only inside the affected set: `muds-core` checks
+//! just the old result's maximal non-dependencies that lie inside it.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 use rayon::prelude::*;
 
@@ -163,16 +163,35 @@ impl Table {
         // code, so they compare equal, matching `Table::dedup_rows`). A
         // duplicate contributes no dictionary value its original doesn't,
         // so the merged dictionaries above are unaffected by the drop.
-        let mut seen: HashSet<Vec<u32>> = HashSet::with_capacity(old_rows + rows.len());
-        for r in 0..old_rows {
-            seen.insert(encoded.iter().map(|(_, old, _)| old[r]).collect());
-        }
+        // Only the appended rows are hashed; the old rows are scanned once,
+        // and only those whose code in the column with the largest
+        // dictionary some appended row shares are keyed and looked up.
+        let mut first: HashMap<Vec<u32>, usize> = HashMap::with_capacity(rows.len());
         let mut kept: Vec<usize> = Vec::with_capacity(rows.len());
         for k in 0..rows.len() {
             let key: Vec<u32> = encoded.iter().map(|(_, _, new)| new[k]).collect();
-            if seen.insert(key) {
+            if let Entry::Vacant(slot) = first.entry(key) {
+                slot.insert(k);
                 kept.push(k);
             }
+        }
+        if let Some((merged, probe_codes, new_codes)) = encoded.iter().max_by_key(|e| e.0.len()) {
+            let mut probe = vec![false; merged.len() + 1];
+            for &k in &kept {
+                probe[new_codes[k] as usize] = true;
+            }
+            let mut in_old = vec![false; rows.len()];
+            let mut key: Vec<u32> = Vec::with_capacity(encoded.len());
+            for (r, &code) in probe_codes.iter().enumerate() {
+                if probe[code as usize] {
+                    key.clear();
+                    key.extend(encoded.iter().map(|(_, old, _)| old[r]));
+                    if let Some(&k) = first.get(&key) {
+                        in_old[k] = true;
+                    }
+                }
+            }
+            kept.retain(|&k| !in_old[k]);
         }
         // Zero-column tables: every row is the empty tuple, so at most one
         // survives in total (mirroring `dedup_rows`).
@@ -353,6 +372,19 @@ mod tests {
     }
 
     #[test]
+    fn append_matching_a_row_mid_table_is_dropped() {
+        let t = table(&[&["a", "x"], &["b", "y"], &["c", "x"], &["d", "z"], &["e", "y"]]);
+        // Row 2's copy is dropped (twice); "c" with a new partner and a
+        // fresh row survive, in order.
+        let out =
+            t.apply_delta(&append(&[&["c", "x"], &["c", "q"], &["c", "x"], &["f", "x"]])).unwrap();
+        assert_eq!((out.appended_rows, out.rows_deduplicated), (2, 2));
+        assert_eq!(rows_of(&out.table)[5..], [vec!["c", "q"], vec!["f", "x"]]);
+        assert!(!out.table.has_duplicate_rows());
+        assert_matches_from_scratch(&out.table);
+    }
+
+    #[test]
     fn empty_append_is_identity() {
         let t = table(&[&["a", "x"]]);
         let out = t.apply_delta(&append(&[])).unwrap();
@@ -479,6 +511,14 @@ mod tests {
             let t = Table::from_rows("t", &["a", "b", "c"], &rows).unwrap().dedup_rows();
             let out = t.apply_delta(&TableDelta::Append { rows: extra.clone() }).unwrap();
             assert_matches_from_scratch(&out.table);
+            // Appends keep exactly the rows not seen before, in order.
+            let mut expected = rows_of(&t);
+            for row in &extra {
+                if !expected.contains(row) {
+                    expected.push(row.clone());
+                }
+            }
+            assert_eq!(rows_of(&out.table), expected);
             // Ids in any order, repeats included.
             let dels: Vec<usize> = dels.into_iter().filter(|&r| r < t.num_rows()).collect();
             let out = t.apply_delta(&TableDelta::Delete { rows: dels.clone() }).unwrap();

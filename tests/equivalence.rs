@@ -166,8 +166,11 @@ fn incremental_deltas_match_from_scratch() {
         }
     }
     let cfg = ProfilerConfig::default();
+    // Deletes that carried the old UCCs and FDs because no maximal negative
+    // turned positive (the other deletes re-profile).
+    let mut borders_kept = 0;
     for table in &tables {
-        // One delta of each kind: delete a spread of rows, and append one
+        // Deletes of a spread of rows and of one row, and an append of one
         // fresh row plus one duplicate of an existing row (which the delta
         // path must drop — duplicate-free tables are the §3 precondition).
         let mut deltas = Vec::new();
@@ -175,6 +178,7 @@ fn incremental_deltas_match_from_scratch() {
             deltas.push(TableDelta::Delete {
                 rows: vec![0, table.num_rows() / 2, table.num_rows() - 1],
             });
+            deltas.push(TableDelta::Delete { rows: vec![table.num_rows() / 3] });
             let copy: Vec<String> = (0..table.num_columns())
                 .map(|c| table.row(0)[c].unwrap_or("").to_string())
                 .collect();
@@ -190,6 +194,9 @@ fn incremental_deltas_match_from_scratch() {
                 let base = profile(table, alg, &cfg);
                 let inc = apply_incremental(&base, table, delta)
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", alg.name(), table.name()));
+                if inc.deleted_rows > 0 && inc.skipped > 0 {
+                    borders_kept += 1;
+                }
                 let scratch = profile(&inc.table, alg, &cfg);
                 assert_eq!(
                     inc.result.fds.to_sorted_vec(),
@@ -215,6 +222,7 @@ fn incremental_deltas_match_from_scratch() {
             }
         }
     }
+    assert!(borders_kept > 0, "no delete kept its negative border");
 }
 
 /// The 256-column `ColumnSet` capacity is a typed error with an actionable
