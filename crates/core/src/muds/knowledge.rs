@@ -1,8 +1,9 @@
-//! Shared FD knowledge across MUDS' phases — the paper's holistic thesis
-//! ("facilitate new pruning rules using all collected information at once",
-//! §1) applied to the FD sub-problem itself.
+//! Shared FD knowledge across the paper-faithful MUDS phases — the paper's
+//! holistic thesis ("facilitate new pruning rules using all collected
+//! information at once", §1) applied to the FD sub-problem itself.
 //!
-//! Every phase both *consults* and *feeds* this store:
+//! §5.1, the R\Z walks (§5.2) and §5.3 all *feed* this store, and §5.1
+//! and §5.3 *consult* it before every partition-refinement check:
 //!
 //! * positives: per-rhs set-tries of known valid left-hand sides; by
 //!   augmentation, `Y → a` with `Y ⊆ X` answers `X → a` = true without a
@@ -10,24 +11,14 @@
 //! * negatives: per-rhs maximal sets known not to determine the rhs
 //!   (Lemma 4 downward knowledge); `X ⊆ N` answers `X → a` = false.
 //!
-//! The completion sweep seeds its per-rhs walks with both sides, so work
-//! done by phases 1–3 is never repeated.
+//! §5.3's minimization seeds its walks with both sides. Exact MUDS does not
+//! use the store: its walks are seeded with DUCC's output directly.
 
 use std::collections::HashMap;
 
 use muds_fd::FdSet;
 use muds_lattice::{ColumnSet, MaximalSetFamily, MinimalSetFamily};
 use muds_pli::PliCache;
-
-/// Outcome of one decision in a [`FdKnowledge::decide_many`] batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// Whether `lhs → rhs` holds.
-    pub holds: bool,
-    /// True when the answer came from existing knowledge (or triviality)
-    /// instead of a fresh partition-refinement check.
-    pub known: bool,
-}
 
 /// Accumulated three-valued FD knowledge for one table.
 ///
@@ -109,50 +100,6 @@ impl FdKnowledge {
         v
     }
 
-    /// Decides `lhs → a` for every `a` in `rhss` at once.
-    ///
-    /// Equivalent to a loop of [`Self::determines`] calls: knowledge
-    /// look-ups and outcome recording happen sequentially in input order,
-    /// and only the partition scans of the unresolved checks fan out across
-    /// threads. Batching is sound because the rhss of one call are distinct
-    /// columns over a fixed lhs, so no check in the batch can create
-    /// knowledge that would have short-circuited a later one. `self.checks`
-    /// is incremented per real check; knowledge hits are reported through
-    /// `known` and their accounting is left to the caller (call sites
-    /// disagree on which counter a hit feeds).
-    pub fn decide_many(
-        &mut self,
-        cache: &mut PliCache<'_>,
-        lhs: &ColumnSet,
-        rhss: &[usize],
-    ) -> Vec<BatchOutcome> {
-        let mut out: Vec<BatchOutcome> = Vec::with_capacity(rhss.len());
-        // (position in `out`, rhs) of the decisions needing a real check.
-        let mut pending: Vec<(usize, usize)> = Vec::new();
-        for &a in rhss {
-            if lhs.contains(a) {
-                out.push(BatchOutcome { holds: true, known: true });
-            } else if let Some(v) = self.lookup(lhs, a) {
-                out.push(BatchOutcome { holds: v, known: true });
-            } else {
-                self.checks += 1;
-                pending.push((out.len(), a));
-                out.push(BatchOutcome { holds: false, known: false });
-            }
-        }
-        let checks: Vec<(ColumnSet, usize)> = pending.iter().map(|&(_, a)| (*lhs, a)).collect();
-        let verdicts = cache.refines_many(&checks);
-        for (&(slot, a), &v) in pending.iter().zip(&verdicts) {
-            if v {
-                self.record_positive(*lhs, a);
-            } else {
-                self.record_negative(*lhs, a);
-            }
-            out[slot].holds = v;
-        }
-        out
-    }
-
     /// Known maximal non-determining sets for `rhs` (walk seeds).
     pub fn negative_sets(&self, rhs: usize) -> &[ColumnSet] {
         self.negatives.get(&rhs).map_or(&[], |f| f.sets())
@@ -215,51 +162,6 @@ mod tests {
         k.absorb(&fds);
         assert_eq!(k.lookup(&cs(&[0, 2]), 1), Some(true));
         assert_eq!(k.lookup(&cs(&[2]), 1), None);
-    }
-
-    #[test]
-    fn decide_many_matches_a_determines_loop() {
-        let t = Table::from_rows(
-            "t",
-            &["a", "b", "c", "d"],
-            &[
-                vec!["1", "1", "x", "p"],
-                vec!["2", "2", "y", "p"],
-                vec!["3", "3", "x", "q"],
-                vec!["4", "4", "y", "q"],
-            ],
-        )
-        .unwrap();
-        // Pre-seed both stores identically so knowledge hits arise.
-        let mut seq = FdKnowledge::new(4);
-        let mut bat = FdKnowledge::new(4);
-        for k in [&mut seq, &mut bat] {
-            k.record_positive(cs(&[0]), 1);
-            k.record_negative(cs(&[3]), 2);
-        }
-        // Each cache counts into its own registry (handles bind at
-        // construction), so the two accountings can be compared.
-        let metered = || {
-            let metrics = muds_obs::Metrics::new();
-            let _guard = metrics.install();
-            (PliCache::new(&t), metrics)
-        };
-        let (mut c1, m1) = metered();
-        let (mut c2, m2) = metered();
-        let lhs = cs(&[0, 3]);
-        let rhss = [1usize, 2, 3]; // knowledge hit, real check, trivial
-        let seq_holds: Vec<bool> = rhss.iter().map(|&a| seq.determines(&mut c1, &lhs, a)).collect();
-        let outcomes = bat.decide_many(&mut c2, &lhs, &rhss);
-        assert_eq!(outcomes.iter().map(|o| o.holds).collect::<Vec<_>>(), seq_holds);
-        assert_eq!(outcomes.iter().map(|o| o.known).collect::<Vec<_>>(), vec![true, false, true],);
-        assert_eq!(bat.checks, seq.checks);
-        let (seq_counts, bat_counts) = (m1.drain_snapshot(), m2.drain_snapshot());
-        assert_eq!(seq_counts.counters, bat_counts.counters);
-        assert_eq!(bat_counts.counter("pli.refinement_checks"), 1);
-        // Outcomes were recorded: a second batch is fully known.
-        let again = bat.decide_many(&mut c2, &lhs, &rhss);
-        assert!(again.iter().all(|o| o.known));
-        assert_eq!(again.iter().map(|o| o.holds).collect::<Vec<_>>(), seq_holds,);
     }
 
     #[test]

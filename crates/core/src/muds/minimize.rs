@@ -106,14 +106,10 @@ pub fn minimize_fds(
                 }
             }
 
-            // One knowledge batch per node: unresolved checks of the same
-            // lhs fan out across threads, outcomes apply in rhs order.
-            let rhs_list: Vec<usize> = potential.iter().collect();
-            stats.fd_checks += rhs_list.len() as u64;
+            stats.fd_checks += potential.cardinality() as u64;
             let mut valid_rhs = ColumnSet::empty();
-            let outcomes = knowledge.decide_many(cache, &lhs_subset, &rhs_list);
-            for (&a, outcome) in rhs_list.iter().zip(&outcomes) {
-                if outcome.holds {
+            for a in potential.iter() {
+                if knowledge.determines(cache, &lhs_subset, a) {
                     valid_rhs.insert(a);
                 }
             }

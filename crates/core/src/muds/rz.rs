@@ -1,75 +1,82 @@
-//! MUDS phase 2: graph traversal for right-hand sides in R \ Z (§5.2).
+//! MUDS's FD walks: one sub-lattice walk per right-hand side (§5.2).
 //!
-//! Columns outside every minimal UCC (the set R \ Z) can still be
-//! functionally determined — phase 1 never looks at them, so MUDS builds
-//! one *sub-lattice* per such column A: the lattice of left-hand-side
-//! candidates over R \ {A}. Each sub-lattice is traversed with the DUCC
-//! random walk (shared engine in `muds-lattice`), since "X determines A"
-//! is monotone exactly like uniqueness; Lemma 4 provides the downward
-//! pruning the paper highlights.
+//! For a rhs A, the lattice of left-hand-side candidates over R \ {A} is
+//! traversed with the DUCC random walk (shared engine in `muds-lattice`),
+//! since "X determines A" is monotone exactly like uniqueness; Lemma 4
+//! provides the downward pruning the paper highlights. The walk's duality
+//! certificate makes each rhs's minimal left-hand sides exact.
 //!
-//! Inter-task knowledge flows one way here: every minimal lhs and maximal
-//! non-lhs a walk finds is recorded in the shared [`FdKnowledge`], which
-//! seeds the later shadowed-FD minimization and the completion sweep.
+//! The paper walks only the rhss in R \ Z, the columns outside every
+//! minimal UCC, and leaves Z to §5.1 and §5.3. Exact MUDS walks every rhs,
+//! each seeded with what DUCC already knows about it:
+//!
+//! * every minimal UCC `U ∌ A` determines A (Lemma 2);
+//! * every maximal non-UCC `M ∌ A` does not: `M ∪ {A}` is unique and `M`
+//!   is not, so two rows agree on `M` and differ on A.
 
-use muds_fd::FdSet;
-use muds_lattice::{find_minimal_positives, ColumnSet};
+use muds_lattice::{find_minimal_positives, ColumnSet, WalkResult};
 use muds_pli::PliCache;
 
-use super::knowledge::FdKnowledge;
-
-/// Discovers all minimal FDs whose right-hand side lies in `R \ Z`.
+/// Runs one walk per rhs `a` in `rhss`, in ascending order, over the
+/// lattice of subsets of `R \ {a}`.
 ///
-/// Results are exact: for every `a ∈ R \ Z`, all minimal left-hand sides
-/// over `R \ {a}` (including the empty set for constant columns). The walk
-/// of rhs `a` is seeded with `(seed ^ 0x5A5A) + a`.
-pub fn discover_rz_fds(
+/// `positives` and `negatives` seed every walk with the sets known to
+/// determine, or known not to determine, its rhs; each walk keeps those
+/// that leave its rhs out. The walk of rhs `a` is seeded with
+/// `(seed ^ 0x5A5A) + a`.
+pub fn walk_rhss(
     cache: &mut PliCache<'_>,
-    z: &ColumnSet,
+    rhss: &ColumnSet,
     seed: u64,
-    knowledge: &mut FdKnowledge,
-) -> FdSet {
+    positives: &[ColumnSet],
+    negatives: &[ColumnSet],
+) -> Vec<(usize, WalkResult)> {
     let r = ColumnSet::full(cache.table().num_columns());
-    let rz = r.difference(z);
-    let mut fds = FdSet::new();
-    for a in rz.iter() {
-        let mut oracle = |set: &ColumnSet| cache.determines(set, a);
-        let walk_seed = (seed ^ 0x5A5A).wrapping_add(a as u64);
-        let result = find_minimal_positives(r.without(a), &mut oracle, walk_seed, &[], &[]);
-        for lhs in result.minimal_positives {
-            fds.insert(lhs, a);
-            knowledge.record_positive(lhs, a);
-        }
-        for neg in result.maximal_negatives {
-            knowledge.record_negative(neg, a);
-        }
-    }
-    // The walks flush their own `walk.*` counters.
-    muds_obs::add("rz.sub_lattices", rz.cardinality() as u64);
-    fds
+    let without = |sets: &[ColumnSet], a: usize| -> Vec<ColumnSet> {
+        sets.iter().copied().filter(|s| !s.contains(a)).collect()
+    };
+    rhss.iter()
+        .map(|a| {
+            let mut oracle = |set: &ColumnSet| cache.determines(set, a);
+            let walk_seed = (seed ^ 0x5A5A).wrapping_add(a as u64);
+            let known_negatives = without(negatives, a);
+            let known_positives = without(positives, a);
+            let result = find_minimal_positives(
+                r.without(a),
+                &mut oracle,
+                walk_seed,
+                &known_negatives,
+                &known_positives,
+            );
+            (a, result)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muds_fd::Fd;
     use muds_table::Table;
 
     fn cs(cols: &[usize]) -> ColumnSet {
         ColumnSet::from_indices(cols.iter().copied())
     }
 
-    /// Ground truth for rhs ∈ R\Z via the naive oracle.
-    fn expected_rz(t: &Table, z: &ColumnSet) -> Vec<(ColumnSet, usize)> {
-        let all = muds_fd::naive_minimal_fds(t);
-        all.to_sorted_vec()
+    /// The walks' minimal FDs, sorted.
+    fn fds_of(walks: Vec<(usize, WalkResult)>) -> Vec<Fd> {
+        let mut fds: Vec<Fd> = walks
             .into_iter()
-            .filter(|fd| !z.contains(fd.rhs))
-            .map(|fd| (fd.lhs, fd.rhs))
-            .collect()
+            .flat_map(|(a, w)| w.minimal_positives.into_iter().map(move |lhs| Fd::new(lhs, a)))
+            .collect();
+        fds.sort();
+        fds
     }
 
-    fn z_of(t: &Table) -> ColumnSet {
-        muds_ucc::naive_minimal_uccs(t).iter().fold(ColumnSet::empty(), |acc, u| acc.union(u))
+    /// Ground truth for the rhss in `rhss` via the naive oracle, sorted.
+    fn expected(t: &Table, rhss: &ColumnSet) -> Vec<Fd> {
+        let all = muds_fd::naive_minimal_fds(t).to_sorted_vec();
+        all.into_iter().filter(|fd| rhss.contains(fd.rhs)).collect()
     }
 
     #[test]
@@ -81,33 +88,35 @@ mod tests {
             &[vec!["1", "a", "p"], vec!["2", "a", "p"], vec!["3", "b", "q"], vec!["4", "b", "q"]],
         )
         .unwrap();
-        let z = z_of(&t); // {id}
-        assert_eq!(z, cs(&[0]));
-        let metrics = muds_obs::Metrics::new();
-        let _guard = metrics.install();
+        let rz = cs(&[1, 2]);
         let mut cache = PliCache::new(&t);
-        let fds = discover_rz_fds(&mut cache, &z, 0, &mut FdKnowledge::new(t.num_columns()));
-        assert!(fds.contains(&cs(&[1]), 2), "g → x");
-        assert_eq!(metrics.drain_snapshot().counter("rz.sub_lattices"), 2, "g and x");
-        // Exactness vs naive.
-        let got: Vec<(ColumnSet, usize)> =
-            fds.to_sorted_vec().into_iter().map(|fd| (fd.lhs, fd.rhs)).collect();
-        assert_eq!(got, expected_rz(&t, &z));
+        let fds = fds_of(walk_rhss(&mut cache, &rz, 0, &[], &[]));
+        assert!(fds.contains(&Fd::new(cs(&[1]), 2)), "g → x");
+        assert_eq!(fds, expected(&t, &rz));
     }
 
     #[test]
     fn constant_column_gets_empty_lhs() {
         let t = Table::from_rows("t", &["id", "k"], &[vec!["1", "c"], vec!["2", "c"]]).unwrap();
-        let z = z_of(&t);
         let mut cache = PliCache::new(&t);
-        let fds = discover_rz_fds(&mut cache, &z, 0, &mut FdKnowledge::new(t.num_columns()));
-        assert!(fds.contains(&ColumnSet::empty(), 1));
+        let fds = fds_of(walk_rhss(&mut cache, &cs(&[1]), 0, &[], &[]));
+        assert_eq!(fds, [Fd::new(ColumnSet::empty(), 1)]);
     }
 
+    /// Seeded with DUCC's output or not, every rhs's walk is exact; the
+    /// seeds only save oracle calls.
     #[test]
-    fn randomized_exactness() {
+    fn randomized_exactness_with_and_without_ducc_seeds() {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(60);
+        let oracle_calls = |run: &mut dyn FnMut() -> Vec<(usize, WalkResult)>| {
+            let metrics = muds_obs::Metrics::new();
+            let guard = metrics.install();
+            let walks = run();
+            drop(guard);
+            (fds_of(walks), metrics.drain_snapshot().counter("walk.oracle_calls"))
+        };
+        let (mut seeded_calls, mut bare_calls) = (0, 0);
         for case in 0..60 {
             let cols = rng.gen_range(2..=6);
             let rows = rng.gen_range(2..=20);
@@ -117,12 +126,18 @@ mod tests {
                 .map(|_| (0..cols).map(|_| rng.gen_range(0..3).to_string()).collect())
                 .collect();
             let t = Table::from_rows("t", &name_refs, &data).unwrap().dedup_rows();
-            let z = z_of(&t);
+            let r = ColumnSet::full(cols);
             let mut cache = PliCache::new(&t);
-            let fds = discover_rz_fds(&mut cache, &z, 0, &mut FdKnowledge::new(t.num_columns()));
-            let got: Vec<(ColumnSet, usize)> =
-                fds.to_sorted_vec().into_iter().map(|fd| (fd.lhs, fd.rhs)).collect();
-            assert_eq!(got, expected_rz(&t, &z), "case {case}");
+            let d = muds_ucc::ducc(&mut cache, 1);
+            let (seeded, calls) = oracle_calls(&mut || {
+                walk_rhss(&mut cache, &r, 0, &d.minimal_uccs, &d.maximal_non_uccs)
+            });
+            assert_eq!(seeded, expected(&t, &r), "case {case}, seeded");
+            seeded_calls += calls;
+            let (bare, calls) = oracle_calls(&mut || walk_rhss(&mut cache, &r, 0, &[], &[]));
+            assert_eq!(bare, expected(&t, &r), "case {case}, bare");
+            bare_calls += calls;
         }
+        assert!(seeded_calls < bare_calls, "seeded {seeded_calls} vs bare {bare_calls}");
     }
 }

@@ -15,8 +15,8 @@
 //! The phase is the paper's single pass: generate the shadow tasks once
 //! from the exact-lhs look-up `FDs[connector]`, then minimize them once.
 //! It is not complete on adversarial inputs (DESIGN.md documents a
-//! counterexample), which is why MUDS pairs it with a completion sweep by
-//! default.
+//! counterexample), which is why it runs only in the paper-faithful mode;
+//! exact MUDS walks every right-hand side instead.
 
 use std::collections::{HashMap, HashSet};
 
@@ -207,21 +207,17 @@ fn generate_tasks(
                 .clone();
             for reduced in reduced_sets {
                 // The extension is valid for new_lhs by construction;
-                // after UCC removal it must be re-validated. The
-                // reductions stay sequential (a check on one reduced set
-                // can short-circuit the next), but each set's unresolved
-                // checks fan out as one batch.
-                let rhs_list: Vec<usize> = rhs.difference(&reduced).iter().collect();
-                let outcomes = knowledge.decide_many(cache, &reduced, &rhs_list);
+                // after UCC removal it must be re-validated.
                 let mut valid = ColumnSet::empty();
-                for (&a, outcome) in rhs_list.iter().zip(&outcomes) {
-                    if outcome.known {
+                for a in rhs.difference(&reduced).iter() {
+                    let before = knowledge.checks;
+                    if knowledge.determines(cache, &reduced, a) {
+                        valid.insert(a);
+                    }
+                    if knowledge.checks == before {
                         stats.checks_short_circuited += 1;
                     } else {
                         stats.generation_fd_checks += 1;
-                    }
-                    if outcome.holds {
-                        valid.insert(a);
                     }
                 }
                 if !valid.is_empty() {

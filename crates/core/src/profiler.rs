@@ -68,9 +68,9 @@ impl Algorithm {
 pub struct ProfilerConfig {
     /// RNG seed shared by the randomized traversals.
     pub seed: u64,
-    /// MUDS only: run the exactness sweep after the shadowed phase (see
-    /// [`MudsConfig::completion_sweep`]). `false` is the paper-faithful
-    /// pipeline.
+    /// MUDS only: exact FD discovery, one DUCC-seeded walk per right-hand
+    /// side (see [`MudsConfig::completion_sweep`]). `false` is the
+    /// paper-faithful pipeline.
     pub completion_sweep: bool,
     /// Compute the single-scan column-statistics profile (§15) and attach
     /// it as [`ProfileResult::stats`]. Off by default: dependency-only
@@ -398,6 +398,8 @@ mod tests {
             assert_eq!(r.metrics.counter("shadowed.tasks_generated"), 0);
             r.phases.into_iter().map(|p| p.name).collect()
         };
+        let exact = ["SPIDER", "DUCC", "calculate R\\Z", "completion sweep"];
+        assert_eq!(names(&ProfilerConfig::default()), exact);
         let faithful = [
             "SPIDER",
             "DUCC",
@@ -406,10 +408,22 @@ mod tests {
             "generate shadowed fd tasks",
             "minimize shadowed tasks",
         ];
-        let exact: Vec<&str> = faithful.iter().copied().chain(["completion sweep"]).collect();
-        assert_eq!(names(&ProfilerConfig::default()), exact);
         let config = ProfilerConfig { completion_sweep: false, ..ProfilerConfig::default() };
         assert_eq!(names(&config), faithful);
+    }
+
+    /// Exact MUDS never runs the paper-only phases §5.1 and §5.3, so it
+    /// records none of their counters; the faithful mode does.
+    #[test]
+    fn exact_muds_records_no_paper_only_counters() {
+        let paper_only = |config: &ProfilerConfig| -> Vec<String> {
+            let r = profile(&sample(), Algorithm::Muds, config);
+            let names = r.metrics.counters.into_keys();
+            names.filter(|n| n.starts_with("minimize.") || n.starts_with("shadowed.")).collect()
+        };
+        assert_eq!(paper_only(&ProfilerConfig::default()), Vec::<String>::new());
+        let config = ProfilerConfig { completion_sweep: false, ..ProfilerConfig::default() };
+        assert!(paper_only(&config).iter().any(|n| n == "minimize.tasks"));
     }
 
     #[test]

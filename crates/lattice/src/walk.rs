@@ -93,7 +93,7 @@ impl<'a, O: MonotoneOracle> Search<'a, O> {
     /// Publishes the walk's counters into the ambient [`muds_obs::Metrics`]
     /// registry (no-op without one). Every exit point goes through here
     /// once, so the registry accumulates run-level totals across all walks
-    /// of an algorithm (DUCC + every R\Z sub-lattice + completion sweep).
+    /// of an algorithm (DUCC + every per-rhs sub-lattice walk).
     fn publish(
         &self,
         minimal_positives: Vec<ColumnSet>,

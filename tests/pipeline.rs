@@ -43,7 +43,7 @@ fn baseline_reparses_per_task_holistic_once() {
     }
 }
 
-/// The paper's pipeline without the completion sweep is sound but not
+/// The paper's pipeline (`--paper-faithful`) is sound but not
 /// complete on generator data too, not only on uniform-random tables and
 /// the handmade fixture: on this ncvoter stand-in it misses 33 of the 144
 /// minimal FDs the exact run finds (DESIGN.md §6). Where it misses a
