@@ -3,10 +3,11 @@
 //! Two families share one cell runner (`run_cells`):
 //!
 //! * regression scenarios — profiling shapes × four algorithms (each entry
-//!   tagged holistic vs sequential), the stats-layer overhead pair, and a
-//!   serve round-trip scenario that boots a real `muds-serve` daemon on an
-//!   ephemeral port and measures register/miss/hit latencies over actual
-//!   sockets;
+//!   tagged holistic vs sequential), the stats-layer overhead pair, a
+//!   seeded script of deletes and appends through `apply_incremental`,
+//!   and a serve round-trip scenario that boots a real `muds-serve` daemon
+//!   on an ephemeral port and measures register/miss/hit latencies over
+//!   actual sockets;
 //! * the paper's evaluation (§6): `fig6` (row scalability), `fig7` (column
 //!   scalability), `table3` (eleven UCI stand-ins × four algorithms),
 //!   `fig8` (MUDS phase breakdown, paper-faithful vs exact) and
@@ -29,12 +30,14 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use muds_core::json::parse_json;
-use muds_core::{profile_csv, Algorithm, ProfileResult, ProfilerConfig};
+use muds_core::{
+    apply_incremental, profile, profile_csv, Algorithm, ProfileResult, ProfilerConfig,
+};
 use muds_datagen::{ionosphere_like, ncvoter_like, uci_dataset, uniprot_like, TABLE3_DATASETS};
 use muds_lattice::{ColumnSet, SetTrie};
 use muds_obs::{flatten_phases, Metrics};
 use muds_serve::{ServeConfig, Server};
-use muds_table::{table_to_csv, CsvOptions, Table};
+use muds_table::{table_to_csv, CsvOptions, Table, TableDelta};
 use rand::prelude::*;
 
 use crate::report::{BenchEntry, BenchReport, PhaseRow};
@@ -59,6 +62,8 @@ pub enum ScenarioKind {
     MudsConfigs,
     /// A1 set-trie vs linear scan.
     Ablation,
+    /// A seeded script of deletes and appends through `apply_incremental`.
+    Delta,
 }
 
 impl ScenarioKind {
@@ -72,6 +77,7 @@ impl ScenarioKind {
             ScenarioKind::Datasets => "datasets",
             ScenarioKind::MudsConfigs => "muds-configs",
             ScenarioKind::Ablation => "ablation",
+            ScenarioKind::Delta => "delta",
         }
     }
 }
@@ -93,11 +99,11 @@ pub struct ScenarioSpec {
     pub figure: &'static str,
 }
 
-/// The full matrix: the seven regression scenarios cheapest first, then
-/// the paper's evaluation. `ionosphere_wide`, `uniprot_10k` and
-/// `stats_overhead` are the CI smoke scenarios (see
+/// The full matrix: the eight regression scenarios cheapest first, then
+/// the paper's evaluation. `ionosphere_wide`, `uniprot_10k`,
+/// `stats_overhead` and `delta` are the CI smoke scenarios (see
 /// `.github/workflows/ci.yml`).
-pub const SCENARIOS: [ScenarioSpec; 12] = [
+pub const SCENARIOS: [ScenarioSpec; 13] = [
     ScenarioSpec {
         name: "ionosphere_wide",
         kind: ScenarioKind::Profile,
@@ -156,6 +162,14 @@ pub const SCENARIOS: [ScenarioSpec; 12] = [
         rows: 50_000,
         cols: 10,
         figure: "Figure 6 (row scalability)",
+    },
+    ScenarioSpec {
+        name: "delta",
+        kind: ScenarioKind::Delta,
+        shape: "uniprot",
+        rows: 50_000,
+        cols: 10,
+        figure: "incremental maintenance (DESIGN.md §13) on a Figure 6 table",
     },
     ScenarioSpec {
         name: "fig6",
@@ -275,6 +289,7 @@ pub fn run_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> Result<BenchRepor
         ScenarioKind::Datasets => run_datasets(spec, opts),
         ScenarioKind::MudsConfigs => run_muds_configs(spec, opts),
         ScenarioKind::Ablation => run_ablation(spec, opts),
+        ScenarioKind::Delta => run_delta(spec, opts),
     }
 }
 
@@ -480,6 +495,147 @@ fn run_stats_overhead(spec: &ScenarioSpec, opts: &RunOptions) -> Result<BenchRep
     let mut entries = Vec::with_capacity(cells.len());
     let peak = run_cells(&table, &cells, opts, &mut entries)?;
     Ok(report(spec, opts, dims(&table), peak, entries))
+}
+
+/// Deltas in the `delta` scenario's script, and the most rows one touches.
+const DELTA_SCRIPT_OPS: usize = 30;
+const DELTA_MAX_ROWS: usize = 20;
+
+/// One step of the `delta` scenario's script: append the next `n` reserve
+/// rows, or delete `n` distinct rows of the current table.
+#[derive(Debug, Clone, Copy)]
+enum DeltaStep {
+    Append(usize),
+    Delete(usize),
+}
+
+/// The write path: a MUDS profile of the uniprot table carried through a
+/// fixed, seeded script of 1–20-row deltas (every third a delete, the
+/// rest appends of rows generated past the table's end). One entry per
+/// kind, `(append, muds)` and `(delete, muds)`: wall is the sum over the
+/// kind's deltas of the spans `apply_incremental` records (`delta apply`,
+/// `delta border` or `delta revalidate`, `SPIDER`, and a re-profile's own
+/// phases), counters sum over them and add `ops` and, for deletes,
+/// `border_kept` / `reprofiled`. Each run replays the script from the
+/// same profile, and its final result must equal a from-scratch profile.
+fn run_delta(spec: &ScenarioSpec, opts: &RunOptions) -> Result<BenchReport, String> {
+    let rows = opts.scaled_rows(spec.rows);
+    let full = uniprot_like(rows + DELTA_SCRIPT_OPS * DELTA_MAX_ROWS, opts.scaled_cols(spec.cols));
+    let base = full.take_rows(rows);
+    let old = profile(&base, Algorithm::Muds, &ProfilerConfig::default());
+    let mut rng = StdRng::seed_from_u64(43);
+    let script: Vec<DeltaStep> = (0..DELTA_SCRIPT_OPS)
+        .map(|i| {
+            let n = rng.gen_range(1..=DELTA_MAX_ROWS);
+            if i % 3 == 1 {
+                DeltaStep::Delete(n)
+            } else {
+                DeltaStep::Append(n)
+            }
+        })
+        .collect();
+    let window = muds_obs::rss::reset_peak_rss();
+    let mut best: [Option<BenchEntry>; 2] = [None, None];
+    for _ in 0..opts.repeat.max(1) {
+        for (slot, entry) in best.iter_mut().zip(delta_run(&full, &base, &old, &script)?) {
+            if slot.as_ref().is_none_or(|b| entry.wall_ns < b.wall_ns) {
+                *slot = Some(entry);
+            }
+        }
+    }
+    let peak = peak_rss_since_reset(window);
+    let mut entries: Vec<BenchEntry> = best.into_iter().flatten().collect();
+    for entry in &mut entries {
+        entry.peak_rss_bytes = peak;
+    }
+    Ok(report(spec, opts, dims(&base), peak, entries))
+}
+
+/// One replay of the `delta` script from `old`, the profile of `base`;
+/// appended rows come from `full` past `base`'s rows, and every delete's
+/// row ids from a fixed seed. Returns the append and the delete entry.
+fn delta_run(
+    full: &Table,
+    base: &Table,
+    old: &ProfileResult,
+    script: &[DeltaStep],
+) -> Result<[BenchEntry; 2], String> {
+    const KEPT_PHASES: [&str; 3] = ["delta apply", "delta border", "SPIDER"];
+    let mut rng = StdRng::seed_from_u64(47);
+    let (mut table, mut result) = (base.clone(), old.clone());
+    let mut next_row = base.num_rows();
+    let mut entries = ["append", "delete"].map(|kind| BenchEntry {
+        algorithm: kind.to_string(),
+        mode: "muds".to_string(),
+        wall_ns: 0,
+        rows_per_sec: 0.0,
+        peak_rss_bytes: 0, // filled in once the run's window closes
+        alloc_bytes: 0,
+        counters: BTreeMap::new(),
+        phases: Vec::new(),
+    });
+    // Per entry: rows changed and the spans of its deltas.
+    let mut changed = [0usize; 2];
+    let mut spans: [Vec<muds_obs::SpanNode>; 2] = Default::default();
+    for step in script {
+        let (kind, delta) = match *step {
+            DeltaStep::Append(n) => {
+                let rows = (next_row..next_row + n)
+                    .map(|r| full.row(r).into_iter().map(|v| v.unwrap_or("").to_string()).collect())
+                    .collect();
+                next_row += n;
+                (0, TableDelta::Append { rows })
+            }
+            DeltaStep::Delete(n) => {
+                let mut ids: Vec<usize> = Vec::with_capacity(n);
+                while ids.len() < n.min(table.num_rows()) {
+                    let id = rng.gen_range(0..table.num_rows());
+                    if !ids.contains(&id) {
+                        ids.push(id);
+                    }
+                }
+                (1, TableDelta::Delete { rows: ids })
+            }
+        };
+        // A fresh registry per delta: the result's snapshot covers exactly
+        // this call.
+        let registry = Metrics::new();
+        let alloc_before = muds_obs::alloc::allocated_bytes();
+        let outcome = {
+            let _guard = registry.install();
+            apply_incremental(&result, &table, &delta).map_err(|e| format!("delta: {e}"))?
+        };
+        let entry = &mut entries[kind];
+        entry.alloc_bytes += muds_obs::alloc::allocated_bytes().saturating_sub(alloc_before);
+        entry.wall_ns += duration_ns(outcome.result.total_time());
+        changed[kind] += outcome.appended_rows + outcome.deleted_rows;
+        let mut counters = outcome.result.metrics.counters.clone();
+        counters.insert("ops".to_string(), 1);
+        if matches!(step, DeltaStep::Delete(_)) {
+            let kept = outcome.result.phases.iter().all(|p| KEPT_PHASES.contains(&p.name.as_str()));
+            counters.insert(if kept { "border_kept" } else { "reprofiled" }.to_string(), 1);
+        }
+        for (name, value) in counters {
+            *entry.counters.entry(name).or_default() += value;
+        }
+        spans[kind].extend(outcome.result.metrics.spans.iter().cloned());
+        (table, result) = (outcome.table, outcome.result);
+    }
+    let scratch = profile(&table, Algorithm::Muds, &ProfilerConfig::default());
+    if scratch.minimal_uccs != result.minimal_uccs
+        || scratch.fds.to_sorted_vec() != result.fds.to_sorted_vec()
+        || scratch.inds != result.inds
+    {
+        return Err(format!(
+            "delta: after {} deltas the carried result differs from a from-scratch profile",
+            script.len()
+        ));
+    }
+    for ((entry, rows), spans) in entries.iter_mut().zip(changed).zip(&spans) {
+        entry.rows_per_sec = per_sec(rows, entry.wall_ns);
+        entry.phases = phase_rows(spans);
+    }
+    Ok(entries)
 }
 
 // ---------------------------------------------------------------------------
@@ -943,6 +1099,7 @@ mod tests {
         assert_eq!(modes["table3"], TABLE3_DATASETS);
         assert_eq!(modes["fig8"], ["paper-faithful", "exact"]);
         assert_eq!(modes["ablation"], ["sets=100", "sets=1000", "sets=10000"]);
+        assert_eq!(modes["delta"], ["muds"]);
     }
 
     #[test]
@@ -957,6 +1114,30 @@ mod tests {
         assert!(find("nope").is_none());
         assert_eq!(SCENARIOS.iter().filter(|s| s.kind == ScenarioKind::Serve).count(), 1);
         assert_eq!(SCENARIOS.iter().filter(|s| s.kind == ScenarioKind::StatsOverhead).count(), 1);
+    }
+
+    #[test]
+    fn delta_scenario_reports_appends_and_deletes() {
+        let spec = find("delta").unwrap();
+        let report = run_scenario(spec, &fast_opts()).expect("delta scenario runs");
+        assert_eq!(report.kind, "delta");
+        let [append, delete] = &report.entries[..] else {
+            panic!("two entries: {:?}", report.entries);
+        };
+        assert_eq!((append.algorithm.as_str(), delete.algorithm.as_str()), ("append", "delete"));
+        assert_eq!((append.mode.as_str(), delete.mode.as_str()), ("muds", "muds"));
+        assert_eq!(append.counters["ops"] + delete.counters["ops"], DELTA_SCRIPT_OPS as u64);
+        let branches = ["border_kept", "reprofiled"];
+        let deletes: u64 = branches.iter().filter_map(|b| delete.counters.get(*b)).sum();
+        assert_eq!(deletes, delete.counters["ops"]);
+        let phases = |e: &BenchEntry| e.phases.iter().map(|p| p.name.clone()).collect::<Vec<_>>();
+        for name in ["delta apply", "delta revalidate", "SPIDER"] {
+            assert!(phases(append).iter().any(|p| p == name), "{name} in {:?}", phases(append));
+        }
+        for name in ["delta apply", "delta border", "SPIDER"] {
+            assert!(phases(delete).iter().any(|p| p == name), "{name} in {:?}", phases(delete));
+        }
+        assert!(append.wall_ns > 0 && delete.wall_ns > 0);
     }
 
     #[test]

@@ -590,15 +590,17 @@ BENCHMARKING:
   bench runs a fixed scenario matrix (uniprot_10k, uniprot_50k, ncvoter_10k,
   ncvoter_50k, ionosphere_wide profile scenarios × four algorithms, a
   serve_roundtrip daemon scenario, a stats_overhead scenario timing MUDS
-  with the column-statistics layer off vs on, and the paper's evaluation:
-  fig6, fig7, table3, fig8 and ablation) and writes one machine-readable
-  BENCH_<scenario>.json per scenario into --out: rows/s, span-tree wall and
-  per-phase times, work-counter deltas, peak RSS, and (when built
-  with --features bench-alloc) allocated bytes. --repeat K reports each
-  entry's best of K runs. With --check DIR the fresh numbers are diffed
-  against the baseline reports in DIR and the exit status is non-zero when
-  wall time regresses more than --wall-tolerance (default 0.25) or peak RSS
-  more than --rss-tolerance (default 0.30); schema drift always fails.
+  with the column-statistics layer off vs on, a delta scenario timing a
+  seeded script of appends and deletes on a MUDS profile, and the paper's
+  evaluation: fig6, fig7, table3, fig8 and ablation) and writes one
+  machine-readable BENCH_<scenario>.json per scenario into --out: rows/s,
+  span-tree wall and per-phase times, work-counter deltas, peak RSS, and
+  (when built with --features bench-alloc) allocated bytes. --repeat K
+  reports each entry's best of K runs. With --check DIR the fresh numbers
+  are diffed against the baseline reports in DIR and the exit status is
+  non-zero when wall time regresses more than --wall-tolerance (default
+  0.25) or peak RSS more than --rss-tolerance (default 0.30); schema drift
+  always fails.
 
 FUZZING:
   fuzz generates adversarial tables (NULL-heavy, constant, near-unique,

@@ -24,9 +24,15 @@
 //! of `a`'s minimal left-hand sides. A border set can only turn positive if
 //! every column of it is affected, so only those are checked
 //! (`delta.revalidated` counts them), stopping at the first that turned.
-//! If none did, the old UCCs and FDs carry over (`delta.skipped` counts
-//! them) and only the INDs are recomputed; otherwise the delete re-profiles
-//! the post-delta table from scratch.
+//! A check needs one witness, not a partition: two surviving rows that
+//! agree on the set (and, for a non-FD, differ on its right-hand side).
+//! [`PliCache::find_witness`] looks for one in the clusters of the set's
+//! smallest pinned single-column PLI and stops at the first, so a kept
+//! delete builds no multi-column PLI; only a set that turned positive is
+//! scanned to the end (`delta.border_rows` counts the rows visited).
+//! If no set turned, the old UCCs and FDs carry over (`delta.skipped`
+//! counts them) and only the INDs are recomputed; otherwise the delete
+//! re-profiles the post-delta table from scratch.
 //!
 //! An identity delta (nothing appended or deleted) carries the old result
 //! wholesale. Every path is equivalent to re-running [`profile`] on the
@@ -120,9 +126,10 @@ pub fn apply_incremental(
         (result, 0, skipped)
     } else if deleted_rows > 0 {
         let span = muds_obs::span("delta border");
-        let (held, revalidated) = border_holds(&mut PliCache::new(&table), old, &d);
+        let (held, revalidated, rows) = border_holds(&mut PliCache::new(&table), old, &d);
         span.stop();
         revalidated_meter.add(revalidated);
+        muds_obs::add("delta.border_rows", rows);
         if held {
             let skipped = (old.minimal_uccs.len() + old.fds.len()) as u64;
             skipped_meter.add(skipped);
@@ -177,21 +184,28 @@ fn with_fresh_inds(
 }
 
 /// Delete direction: true iff every maximal negative of `old` is still
-/// negative on `cache`'s post-delete table, plus the number of checks run.
-/// The maximal negatives come from `old`'s minimal positives by duality
-/// (module docs); one with a column outside the affected set `d` keeps a
-/// violating pair of surviving rows, so only subsets of `d` are checked.
-/// Stops at the first set that turned positive.
-fn border_holds(cache: &mut PliCache<'_>, old: &ProfileResult, d: &ColumnSet) -> (bool, u64) {
+/// negative on `cache`'s post-delete table, plus the number of checks run
+/// and the rows their witness searches visited. The maximal negatives come
+/// from `old`'s minimal positives by duality (module docs); one with a
+/// column outside the affected set `d` keeps a violating pair of surviving
+/// rows, so only subsets of `d` are checked. Each check asks
+/// [`PliCache::find_witness`] for one surviving pair of rows that agree on
+/// the set (and, for a non-FD, differ on its rhs): that costs a scan of
+/// one pinned single-column PLI up to the first witness, and builds no
+/// multi-column PLI. Stops at the first set without a witness: it turned
+/// positive, which only the full scan can show.
+fn border_holds(cache: &mut PliCache<'_>, old: &ProfileResult, d: &ColumnSet) -> (bool, u64, u64) {
     let n = cache.table().num_columns();
     let all = ColumnSet::full(n);
-    let mut checks = 0u64;
+    let (mut checks, mut rows) = (0u64, 0u64);
     for hit in minimal_hitting_sets(&old.minimal_uccs, &all) {
         let negative = all.difference(&hit);
         if negative.is_subset_of(d) {
             checks += 1;
-            if cache.is_unique(&negative) {
-                return (false, checks);
+            let (found, visited) = cache.find_witness(&negative, None);
+            rows += visited as u64;
+            if !found {
+                return (false, checks, rows);
             }
         }
     }
@@ -210,13 +224,15 @@ fn border_holds(cache: &mut PliCache<'_>, old: &ProfileResult, d: &ColumnSet) ->
             let negative = others.difference(&hit);
             if negative.is_subset_of(d) {
                 checks += 1;
-                if cache.determines(&negative, a) {
-                    return (false, checks);
+                let (found, visited) = cache.find_witness(&negative, Some(a));
+                rows += visited as u64;
+                if !found {
+                    return (false, checks, rows);
                 }
             }
         }
     }
-    (true, checks)
+    (true, checks, rows)
 }
 
 /// True iff some set in `minimal` is a subset of `x` (so `x` is valid but
@@ -630,6 +646,27 @@ mod tests {
         for p in &scratch.phases {
             assert!(phases.contains(&p.name.as_str()), "{} missing from {phases:?}", p.name);
         }
+    }
+
+    #[test]
+    fn kept_delete_answers_the_border_from_witness_pairs() {
+        // A few thousand rows with wide composite keys: the border holds
+        // multi-column sets, which a witness search settles from the pinned
+        // single-column PLIs without one intersect.
+        let t = muds_datagen::uniprot_like(3_000, 8);
+        let old = profile(&t, Algorithm::Muds, &ProfilerConfig::default());
+        let metrics = muds_obs::Metrics::new();
+        let _guard = metrics.install();
+        let delete = TableDelta::Delete { rows: vec![3, 1_500, 2_999] };
+        let kept = apply_incremental(&old, &t, &delete).unwrap();
+        assert_eq!(kept.skipped, (old.minimal_uccs.len() + old.fds.len()) as u64, "border held");
+        assert!(kept.revalidated > 0);
+        let m = &kept.result.metrics;
+        assert_eq!(m.counter("pli.intersects"), 0);
+        assert!(m.counter("delta.border_rows") > 0);
+        let scratch = profile(&kept.table, Algorithm::Muds, &ProfilerConfig::default());
+        assert_eq!(kept.result.minimal_uccs, scratch.minimal_uccs);
+        assert_eq!(kept.result.fds.to_sorted_vec(), scratch.fds.to_sorted_vec());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 mod agree;
 mod cache;
 mod pli;
+mod witness;
 
 pub use agree::{agree_sets, maximal_sets};
 pub use cache::PliCache;
