@@ -5,8 +5,11 @@
 //! affected-column report of [`Table::apply_delta`] — a dependency can only
 //! break if every left-hand-side column is affected — most of the old
 //! result carries over with *zero* data access (`delta.skipped`), and the
-//! rest is revalidated against the post-delta PLIs in level-wise batches
-//! (`delta.revalidated`, via `PliCache::get_many` / `refines_many`).
+//! rest is revalidated level-wise (`delta.revalidated`). Every set checked
+//! held before the append, so only a pair with an appended row can break
+//! it: an [`AppendProbe`] reads just the appended rows' clusters of one
+//! column per set and builds no PLI (`delta.append_rows` counts the rows
+//! it compares).
 //! Unary INDs have no such monotone direction (an append grows both the
 //! dependent and the referenced value sets), so they are recomputed exactly
 //! with SPIDER — cheap, because the incrementally maintained dictionaries
@@ -44,7 +47,7 @@ use std::collections::BTreeMap;
 
 use muds_fd::FdSet;
 use muds_lattice::{minimal_hitting_sets, ColumnSet};
-use muds_pli::PliCache;
+use muds_pli::{AppendProbe, PliCache};
 use muds_table::{DeltaOutcome, Table, TableDelta, TableError};
 
 use crate::profiler::{
@@ -142,14 +145,13 @@ pub fn apply_incremental(
         }
     } else {
         let (mut revalidated, mut skipped) = (0u64, 0u64);
-        // The post-delta single-column PLIs: one bucket pass over each
-        // column's new codes.
-        let mut cache = PliCache::new(&table);
         let span = muds_obs::span("delta revalidate");
+        let mut probe = AppendProbe::new(&table, old_table.num_rows(), &d);
         let minimal_uccs =
-            append_uccs(&mut cache, &old.minimal_uccs, &d, &mut revalidated, &mut skipped);
-        let fds = append_fds(&mut cache, &old.fds, &d, &mut revalidated, &mut skipped);
+            append_uccs(&mut probe, &old.minimal_uccs, &d, &mut revalidated, &mut skipped);
+        let fds = append_fds(&mut probe, &old.fds, &d, &mut revalidated, &mut skipped);
         span.stop();
+        muds_obs::add("delta.append_rows", probe.rows_visited());
         revalidated_meter.add(revalidated);
         skipped_meter.add(skipped);
         (with_fresh_inds(old, &table, minimal_uccs, fds, &metrics), revalidated, skipped)
@@ -260,9 +262,10 @@ fn minimize_sets(mut sets: Vec<ColumnSet>) -> Vec<ColumnSet> {
 /// inside the affected set `d`; sets that break are replaced by the minimal
 /// valid supersets, found with an upward level-wise search (every set
 /// unique *now* was unique *before*, hence is a superset of some old
-/// minimal UCC — so growing the broken sets covers all candidates).
+/// minimal UCC — so growing the broken sets covers all candidates). Since
+/// every set checked was unique before, `probe` can answer each one.
 fn append_uccs(
-    cache: &mut PliCache<'_>,
+    probe: &mut AppendProbe<'_>,
     old: &[ColumnSet],
     d: &ColumnSet,
     revalidated: &mut u64,
@@ -280,14 +283,14 @@ fn append_uccs(
     }
     *revalidated += to_check.len() as u64;
     let mut frontier: Vec<ColumnSet> = Vec::new();
-    for (x, pli) in to_check.iter().zip(cache.get_many(&to_check)) {
-        if pli.is_unique() {
-            confirmed.push(*x);
+    for x in to_check {
+        if probe.is_unique(&x) {
+            confirmed.push(x);
         } else {
-            frontier.push(*x);
+            frontier.push(x);
         }
     }
-    let n = cache.table().num_columns();
+    let n = probe.table().num_columns();
     while !frontier.is_empty() {
         // One column bigger per round; pruning against already-confirmed
         // sets kills every path that can only reach non-minimal sets.
@@ -305,13 +308,12 @@ fn append_uccs(
             break;
         }
         *revalidated += candidates.len() as u64;
-        let plis = cache.get_many(&candidates);
         frontier = Vec::new();
-        for (y, pli) in candidates.iter().zip(plis) {
-            if pli.is_unique() {
-                confirmed.push(*y);
+        for y in candidates {
+            if probe.is_unique(&y) {
+                confirmed.push(y);
             } else {
-                frontier.push(*y);
+                frontier.push(y);
             }
         }
     }
@@ -324,7 +326,7 @@ fn append_uccs(
 /// right-hand side (an FD `X → A` can only break if `X ⊆ d`; minimal valid
 /// replacements are supersets of the broken left-hand sides).
 fn append_fds(
-    cache: &mut PliCache<'_>,
+    probe: &mut AppendProbe<'_>,
     old: &FdSet,
     d: &ColumnSet,
     revalidated: &mut u64,
@@ -342,19 +344,19 @@ fn append_fds(
             }
         }
     }
-    // `iter_entries` walks a hash map; sort so cache traffic (and with it
-    // the pli.* counters) is reproducible run to run.
+    // `iter_entries` walks a hash map; sort so the probes (and with them
+    // `delta.append_rows`) are reproducible run to run.
     to_check.sort_unstable();
     *revalidated += to_check.len() as u64;
     let mut broken: BTreeMap<usize, Vec<ColumnSet>> = BTreeMap::new();
-    for ((lhs, a), holds) in to_check.iter().zip(cache.refines_many(&to_check)) {
-        if holds {
-            confirmed.entry(*a).or_default().push(*lhs);
+    for (lhs, a) in to_check {
+        if probe.determines(&lhs, a) {
+            confirmed.entry(a).or_default().push(lhs);
         } else {
-            broken.entry(*a).or_default().push(*lhs);
+            broken.entry(a).or_default().push(lhs);
         }
     }
-    let n = cache.table().num_columns();
+    let n = probe.table().num_columns();
     for (a, mut frontier) in broken {
         let confirmed_a = confirmed.entry(a).or_default();
         while !frontier.is_empty() {
@@ -371,15 +373,13 @@ fn append_fds(
             if candidates.is_empty() {
                 break;
             }
-            let checks: Vec<(ColumnSet, usize)> = candidates.iter().map(|y| (*y, a)).collect();
-            *revalidated += checks.len() as u64;
-            let verdicts = cache.refines_many(&checks);
+            *revalidated += candidates.len() as u64;
             frontier = Vec::new();
-            for (y, holds) in candidates.iter().zip(verdicts) {
-                if holds {
-                    confirmed_a.push(*y);
+            for y in candidates {
+                if probe.determines(&y, a) {
+                    confirmed_a.push(y);
                 } else {
-                    frontier.push(*y);
+                    frontier.push(y);
                 }
             }
         }
@@ -667,6 +667,37 @@ mod tests {
         let scratch = profile(&kept.table, Algorithm::Muds, &ProfilerConfig::default());
         assert_eq!(kept.result.minimal_uccs, scratch.minimal_uccs);
         assert_eq!(kept.result.fds.to_sorted_vec(), scratch.fds.to_sorted_vec());
+    }
+
+    #[test]
+    fn append_probes_the_appended_rows_clusters() {
+        // Twelve fresh rows plus a copy of row 7 with a new c2: {c0, c1}
+        // stops being unique, and its repair checks supersets. Every check
+        // is a probe of the appended rows' clusters, without one PLI.
+        let full = muds_datagen::uniprot_like(3_012, 8);
+        let t = full.take_rows(3_000);
+        let old = profile(&t, Algorithm::Muds, &ProfilerConfig::default());
+        let row = |r: usize| -> Vec<String> {
+            full.row(r).into_iter().map(|v| v.unwrap_or("").to_string()).collect()
+        };
+        let mut rows: Vec<Vec<String>> = (3_000..3_012).map(row).collect();
+        let mut clash = row(7);
+        clash[2] = "fresh".to_string();
+        rows.push(clash);
+        let metrics = muds_obs::Metrics::new();
+        let _guard = metrics.install();
+        let inc = apply_incremental(&old, &t, &TableDelta::Append { rows }).unwrap();
+        assert_eq!(inc.appended_rows, 13);
+        // The same checks as revalidating against full post-append PLIs.
+        assert_eq!((inc.revalidated, inc.skipped), (91, 0));
+        let m = &inc.result.metrics;
+        assert_eq!(m.counter("pli.intersects"), 0);
+        assert_eq!(m.counter("pli.refinement_checks"), 0);
+        assert!(m.counter("delta.append_rows") > 0);
+        let scratch = profile(&inc.table, Algorithm::Muds, &ProfilerConfig::default());
+        assert_ne!(inc.result.minimal_uccs, old.minimal_uccs, "the append broke a UCC");
+        assert_eq!(inc.result.minimal_uccs, scratch.minimal_uccs);
+        assert_eq!(inc.result.fds.to_sorted_vec(), scratch.fds.to_sorted_vec());
     }
 
     #[test]

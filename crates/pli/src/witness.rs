@@ -1,10 +1,15 @@
 //! Witness search: is a column combination still not unique, or does it
 //! still not determine a column? One pair of rows answers either question,
-//! so the search looks for that pair in a single-column PLI's clusters
-//! instead of building the combination's PLI. The delete path asks it
-//! whether the old result's maximal negatives survived (DESIGN.md §13).
+//! so the search looks for that pair instead of building the combination's
+//! PLI. The delete path asks [`Pli::find_witness`] whether the old result's
+//! maximal negatives survived, in a single-column PLI's clusters; the
+//! append path asks an [`AppendProbe`] whether an old positive broke, in
+//! the clusters of the appended rows alone (DESIGN.md §13).
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+
+use muds_lattice::ColumnSet;
+use muds_table::{Column, Table};
 
 use crate::pli::{Pli, RowId};
 
@@ -99,10 +104,213 @@ fn row_hash(rest: &[&[u32]], row: RowId) -> u64 {
     })
 }
 
+/// Witness probe for an append: answers "is `X` still unique?" and "does
+/// `X` still determine `a`?" on a table whose rows `old_rows..` were just
+/// appended, for sets that held on the rows before them (the old minimal
+/// positives and every superset of one). A pair that breaks such a set
+/// must include an appended row, so the probe finds, for each appended row
+/// `j`, the first row `i ≠ j` that agrees with it on `X`, reading only the
+/// appended rows' clusters of one pivot column of `X` (the highest
+/// `distinct_count()`, lowest index on ties; each column is gathered once,
+/// on first use). `X` is still unique iff no appended row has such an `i`;
+/// `X → a` still holds iff every `i` has `j`'s value of `a`. One pair per
+/// appended row suffices for the FD because old rows come first in row
+/// order, the old rows of one `X`-group share `a` (the FD held), and a
+/// group of appended rows only is compared against its first member.
+///
+/// The rows found for the last set are kept, so the FDs of one left-hand
+/// side cost one scan. A set with a column outside `affected` (where every
+/// appended row is alone in its cluster) holds without a scan. The probe
+/// is sequential and hash-free, so the rows it visits depend on the data
+/// alone.
+pub struct AppendProbe<'a> {
+    table: &'a Table,
+    old_rows: usize,
+    affected: ColumnSet,
+    gathered: Vec<Option<AppendedClusters>>,
+    /// The last set scanned and, per appended row, its first agreeing row.
+    last: Option<ColumnSet>,
+    firsts: Vec<Option<usize>>,
+    visited: u64,
+}
+
+/// One column's clusters of the appended rows, in CSR form: appended row
+/// `k` (table row `old_rows + k`) sits in cluster `cluster_of[k]`, whose
+/// rows, ascending, are `rows[offsets[c]..offsets[c + 1]]`. Appended rows
+/// sharing a code share a cluster.
+struct AppendedClusters {
+    cluster_of: Vec<u32>,
+    offsets: Vec<u32>,
+    rows: Vec<RowId>,
+}
+
+impl<'a> AppendProbe<'a> {
+    /// A probe over `table`, whose rows from `old_rows` on are appended and
+    /// whose columns outside `affected` give every appended row a value of
+    /// its own.
+    pub fn new(table: &'a Table, old_rows: usize, affected: &ColumnSet) -> Self {
+        AppendProbe {
+            table,
+            old_rows,
+            affected: *affected,
+            gathered: (0..table.num_columns()).map(|_| None).collect(),
+            last: None,
+            firsts: Vec::new(),
+            visited: 0,
+        }
+    }
+
+    /// The table probed.
+    pub fn table(&self) -> &'a Table {
+        self.table
+    }
+
+    /// Rows compared against an appended row so far, over every scan.
+    pub fn rows_visited(&self) -> u64 {
+        self.visited
+    }
+
+    /// True iff `set`, unique on the rows before the append, still is.
+    pub fn is_unique(&mut self, set: &ColumnSet) -> bool {
+        self.first_agreeing(set).iter().all(Option::is_none)
+    }
+
+    /// True iff `lhs → rhs`, valid on the rows before the append, still
+    /// holds. Trivial FDs (`rhs ∈ lhs`) hold without a scan.
+    pub fn determines(&mut self, lhs: &ColumnSet, rhs: usize) -> bool {
+        if lhs.contains(rhs) {
+            return true;
+        }
+        let (a, old_rows) = (self.table.column(rhs).codes(), self.old_rows);
+        let firsts = self.first_agreeing(lhs);
+        firsts.iter().zip(old_rows..).all(|(i, j)| i.is_none_or(|i| a[i] == a[j]))
+    }
+
+    /// Per appended row `j`, the first row `i ≠ j` that agrees with it on
+    /// `set`, if any.
+    fn first_agreeing(&mut self, set: &ColumnSet) -> &[Option<usize>] {
+        if self.last != Some(*set) {
+            self.firsts = self.scan(set);
+            self.last = Some(*set);
+        }
+        &self.firsts
+    }
+
+    fn scan(&mut self, set: &ColumnSet) -> Vec<Option<usize>> {
+        let table = self.table;
+        let (old_rows, num_rows) = (self.old_rows, table.num_rows());
+        if !set.is_subset_of(&self.affected) {
+            return vec![None; num_rows - old_rows];
+        }
+        let by_distinct = |c: usize| (table.column(c).distinct_count(), Reverse(c));
+        let Some(pivot) = set.iter().max_by_key(|&c| by_distinct(c)) else {
+            // Every row agrees on ∅: row 0 is the first for every other row.
+            let firsts: Vec<Option<usize>> = (old_rows..num_rows)
+                .map(|j| [0, 1].into_iter().find(|&i| i != j && i < num_rows))
+                .collect();
+            self.visited += firsts.iter().flatten().count() as u64;
+            return firsts;
+        };
+        let rest: Vec<&[u32]> =
+            set.iter().filter(|&c| c != pivot).map(|c| table.column(c).codes()).collect();
+        let clusters = self.gathered[pivot]
+            .get_or_insert_with(|| AppendedClusters::gather(table.column(pivot), old_rows));
+        let mut visited = 0u64;
+        let firsts = (old_rows..)
+            .zip(&clusters.cluster_of)
+            .map(|(j, &c)| {
+                let (start, end) = (clusters.offsets[c as usize], clusters.offsets[c as usize + 1]);
+                clusters.rows[start as usize..end as usize]
+                    .iter()
+                    .map(|&i| i as usize)
+                    .filter(|&i| i != j)
+                    .find(|&i| {
+                        visited += 1;
+                        rest.iter().all(|codes| codes[i] == codes[j])
+                    })
+            })
+            .collect();
+        self.visited += visited;
+        firsts
+    }
+}
+
+impl AppendedClusters {
+    /// The clusters of `column`'s rows from `old_rows` on: the rows that
+    /// share a code with an appended row, bucketed by that code. Counts
+    /// the rows per cluster, then places them. When the appended rows hold
+    /// at least an eighth of the distinct codes, most rows belong to some
+    /// cluster: both passes then run branch-free, counting through a code
+    /// histogram and writing the other rows to one spare slot past the
+    /// end; otherwise they skip those rows on a well-predicted branch.
+    fn gather(column: &Column, old_rows: usize) -> Self {
+        let codes = column.codes();
+        let mut slot = vec![u32::MAX; column.code_domain()];
+        let mut k = 0;
+        let cluster_of: Vec<u32> = codes[old_rows..]
+            .iter()
+            .map(|&code| {
+                let s = &mut slot[code as usize];
+                if *s == u32::MAX {
+                    (*s, k) = (k, k + 1);
+                }
+                *s
+            })
+            .collect();
+        // Codes no appended row has go to cluster `k`, which is dropped.
+        slot.iter_mut().filter(|s| **s == u32::MAX).for_each(|s| *s = k);
+        let k = k as usize;
+        let dense = 8 * k >= column.distinct_count();
+        let mut sizes = vec![0u32; k + 1];
+        if dense {
+            let mut histogram = vec![0u32; slot.len()];
+            for &code in codes {
+                histogram[code as usize] += 1;
+            }
+            for (&s, &n) in slot.iter().zip(&histogram) {
+                sizes[s as usize] += n;
+            }
+        } else {
+            for &code in codes {
+                let s = slot[code as usize] as usize;
+                if s < k {
+                    sizes[s] += 1;
+                }
+            }
+        }
+        // `next[c]`: where cluster `c`'s next row goes.
+        let mut next: Vec<u32> = sizes
+            .iter()
+            .scan(0, |start, &n| {
+                let at = *start;
+                *start += n;
+                Some(at)
+            })
+            .collect();
+        let matched = next[k] as usize;
+        let mut rows = vec![0; matched + 1];
+        for (row, &code) in codes.iter().enumerate() {
+            let s = slot[code as usize] as usize;
+            if dense {
+                rows[next[s] as usize] = row as RowId;
+                next[s] += u32::from(s < k);
+            } else if s < k {
+                rows[next[s] as usize] = row as RowId;
+                next[s] += 1;
+            }
+        }
+        rows.truncate(matched);
+        // Each cluster's last `next` is where the following one starts.
+        let offsets = std::iter::once(0).chain(next[..k].iter().copied()).collect();
+        AppendedClusters { cluster_of, offsets, rows }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muds_table::Column;
+    use crate::PliCache;
+    use muds_table::TableDelta;
 
     fn col(values: &[&str]) -> Column {
         Column::from_values("c", values)
@@ -184,5 +392,141 @@ mod tests {
         // No other columns: the first cluster's first two rows are a pair.
         assert_eq!(p.find_witness(&[], None), (true, 2));
         assert_eq!(Pli::from_column(&col(&["a", "b"])).find_witness(&[], None), (false, 0));
+    }
+
+    fn table<S: AsRef<str> + Sync>(rows: &[Vec<S>], cols: usize) -> Table {
+        let names: Vec<String> = (0..cols).map(|c| format!("c{c}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        Table::from_rows("t", &names, rows).unwrap().dedup_rows()
+    }
+
+    fn rows(rows: &[&[&str]]) -> Vec<Vec<String>> {
+        rows.iter().map(|r| r.iter().map(|v| v.to_string()).collect()).collect()
+    }
+
+    /// Appends `append` to `old`, then checks every set (and, per rhs, every
+    /// FD) that held on `old` both with an [`AppendProbe`] and with full
+    /// PLIs of the new table, asserting they agree. Returns each check as
+    /// `(set, rhs, holds now)`.
+    fn probe_against_plis(
+        old: &Table,
+        append: Vec<Vec<String>>,
+    ) -> Vec<(ColumnSet, Option<usize>, bool)> {
+        let out = old.apply_delta(&TableDelta::Append { rows: append }).unwrap();
+        let n = old.num_columns();
+        let affected = ColumnSet::from_indices(out.affected_columns.iter().copied());
+        let mut before = PliCache::new(old);
+        let mut after = PliCache::new(&out.table);
+        let mut probe = AppendProbe::new(&out.table, old.num_rows(), &affected);
+        let mut checks = Vec::new();
+        for bits in 0..1u32 << n {
+            let set = ColumnSet::from_indices((0..n).filter(|c| bits >> c & 1 == 1));
+            for rhs in std::iter::once(None).chain((0..n).map(Some)) {
+                let (held, holds, probed) = match rhs {
+                    None if before.is_unique(&set) => {
+                        (true, after.is_unique(&set), probe.is_unique(&set))
+                    }
+                    Some(a) if before.determines(&set, a) => {
+                        (true, after.determines(&set, a), probe.determines(&set, a))
+                    }
+                    _ => (false, false, false),
+                };
+                if held {
+                    assert_eq!(probed, holds, "{set:?} rhs {rhs:?} after {:?}", out.table);
+                    checks.push((set, rhs, holds));
+                }
+            }
+        }
+        checks
+    }
+
+    #[test]
+    fn append_probe_agrees_with_plis_on_random_appends() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut broke, mut held) = (0, 0);
+        for round in 0..300 {
+            let cols = rng.gen_range(1..=4);
+            // Every fourth table is longer with more distinct values, so
+            // the appended rows hold under an eighth of a column's codes
+            // and the sparse gather runs.
+            let wide = round % 4 == 0;
+            let domain = if wide { rng.gen_range(20..40) } else { rng.gen_range(1..=4) };
+            // Code 0 is NULL.
+            let cells = |rng: &mut StdRng, n: usize| -> Vec<Vec<String>> {
+                (0..n)
+                    .map(|_| {
+                        (0..cols)
+                            .map(|_| match rng.gen_range(0..=domain) {
+                                0 => String::new(),
+                                v => format!("v{v}"),
+                            })
+                            .collect()
+                    })
+                    .collect()
+            };
+            let old_rows = if wide { rng.gen_range(30..60) } else { rng.gen_range(0..12) };
+            let old = table(&cells(&mut rng, old_rows), cols);
+            let append_rows = rng.gen_range(1..5);
+            for (_, _, holds) in probe_against_plis(&old, cells(&mut rng, append_rows)) {
+                *if holds { &mut held } else { &mut broke } += 1;
+            }
+        }
+        assert!(broke > 100 && held > 100, "broke {broke}, held {held}");
+    }
+
+    #[test]
+    fn append_probe_edge_cases() {
+        let check = |old: &[&[&str]], append: &[&[&str]], set: &[usize], rhs: Option<usize>| {
+            let set = ColumnSet::from_indices(set.iter().copied());
+            let old = table(&rows(old), old[0].len());
+            let checks = probe_against_plis(&old, rows(append));
+            checks.iter().find(|c| (c.0, c.1) == (set, rhs)).expect("set held before").2
+        };
+        // NULLs agree: an appended NULL breaks {c1} against the old NULL.
+        let old: &[&[&str]] = &[&["1", ""], &["2", "x"]];
+        assert!(!check(old, &[&["3", ""]], &[1], None));
+        assert!(!check(old, &[&["3", ""]], &[1], Some(0)));
+        // Two appended rows violate {c1} between themselves only.
+        let old: &[&[&str]] = &[&["1", "a"], &["2", "b"]];
+        assert!(!check(old, &[&["3", "c"], &["4", "c"]], &[1], None));
+        assert!(check(old, &[&["3", "c"], &["4", "d"]], &[1], None));
+        // c0 → c1: the first appended row agrees with old row 0 on both, the
+        // second agrees with row 0 on c0 but not on c1.
+        let old: &[&[&str]] = &[&["x", "1", "r0"], &["y", "2", "r1"]];
+        assert!(!check(old, &[&["x", "1", "r2"], &["x", "3", "r3"]], &[0], Some(1)));
+        assert!(check(old, &[&["x", "1", "r2"], &["x", "1", "r3"]], &[0], Some(1)));
+        // A group of appended rows only: its third member differs from the
+        // first on c1.
+        assert!(!check(
+            old,
+            &[&["z", "1", "r2"], &["z", "1", "r3"], &["z", "2", "r4"]],
+            &[0],
+            Some(1)
+        ));
+        assert!(check(
+            old,
+            &[&["z", "1", "r2"], &["z", "1", "r3"], &["z", "1", "r4"]],
+            &[0],
+            Some(1)
+        ));
+        // c2 stays unique (outside the affected columns), so every set with
+        // it holds; c0 ∪ c1 does not.
+        assert!(check(old, &[&["x", "1", "r2"]], &[0, 2], None));
+        assert!(!check(old, &[&["x", "1", "r2"]], &[0, 1], None));
+        // ∅ → c1 on a constant column: kept by the same constant, broken by
+        // another value.
+        let old: &[&[&str]] = &[&["1", "k"], &["2", "k"]];
+        assert!(check(old, &[&["3", "k"]], &[], Some(1)));
+        assert!(!check(old, &[&["3", "k"], &["4", "j"]], &[], Some(1)));
+        // ∅ is unique on one row only.
+        assert!(!check(&[&["1", "k"]], &[&["2", "k"]], &[], None));
+        // Trivial FDs hold without a scan.
+        let t = table(&rows(&[&["1", "a"], &["1", "b"]]), 2);
+        let mut probe = AppendProbe::new(&t, 1, &ColumnSet::full(2));
+        assert!(probe.determines(&ColumnSet::single(0), 0));
+        assert_eq!(probe.rows_visited(), 0);
+        assert!(!probe.is_unique(&ColumnSet::single(0)));
+        assert_eq!(probe.rows_visited(), 1);
     }
 }

@@ -8,7 +8,7 @@
 //! partition-refinement scans), and the vendored `rayon`'s iterators
 //! concatenate their parts in input order — so dependency sets, counter
 //! totals, and span-tree structure may not vary with `--threads`. This matrix pins that contract on the paper's stand-in
-//! datasets.
+//! datasets, and on one append and one delete through `apply_incremental`.
 //!
 //! Everything runs inside ONE `#[test]` function: the worker-pool size is
 //! process-global state, so separate test functions (which run
@@ -16,13 +16,13 @@
 
 use std::collections::BTreeMap;
 
-use muds_core::{profile, Algorithm, ProfilerConfig};
+use muds_core::{apply_incremental, profile, Algorithm, ProfileResult, ProfilerConfig};
 use muds_datagen::{ionosphere_like, ncvoter_like, uniprot_like};
 use muds_fd::Fd;
 use muds_ind::Ind;
 use muds_lattice::ColumnSet;
 use muds_obs::{Metrics, SpanNode};
-use muds_table::Table;
+use muds_table::{Table, TableDelta};
 
 /// Everything a run produces that must be invariant under the thread count.
 #[derive(Debug, PartialEq, Eq)]
@@ -44,11 +44,12 @@ fn span_names(nodes: &[SpanNode], depth: usize, out: &mut Vec<String>) {
     }
 }
 
-fn fingerprint(table: &Table, algorithm: Algorithm) -> RunFingerprint {
+/// The fingerprint of the result `run` returns.
+fn fingerprint(run: impl FnOnce() -> ProfileResult) -> RunFingerprint {
     // A fresh registry per run so counters never leak across matrix cells.
     let metrics = Metrics::new();
     let _guard = metrics.install();
-    let result = profile(table, algorithm, &ProfilerConfig::default());
+    let result = run();
     let mut span_shape = Vec::new();
     span_names(&result.metrics.spans, 0, &mut span_shape);
     RunFingerprint {
@@ -82,30 +83,60 @@ fn results_and_counters_are_identical_for_any_thread_count() {
 
     for table in &datasets {
         for &algorithm in &Algorithm::ALL {
-            set_threads(1);
-            let reference = fingerprint(table, algorithm);
+            let run = || profile(table, algorithm, &ProfilerConfig::default());
+            let reference = same_for_every_thread_count(
+                run,
+                &format!("{} on {}", algorithm.name(), table.name()),
+            );
             assert!(
                 !reference.counters.is_empty(),
                 "{} on {} recorded no counters — fingerprint is vacuous",
                 algorithm.name(),
                 table.name()
             );
-            for n in [2usize, 8] {
-                set_threads(n);
-                let run = fingerprint(table, algorithm);
-                assert_eq!(
-                    run,
-                    reference,
-                    "{} on {} differs between --threads 1 and --threads {n}",
-                    algorithm.name(),
-                    table.name()
-                );
-            }
         }
+    }
+
+    // The delta path: an append (probes of the appended rows' clusters)
+    // and a delete (witness searches of the negative border), each from
+    // the same MUDS profile of the first 200 rows.
+    let full = uniprot_like(210, 6);
+    let base = full.take_rows(200);
+    let old = profile(&base, Algorithm::Muds, &ProfilerConfig::default());
+    let appended = (200..210)
+        .map(|r| full.row(r).into_iter().map(|v| v.unwrap_or("").to_string()).collect())
+        .collect();
+    let deltas = [
+        ("append", TableDelta::Append { rows: appended }, "delta.append_rows"),
+        ("delete", TableDelta::Delete { rows: vec![3, 50, 120] }, "delta.border_rows"),
+    ];
+    for (kind, delta, rows_counter) in &deltas {
+        let run = || apply_incremental(&old, &base, delta).expect("delta applies").result;
+        let reference = same_for_every_thread_count(run, kind);
+        assert!(
+            reference.counters.get(*rows_counter).is_some_and(|&n| n > 0),
+            "{kind}: {reference:?}"
+        );
     }
 
     // Restore the default (all cores) for anything else in this process.
     set_threads(0);
+}
+
+/// Runs `run` at 1, 2 and 8 worker threads and asserts that every run has
+/// the same fingerprint; returns it.
+fn same_for_every_thread_count(run: impl Fn() -> ProfileResult, what: &str) -> RunFingerprint {
+    set_threads(1);
+    let reference = fingerprint(&run);
+    for n in [2usize, 8] {
+        set_threads(n);
+        assert_eq!(
+            fingerprint(&run),
+            reference,
+            "{what} differs between --threads 1 and --threads {n}"
+        );
+    }
+    reference
 }
 
 /// Cross-references the lint pass with this matrix: every
