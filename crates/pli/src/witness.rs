@@ -127,21 +127,14 @@ pub struct AppendProbe<'a> {
     table: &'a Table,
     old_rows: usize,
     affected: ColumnSet,
-    gathered: Vec<Option<AppendedClusters>>,
+    /// Per column, once gathered: the rows, ascending, that share a code
+    /// with some appended row, one cluster per such code. The appended
+    /// rows are each cluster's tail.
+    gathered: Vec<Option<Vec<Vec<RowId>>>>,
     /// The last set scanned and, per appended row, its first agreeing row.
     last: Option<ColumnSet>,
     firsts: Vec<Option<usize>>,
     visited: u64,
-}
-
-/// One column's clusters of the appended rows, in CSR form: appended row
-/// `k` (table row `old_rows + k`) sits in cluster `cluster_of[k]`, whose
-/// rows, ascending, are `rows[offsets[c]..offsets[c + 1]]`. Appended rows
-/// sharing a code share a cluster.
-struct AppendedClusters {
-    cluster_of: Vec<u32>,
-    offsets: Vec<u32>,
-    rows: Vec<RowId>,
 }
 
 impl<'a> AppendProbe<'a> {
@@ -196,114 +189,105 @@ impl<'a> AppendProbe<'a> {
         &self.firsts
     }
 
+    /// One pass over each pivot cluster. Its appended rows are sorted by
+    /// their codes on the rest of `set` (ties by row), so each run of equal
+    /// codes is one group, first member first; the cluster's old rows are
+    /// then walked in row order, each binary-searched among the groups,
+    /// until every group has met its first old row. That row, if any, is
+    /// the first agreeing row of each of its group's members; otherwise a
+    /// member's is the group's first, and the first's is the second.
     fn scan(&mut self, set: &ColumnSet) -> Vec<Option<usize>> {
         let table = self.table;
         let (old_rows, num_rows) = (self.old_rows, table.num_rows());
+        let mut firsts = vec![None; num_rows - old_rows];
         if !set.is_subset_of(&self.affected) {
-            return vec![None; num_rows - old_rows];
+            return firsts;
         }
         let by_distinct = |c: usize| (table.column(c).distinct_count(), Reverse(c));
         let Some(pivot) = set.iter().max_by_key(|&c| by_distinct(c)) else {
             // Every row agrees on ∅: row 0 is the first for every other row.
-            let firsts: Vec<Option<usize>> = (old_rows..num_rows)
-                .map(|j| [0, 1].into_iter().find(|&i| i != j && i < num_rows))
-                .collect();
-            self.visited += firsts.iter().flatten().count() as u64;
+            for (first, j) in firsts.iter_mut().zip(old_rows..) {
+                *first = [0, 1].into_iter().find(|&i| i != j && i < num_rows);
+                self.visited += u64::from(first.is_some());
+            }
             return firsts;
         };
         let rest: Vec<&[u32]> =
             set.iter().filter(|&c| c != pivot).map(|c| table.column(c).codes()).collect();
-        let clusters = self.gathered[pivot]
-            .get_or_insert_with(|| AppendedClusters::gather(table.column(pivot), old_rows));
-        let mut visited = 0u64;
-        let firsts = (old_rows..)
-            .zip(&clusters.cluster_of)
-            .map(|(j, &c)| {
-                let (start, end) = (clusters.offsets[c as usize], clusters.offsets[c as usize + 1]);
-                clusters.rows[start as usize..end as usize]
-                    .iter()
-                    .map(|&i| i as usize)
-                    .filter(|&i| i != j)
-                    .find(|&i| {
-                        visited += 1;
-                        rest.iter().all(|codes| codes[i] == codes[j])
-                    })
-            })
-            .collect();
-        self.visited += visited;
+        let by_rest = |x: RowId, y: RowId| {
+            let mut order = rest.iter().map(|c| c[x as usize].cmp(&c[y as usize]));
+            order.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        };
+        let clusters =
+            self.gathered[pivot].get_or_insert_with(|| gather(table.column(pivot), old_rows));
+        let (mut appended, mut leaders, mut matched) = (Vec::new(), Vec::new(), Vec::new());
+        for cluster in clusters.iter() {
+            let (old, tail) =
+                cluster.split_at(cluster.partition_point(|&r| (r as usize) < old_rows));
+            appended.clear();
+            appended.extend_from_slice(tail);
+            appended.sort_unstable_by(|&x, &y| by_rest(x, y).then(x.cmp(&y)));
+            // `leaders[g]`: where group `g` starts in `appended`.
+            leaders.clear();
+            leaders.extend(
+                (0..appended.len())
+                    .filter(|&p| p == 0 || by_rest(appended[p - 1], appended[p]).is_ne()),
+            );
+            matched.clear();
+            matched.resize(leaders.len(), None);
+            let mut open = leaders.len();
+            for &i in old {
+                if open == 0 {
+                    break;
+                }
+                self.visited += 1;
+                if let Ok(g) = leaders.binary_search_by(|&p| by_rest(appended[p], i)) {
+                    if matched[g].is_none() {
+                        matched[g] = Some(i as usize);
+                        open -= 1;
+                    }
+                }
+            }
+            self.visited += tail.len() as u64 - 1;
+            let ends = leaders.iter().skip(1).copied().chain([appended.len()]);
+            for ((&start, end), old_match) in leaders.iter().zip(ends).zip(&matched) {
+                let group = &appended[start..end];
+                for (k, &j) in group.iter().enumerate() {
+                    let own = group.get(usize::from(k == 0)).map(|&i| i as usize);
+                    firsts[j as usize - old_rows] = old_match.or(own);
+                }
+            }
+        }
         firsts
     }
 }
 
-impl AppendedClusters {
-    /// The clusters of `column`'s rows from `old_rows` on: the rows that
-    /// share a code with an appended row, bucketed by that code. Counts
-    /// the rows per cluster, then places them. When the appended rows hold
-    /// at least an eighth of the distinct codes, most rows belong to some
-    /// cluster: both passes then run branch-free, counting through a code
-    /// histogram and writing the other rows to one spare slot past the
-    /// end; otherwise they skip those rows on a well-predicted branch.
-    fn gather(column: &Column, old_rows: usize) -> Self {
-        let codes = column.codes();
-        let mut slot = vec![u32::MAX; column.code_domain()];
-        let mut k = 0;
-        let cluster_of: Vec<u32> = codes[old_rows..]
-            .iter()
-            .map(|&code| {
-                let s = &mut slot[code as usize];
-                if *s == u32::MAX {
-                    (*s, k) = (k, k + 1);
-                }
-                *s
-            })
-            .collect();
-        // Codes no appended row has go to cluster `k`, which is dropped.
-        slot.iter_mut().filter(|s| **s == u32::MAX).for_each(|s| *s = k);
-        let k = k as usize;
-        let dense = 8 * k >= column.distinct_count();
-        let mut sizes = vec![0u32; k + 1];
-        if dense {
-            let mut histogram = vec![0u32; slot.len()];
-            for &code in codes {
-                histogram[code as usize] += 1;
-            }
-            for (&s, &n) in slot.iter().zip(&histogram) {
-                sizes[s as usize] += n;
-            }
-        } else {
-            for &code in codes {
-                let s = slot[code as usize] as usize;
-                if s < k {
-                    sizes[s] += 1;
-                }
-            }
+/// The clusters of `column`'s rows from `old_rows` on: the rows,
+/// ascending, that share a code with an appended row, bucketed by that
+/// code. One pass over the column keeps those rows branch-free (each row
+/// is written, only a kept one advances the end), however many are kept;
+/// a second pass over the kept rows alone buckets them.
+fn gather(column: &Column, old_rows: usize) -> Vec<Vec<RowId>> {
+    let codes = column.codes();
+    let mut slot = vec![u32::MAX; column.code_domain()];
+    let mut k = 0u32;
+    for &code in &codes[old_rows..] {
+        let s = &mut slot[code as usize];
+        if *s == u32::MAX {
+            (*s, k) = (k, k + 1);
         }
-        // `next[c]`: where cluster `c`'s next row goes.
-        let mut next: Vec<u32> = sizes
-            .iter()
-            .scan(0, |start, &n| {
-                let at = *start;
-                *start += n;
-                Some(at)
-            })
-            .collect();
-        let matched = next[k] as usize;
-        let mut rows = vec![0; matched + 1];
-        for (row, &code) in codes.iter().enumerate() {
-            let s = slot[code as usize] as usize;
-            if dense {
-                rows[next[s] as usize] = row as RowId;
-                next[s] += u32::from(s < k);
-            } else if s < k {
-                rows[next[s] as usize] = row as RowId;
-                next[s] += 1;
-            }
-        }
-        rows.truncate(matched);
-        // Each cluster's last `next` is where the following one starts.
-        let offsets = std::iter::once(0).chain(next[..k].iter().copied()).collect();
-        AppendedClusters { cluster_of, offsets, rows }
     }
+    let mut kept = vec![0 as RowId; codes.len() + 1];
+    let mut end = 0;
+    for (row, &code) in codes.iter().enumerate() {
+        kept[end] = row as RowId;
+        end += usize::from(slot[code as usize] != u32::MAX);
+    }
+    let mut clusters: Vec<Vec<RowId>> = vec![Vec::new(); k as usize];
+    for &row in &kept[..end] {
+        clusters[slot[codes[row as usize] as usize] as usize].push(row);
+    }
+    clusters
 }
 
 #[cfg(test)]
@@ -445,13 +429,9 @@ mod tests {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(41);
         let (mut broke, mut held) = (0, 0);
-        for round in 0..300 {
+        for _ in 0..300 {
             let cols = rng.gen_range(1..=4);
-            // Every fourth table is longer with more distinct values, so
-            // the appended rows hold under an eighth of a column's codes
-            // and the sparse gather runs.
-            let wide = round % 4 == 0;
-            let domain = if wide { rng.gen_range(20..40) } else { rng.gen_range(1..=4) };
+            let domain = rng.gen_range(1..=4);
             // Code 0 is NULL.
             let cells = |rng: &mut StdRng, n: usize| -> Vec<Vec<String>> {
                 (0..n)
@@ -465,9 +445,9 @@ mod tests {
                     })
                     .collect()
             };
-            let old_rows = if wide { rng.gen_range(30..60) } else { rng.gen_range(0..12) };
+            let old_rows = rng.gen_range(0..12);
             let old = table(&cells(&mut rng, old_rows), cols);
-            let append_rows = rng.gen_range(1..5);
+            let append_rows = rng.gen_range(1..8);
             for (_, _, holds) in probe_against_plis(&old, cells(&mut rng, append_rows)) {
                 *if holds { &mut held } else { &mut broke } += 1;
             }
@@ -510,6 +490,20 @@ mod tests {
             &[0],
             Some(1)
         ));
+        // One pivot cluster (c0 = p) holds two groups on {c0, c1}. Old rows
+        // 0 and 1 both meet the first; the scan goes on to row 2, the
+        // second group's first old row, whose c2 differs from row 4's.
+        let old: &[&[&str]] = &[
+            &["p", "u", "A", "r0"],
+            &["p", "u", "A", "r1"],
+            &["p", "w", "B", "r2"],
+            &["q1", "u", "A", "r3"],
+            &["q2", "u", "A", "r4"],
+        ];
+        let append: &[&[&str]] = &[&["p", "u", "A", "r5"], &["p", "w", "C", "r6"]];
+        assert!(!check(old, append, &[0, 1], Some(2)));
+        assert!(check(old, &[append[0], &["p", "w", "B", "r6"]], &[0, 1], Some(2)));
+        let old: &[&[&str]] = &[&["x", "1", "r0"], &["y", "2", "r1"]];
         // c2 stays unique (outside the affected columns), so every set with
         // it holds; c0 ∪ c1 does not.
         assert!(check(old, &[&["x", "1", "r2"]], &[0, 2], None));
@@ -528,5 +522,26 @@ mod tests {
         assert_eq!(probe.rows_visited(), 0);
         assert!(!probe.is_unique(&ColumnSet::single(0)));
         assert_eq!(probe.rows_visited(), 1);
+    }
+
+    #[test]
+    fn append_probe_reads_each_pivot_cluster_once_per_set() {
+        // A composite key of two 60-value columns, half of its 3600 rows
+        // appended: each pivot cluster holds 30 appended rows, and a scan
+        // per appended row would visit ~30 times the table.
+        let row =
+            |r: usize, id: &str| vec![format!("a{}", r % 60), format!("b{}", r / 60), id.into()];
+        let old = table(&(0..1800).map(|r| row(r, "")).collect::<Vec<_>>(), 3);
+        let key = ColumnSet::from_indices([0, 1]);
+        let append: Vec<Vec<String>> = (1800..3600).map(|r| row(r, "")).collect();
+        let out = old.apply_delta(&TableDelta::Append { rows: append }).unwrap();
+        let mut probe = AppendProbe::new(&out.table, 1800, &ColumnSet::full(3));
+        assert!(probe.is_unique(&key));
+        assert!(probe.rows_visited() < 3600, "{} rows", probe.rows_visited());
+        // An appended row that repeats an old key in a new row breaks it.
+        let dup = vec![row(7, "dup")];
+        let out = out.table.apply_delta(&TableDelta::Append { rows: dup }).unwrap();
+        let mut probe = AppendProbe::new(&out.table, 3600, &ColumnSet::full(3));
+        assert!(!probe.is_unique(&key));
     }
 }
