@@ -29,13 +29,20 @@
 //! (`delta.revalidated` counts them), stopping at the first that turned.
 //! A check needs one witness, not a partition: two surviving rows that
 //! agree on the set (and, for a non-FD, differ on its right-hand side).
-//! [`PliCache::find_witness`] looks for one in the clusters of the set's
-//! smallest pinned single-column PLI and stops at the first, so a kept
-//! delete builds no multi-column PLI; only a set that turned positive is
-//! scanned to the end (`delta.border_rows` counts the rows visited).
+//! A [`BorderProbe`] looks for one in the clusters of one pivot column of
+//! the set, whatever its size, and stops at the first, so a kept delete
+//! builds only its pivots' single-column PLIs; only a set that turned
+//! positive is scanned to the end (`delta.border_rows` counts the rows
+//! visited).
 //! If no set turned, the old UCCs and FDs carry over (`delta.skipped`
 //! counts them) and only the INDs are recomputed; otherwise the delete
 //! re-profiles the post-delta table from scratch.
+//!
+//! Both directions take a dependency as `(set, rhs)`: `rhs` is `None` for
+//! a UCC, which is an FD without a right-hand side, over the universe `R`,
+//! and `Some(a)` for an FD over `R \ {a}`. The old result is listed once
+//! as minimal positives per rhs, UCCs first, and one loop serves both
+//! kinds; an append checks a UCC and the FDs of its set on one scan.
 //!
 //! An identity delta (nothing appended or deleted) carries the old result
 //! wholesale. Every path is equivalent to re-running [`profile`] on the
@@ -43,11 +50,9 @@
 //! (`crates/check`) asserts across all four algorithms on every adversarial
 //! table it generates.
 
-use std::collections::BTreeMap;
-
 use muds_fd::FdSet;
 use muds_lattice::{minimal_hitting_sets, ColumnSet};
-use muds_pli::{AppendProbe, PliCache};
+use muds_pli::{AppendProbe, BorderProbe};
 use muds_table::{DeltaOutcome, Table, TableDelta, TableError};
 
 use crate::profiler::{
@@ -129,10 +134,11 @@ pub fn apply_incremental(
         (result, 0, skipped)
     } else if deleted_rows > 0 {
         let span = muds_obs::span("delta border");
-        let (held, revalidated, rows) = border_holds(&mut PliCache::new(&table), old, &d);
+        let mut probe = BorderProbe::new(&table);
+        let (held, revalidated) = border_holds(&mut probe, old, table.num_columns(), &d);
         span.stop();
         revalidated_meter.add(revalidated);
-        muds_obs::add("delta.border_rows", rows);
+        muds_obs::add("delta.border_rows", probe.rows_visited());
         if held {
             let skipped = (old.minimal_uccs.len() + old.fds.len()) as u64;
             skipped_meter.add(skipped);
@@ -144,12 +150,10 @@ pub fn apply_incremental(
             (profile(&table, old.algorithm, &config), revalidated, 0)
         }
     } else {
-        let (mut revalidated, mut skipped) = (0u64, 0u64);
         let span = muds_obs::span("delta revalidate");
         let mut probe = AppendProbe::new(&table, old_table.num_rows(), &d);
-        let minimal_uccs =
-            append_uccs(&mut probe, &old.minimal_uccs, &d, &mut revalidated, &mut skipped);
-        let fds = append_fds(&mut probe, &old.fds, &d, &mut revalidated, &mut skipped);
+        let (minimal_uccs, fds, revalidated, skipped) =
+            append_repair(&mut probe, old, table.num_columns(), &d);
         span.stop();
         muds_obs::add("delta.append_rows", probe.rows_visited());
         revalidated_meter.add(revalidated);
@@ -185,56 +189,63 @@ fn with_fresh_inds(
     result
 }
 
-/// Delete direction: true iff every maximal negative of `old` is still
-/// negative on `cache`'s post-delete table, plus the number of checks run
-/// and the rows their witness searches visited. The maximal negatives come
-/// from `old`'s minimal positives by duality (module docs); one with a
-/// column outside the affected set `d` keeps a violating pair of surviving
-/// rows, so only subsets of `d` are checked. Each check asks
-/// [`PliCache::find_witness`] for one surviving pair of rows that agree on
-/// the set (and, for a non-FD, differ on its rhs): that costs a scan of
-/// one pinned single-column PLI up to the first witness, and builds no
-/// multi-column PLI. Stops at the first set without a witness: it turned
-/// positive, which only the full scan can show.
-fn border_holds(cache: &mut PliCache<'_>, old: &ProfileResult, d: &ColumnSet) -> (bool, u64, u64) {
-    let n = cache.table().num_columns();
-    let all = ColumnSet::full(n);
-    let (mut checks, mut rows) = (0u64, 0u64);
-    for hit in minimal_hitting_sets(&old.minimal_uccs, &all) {
-        let negative = all.difference(&hit);
-        if negative.is_subset_of(d) {
-            checks += 1;
-            let (found, visited) = cache.find_witness(&negative, None);
-            rows += visited as u64;
-            if !found {
-                return (false, checks, rows);
-            }
-        }
-    }
-    let mut lhss: Vec<Vec<ColumnSet>> = vec![Vec::new(); n];
+/// `old`'s minimal positives per right-hand side, as `(rhs, sets)`: first
+/// `None` with the minimal UCCs (a UCC is a dependency without a
+/// right-hand side), then every column `a` in order with `a`'s minimal
+/// left-hand sides, each list sorted.
+fn positives(old: &ProfileResult, n: usize) -> Vec<(Option<usize>, Vec<ColumnSet>)> {
+    let mut lists = vec![(None, old.minimal_uccs.clone())];
+    lists.extend((0..n).map(|a| (Some(a), Vec::new())));
     for (lhs, rhs_set) in old.fds.iter_entries() {
         for a in rhs_set.iter() {
-            lhss[a].push(*lhs);
+            lists[a + 1].1.push(*lhs);
         }
     }
-    for (a, mut lhss) in lhss.into_iter().enumerate() {
-        // `iter_entries` walks a hash map; sort so the check order (and
-        // with it the counters of an early stop) is reproducible.
-        lhss.sort_unstable();
-        let others = all.without(a);
-        for hit in minimal_hitting_sets(&lhss, &others) {
-            let negative = others.difference(&hit);
+    // `iter_entries` walks a hash map; sort so the check order (and with
+    // it the counters of an early stop) is reproducible.
+    for (_, sets) in &mut lists {
+        sets.sort_unstable();
+    }
+    lists
+}
+
+/// The columns a dependency with right-hand side `rhs` ranges over: `R`
+/// for a UCC, `R \ {a}` for an FD with rhs `a`.
+fn universe(n: usize, rhs: Option<usize>) -> ColumnSet {
+    let all = ColumnSet::full(n);
+    rhs.map_or(all, |a| all.without(a))
+}
+
+/// Delete direction: true iff every maximal negative of `old` is still
+/// negative on `probe`'s post-delete table, plus the number of checks run.
+/// Per right-hand side, UCCs first, the maximal negatives are the
+/// complements within the universe of the minimal hitting sets of the old
+/// minimal positives (module docs); one with a column outside the
+/// affected set `d` keeps a violating pair of surviving rows, so only
+/// subsets of `d` are checked. Each check is a [`BorderProbe`] search for
+/// one surviving pair of rows that agree on the set (and differ on its
+/// rhs), up to the first witness. Stops at the first set without one: it
+/// turned positive, which only the full search can show.
+fn border_holds(
+    probe: &mut BorderProbe<'_>,
+    old: &ProfileResult,
+    n: usize,
+    d: &ColumnSet,
+) -> (bool, u64) {
+    let mut checks = 0u64;
+    for (rhs, positives) in positives(old, n) {
+        let universe = universe(n, rhs);
+        for hit in minimal_hitting_sets(&positives, &universe) {
+            let negative = universe.difference(&hit);
             if negative.is_subset_of(d) {
                 checks += 1;
-                let (found, visited) = cache.find_witness(&negative, Some(a));
-                rows += visited as u64;
-                if !found {
-                    return (false, checks, rows);
+                if probe.holds(&negative, rhs) {
+                    return (false, checks);
                 }
             }
         }
     }
-    (true, checks, rows)
+    (true, checks)
 }
 
 /// True iff some set in `minimal` is a subset of `x` (so `x` is valid but
@@ -258,139 +269,84 @@ fn minimize_sets(mut sets: Vec<ColumnSet>) -> Vec<ColumnSet> {
     out
 }
 
-/// Append direction, UCCs. Valid sets can only break, and only if fully
-/// inside the affected set `d`; sets that break are replaced by the minimal
-/// valid supersets, found with an upward level-wise search (every set
-/// unique *now* was unique *before*, hence is a superset of some old
-/// minimal UCC — so growing the broken sets covers all candidates). Since
-/// every set checked was unique before, `probe` can answer each one.
-fn append_uccs(
+/// Append direction: the minimal UCCs and FDs of `probe`'s post-append
+/// table. A positive can only break, and only if it lies inside the
+/// affected set `d`. Per right-hand side, the broken sets are replaced by
+/// the minimal sets that hold, found with an upward level-wise search
+/// within the universe: every set that holds *now* held *before*, hence is
+/// a superset of some old minimal positive, so growing the broken sets
+/// covers all candidates. Since every set checked held before, `probe` can
+/// answer each one. The old positives inside `d` are checked first, in
+/// `(set, rhs)` order, so a UCC and the FDs of its set share one scan; the
+/// repairs follow per rhs, `None` first. Also returns the checks run
+/// (`delta.revalidated`) and the positives carried unchecked
+/// (`delta.skipped`).
+fn append_repair(
     probe: &mut AppendProbe<'_>,
-    old: &[ColumnSet],
+    old: &ProfileResult,
+    n: usize,
     d: &ColumnSet,
-    revalidated: &mut u64,
-    skipped: &mut u64,
-) -> Vec<ColumnSet> {
-    let mut confirmed: Vec<ColumnSet> = Vec::new();
-    let mut to_check: Vec<ColumnSet> = Vec::new();
-    for x in old {
-        if x.is_subset_of(d) {
-            to_check.push(*x);
-        } else {
-            confirmed.push(*x);
-            *skipped += 1;
-        }
-    }
-    *revalidated += to_check.len() as u64;
-    let mut frontier: Vec<ColumnSet> = Vec::new();
-    for x in to_check {
-        if probe.is_unique(&x) {
-            confirmed.push(x);
-        } else {
-            frontier.push(x);
-        }
-    }
-    let n = probe.table().num_columns();
-    while !frontier.is_empty() {
-        // One column bigger per round; pruning against already-confirmed
-        // sets kills every path that can only reach non-minimal sets.
-        let mut candidates: Vec<ColumnSet> = Vec::new();
-        for x in &frontier {
-            for c in (0..n).filter(|&c| !x.contains(c)) {
-                let y = x.with(c);
-                if !dominated(&confirmed, &y) && !candidates.contains(&y) {
-                    candidates.push(y);
-                }
-            }
-        }
-        candidates.sort_unstable();
-        if candidates.is_empty() {
-            break;
-        }
-        *revalidated += candidates.len() as u64;
-        frontier = Vec::new();
-        for y in candidates {
-            if probe.is_unique(&y) {
-                confirmed.push(y);
+) -> (Vec<ColumnSet>, FdSet, u64, u64) {
+    let lists = positives(old, n);
+    let mut confirmed: Vec<Vec<ColumnSet>> = vec![Vec::new(); lists.len()];
+    let mut broken = confirmed.clone();
+    let mut to_check: Vec<(ColumnSet, Option<usize>, usize)> = Vec::new();
+    for (k, (rhs, sets)) in lists.iter().enumerate() {
+        for &x in sets {
+            if x.is_subset_of(d) {
+                to_check.push((x, *rhs, k));
             } else {
-                frontier.push(y);
+                confirmed[k].push(x);
             }
         }
     }
-    // Broken sets of different sizes can confirm supersets of each other
-    // within one round; one final minimization settles it.
-    minimize_sets(confirmed)
-}
-
-/// Append direction, FDs: the same scheme as [`append_uccs`] per
-/// right-hand side (an FD `X → A` can only break if `X ⊆ d`; minimal valid
-/// replacements are supersets of the broken left-hand sides).
-fn append_fds(
-    probe: &mut AppendProbe<'_>,
-    old: &FdSet,
-    d: &ColumnSet,
-    revalidated: &mut u64,
-    skipped: &mut u64,
-) -> FdSet {
-    let mut confirmed: BTreeMap<usize, Vec<ColumnSet>> = BTreeMap::new();
-    let mut to_check: Vec<(ColumnSet, usize)> = Vec::new();
-    for (lhs, rhs_set) in old.iter_entries() {
-        for a in rhs_set.iter() {
-            if lhs.is_subset_of(d) {
-                to_check.push((*lhs, a));
-            } else {
-                confirmed.entry(a).or_default().push(*lhs);
-                *skipped += 1;
-            }
-        }
-    }
-    // `iter_entries` walks a hash map; sort so the probes (and with them
-    // `delta.append_rows`) are reproducible run to run.
+    let skipped = confirmed.iter().map(Vec::len).sum::<usize>() as u64;
+    let mut revalidated = to_check.len() as u64;
+    // By `(set, rhs)` (`k` follows `rhs`): a UCC and the FDs on its set
+    // come in a row and share the probe's scan.
     to_check.sort_unstable();
-    *revalidated += to_check.len() as u64;
-    let mut broken: BTreeMap<usize, Vec<ColumnSet>> = BTreeMap::new();
-    for (lhs, a) in to_check {
-        if probe.determines(&lhs, a) {
-            confirmed.entry(a).or_default().push(lhs);
-        } else {
-            broken.entry(a).or_default().push(lhs);
-        }
+    for (x, rhs, k) in to_check {
+        if probe.holds(&x, rhs) { &mut confirmed[k] } else { &mut broken[k] }.push(x);
     }
-    let n = probe.table().num_columns();
-    for (a, mut frontier) in broken {
-        let confirmed_a = confirmed.entry(a).or_default();
+    let (mut minimal_uccs, mut fds) = (Vec::new(), FdSet::new());
+    for (((rhs, _), mut confirmed), mut frontier) in lists.into_iter().zip(confirmed).zip(broken) {
+        let universe = universe(n, rhs);
         while !frontier.is_empty() {
+            // One column bigger per round; pruning against already-confirmed
+            // sets kills every path that can only reach non-minimal sets.
             let mut candidates: Vec<ColumnSet> = Vec::new();
             for x in &frontier {
-                for c in (0..n).filter(|&c| c != a && !x.contains(c)) {
+                for c in universe.difference(x).iter() {
                     let y = x.with(c);
-                    if !dominated(confirmed_a, &y) && !candidates.contains(&y) {
+                    if !dominated(&confirmed, &y) && !candidates.contains(&y) {
                         candidates.push(y);
                     }
                 }
             }
             candidates.sort_unstable();
-            if candidates.is_empty() {
-                break;
-            }
-            *revalidated += candidates.len() as u64;
-            frontier = Vec::new();
+            revalidated += candidates.len() as u64;
+            frontier.clear();
             for y in candidates {
-                if probe.determines(&y, a) {
-                    confirmed_a.push(y);
+                if probe.holds(&y, rhs) {
+                    confirmed.push(y);
                 } else {
                     frontier.push(y);
                 }
             }
         }
-    }
-    let mut out = FdSet::new();
-    for (a, lhss) in confirmed {
-        for lhs in lhss {
-            out.insert(lhs, a);
+        // Broken sets of different sizes can confirm supersets of each
+        // other within one round; one final minimization settles it.
+        let minimal = minimize_sets(confirmed);
+        match rhs {
+            None => minimal_uccs = minimal,
+            Some(a) => {
+                for lhs in minimal {
+                    fds.insert(lhs, a);
+                }
+            }
         }
     }
-    out.minimize()
+    (minimal_uccs, fds, revalidated, skipped)
 }
 
 #[cfg(test)]
@@ -651,8 +607,8 @@ mod tests {
     #[test]
     fn kept_delete_answers_the_border_from_witness_pairs() {
         // A few thousand rows with wide composite keys: the border holds
-        // multi-column sets, which a witness search settles from the pinned
-        // single-column PLIs without one intersect.
+        // multi-column sets, which a witness search settles from its
+        // pivots' single-column PLIs, without a PLI cache or one intersect.
         let t = muds_datagen::uniprot_like(3_000, 8);
         let old = profile(&t, Algorithm::Muds, &ProfilerConfig::default());
         let metrics = muds_obs::Metrics::new();
@@ -662,7 +618,10 @@ mod tests {
         assert_eq!(kept.skipped, (old.minimal_uccs.len() + old.fds.len()) as u64, "border held");
         assert!(kept.revalidated > 0);
         let m = &kept.result.metrics;
+        // No PLI cache was built, so none of its counters was registered.
+        assert_eq!(m.counter("pli.requests"), 0);
         assert_eq!(m.counter("pli.intersects"), 0);
+        assert!(!m.counters.keys().any(|k| k.starts_with("pli.")), "{:?}", m.counters);
         assert!(m.counter("delta.border_rows") > 0);
         let scratch = profile(&kept.table, Algorithm::Muds, &ProfilerConfig::default());
         assert_eq!(kept.result.minimal_uccs, scratch.minimal_uccs);

@@ -330,8 +330,8 @@ impl<'a> PliCache<'a> {
     /// overlap; routing them through `get` would perform |set| intersects
     /// per probe *and* flood the LRU with prefixes nothing reuses. The
     /// streaming result is not cached; verdict-level memoization is the
-    /// caller's job (walk memo, `FdKnowledge`). Streamed requests are
-    /// accounted as misses so `requests == hits + misses` stays true.
+    /// caller's job (the walk memo). Streamed requests are accounted as
+    /// misses so `requests == hits + misses` stays true.
     fn get_for_check(&mut self, set: &ColumnSet) -> Arc<Pli> {
         if set.cardinality() <= Self::STREAM_THRESHOLD || self.entries.contains_key(set) {
             return self.get(set);
@@ -361,36 +361,6 @@ impl<'a> PliCache<'a> {
         self.meters.refinement_checks.inc();
         let pli = self.get_for_check(lhs);
         pli.refines(self.table.column(rhs_col).codes())
-    }
-
-    /// Whether two rows agree on every column of `set` and, with `rhs`
-    /// given, differ on `rhs`: the same verdict as `!is_unique(set)` or
-    /// `!determines(set, rhs)`, found from one witness pair instead of a
-    /// partition. Also returns the rows the search visited.
-    ///
-    /// Sets of fewer than two columns ask [`PliCache::is_unique`] /
-    /// [`PliCache::determines`] and visit no rows. Larger ones build no
-    /// PLI: they walk the clusters of the pinned single-column PLI of
-    /// `set`'s column with the smallest `size()` (the lowest such column on
-    /// ties), keying rows by their codes on the other columns
-    /// ([`Pli::find_witness`]), and stop at the first witness.
-    pub fn find_witness(&mut self, set: &ColumnSet, rhs: Option<usize>) -> (bool, usize) {
-        if set.cardinality() < 2 {
-            let found = match rhs {
-                None => !self.is_unique(set),
-                Some(a) => !self.determines(set, a),
-            };
-            return (found, 0);
-        }
-        if rhs.is_some_and(|a| set.contains(a)) {
-            return (false, 0);
-        }
-        let table = self.table;
-        // lint:allow(panic): the early return above leaves |set| >= 2.
-        let pivot = set.iter().min_by_key(|&c| self.singles[c].size()).expect("non-empty");
-        let rest: Vec<&[u32]> =
-            set.iter().filter(|&c| c != pivot).map(|c| table.column(c).codes()).collect();
-        self.singles[pivot].find_witness(&rest, rhs.map(|a| table.column(a).codes()))
     }
 
     /// Batch [`PliCache::determines`]: evaluates `lhs → rhs` for every pair
@@ -627,78 +597,6 @@ mod tests {
             batch.counter("pli.requests"),
             batch.counter("pli.hits") + batch.counter("pli.misses")
         );
-    }
-
-    /// One column of `rows` cells of the given kind: 0 NULL-heavy, 1
-    /// constant, 2 duplicate-heavy, 3 near-unique.
-    fn random_column(rng: &mut rand::rngs::StdRng, rows: usize, kind: u32) -> Vec<String> {
-        use rand::Rng;
-        (0..rows)
-            .map(|row| match kind {
-                0 if rng.gen_bool(0.8) => String::new(),
-                0 => format!("v{}", rng.gen_range(0..3)),
-                1 => "k".to_string(),
-                2 => format!("v{}", rng.gen_range(0..3)),
-                _ if row > 0 && rng.gen_bool(0.1) => format!("u{}", row - 1),
-                _ => format!("u{row}"),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn find_witness_matches_is_unique_and_determines() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(31);
-        for round in 0..150 {
-            let rows = match round % 5 {
-                0 => round % 3,
-                _ => rng.gen_range(3..80),
-            };
-            // Every fourth table is 70 columns wide, so sets drawn from
-            // its columns 58–69 cross the 64-column word boundary.
-            let (cols, low) = if round % 4 == 0 { (70, 58) } else { (rng.gen_range(1..8), 0) };
-            let columns: Vec<Vec<String>> = (0..cols)
-                .map(|_| {
-                    let kind = rng.gen_range(0..4);
-                    random_column(&mut rng, rows, kind)
-                })
-                .collect();
-            let data: Vec<Vec<&str>> =
-                (0..rows).map(|r| columns.iter().map(|c| c[r].as_str()).collect()).collect();
-            let names: Vec<String> = (0..cols).map(|c| format!("c{c}")).collect();
-            let names: Vec<&str> = names.iter().map(String::as_str).collect();
-            let t = Table::from_rows("t", &names, &data).unwrap();
-            let mut cache = PliCache::new(&t);
-            for size in [0, 1, 2, 3, 5, 12] {
-                let pool = cols - low;
-                let set = ColumnSet::from_indices(
-                    (0..size.min(pool)).map(|_| low + rng.gen_range(0..pool)),
-                );
-                let label = format!("round {round}: {set:?} over {rows} rows");
-                assert_eq!(cache.find_witness(&set, None).0, !cache.is_unique(&set), "{label}");
-                for a in [low + rng.gen_range(0..pool), rng.gen_range(0..cols)] {
-                    let found = cache.find_witness(&set, Some(a)).0;
-                    assert_eq!(found, !cache.determines(&set, a), "{label} -> {a}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn find_witness_builds_no_pli() {
-        let t = table();
-        let (mut cache, m) = metered(&t, PliCache::DEFAULT_CAPACITY);
-        // a: {0,1},{2,3} (size 4) and c: {0,1,2} (size 3): c is the pivot,
-        // and (a, b) separates all three of its rows.
-        assert_eq!(cache.find_witness(&cs(&[0, 1, 2]), None), (false, 3));
-        // {a, c} pairs rows 0 and 1, the first two rows of c's cluster.
-        assert_eq!(cache.find_witness(&cs(&[0, 2]), None), (true, 2));
-        assert_eq!(cache.find_witness(&cs(&[0, 2]), Some(3)), (false, 3));
-        assert_eq!(cache.find_witness(&cs(&[0, 2]), Some(1)), (true, 2));
-        assert_eq!(cache.find_witness(&cs(&[0, 2]), Some(2)), (false, 0), "trivial FD");
-        assert_eq!(pli(&m, "requests"), 0);
-        assert_eq!(pli(&m, "intersects"), 0);
-        assert_eq!(pli(&m, "refinement_checks"), 0);
     }
 
     #[test]

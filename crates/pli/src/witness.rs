@@ -1,10 +1,12 @@
-//! Witness search: is a column combination still not unique, or does it
-//! still not determine a column? One pair of rows answers either question,
+//! Witness search: does a column combination still hold, that is, is it
+//! unique, or does it determine a column? One pair of rows refutes either,
 //! so the search looks for that pair instead of building the combination's
-//! PLI. The delete path asks [`Pli::find_witness`] whether the old result's
-//! maximal negatives survived, in a single-column PLI's clusters; the
+//! PLI. Both probes take a dependency as `(set, rhs)`, `rhs` `None` for a
+//! UCC, and walk the clusters of one pivot column of the set, picked by
+//! one rule. The delete path asks a [`BorderProbe`] whether the old
+//! result's maximal negatives survived, in the pivot's full PLI; the
 //! append path asks an [`AppendProbe`] whether an old positive broke, in
-//! the clusters of the appended rows alone (DESIGN.md §13).
+//! the pivot's clusters of the appended rows alone (DESIGN.md §13).
 
 use std::cmp::{Ordering, Reverse};
 
@@ -16,9 +18,10 @@ use crate::pli::{Pli, RowId};
 impl Pli {
     /// Exact witness search over this PLI's clusters: looks for two rows of
     /// one cluster that agree on every column of `rest` and, with `rhs`
-    /// given, differ on it. If this is the PLI of column `p`, that answers
-    /// "is `{p} ∪ rest` still not unique?" (`rhs` `None`) or "does it still
-    /// not determine `rhs`?" without building the PLI of the combination.
+    /// given, differ on it. If this is the PLI of column `p` (or of `∅`),
+    /// that answers "is `{p} ∪ rest` still not unique?" (`rhs` `None`) or
+    /// "does it still not determine `rhs`?" without building the PLI of the
+    /// combination.
     ///
     /// Clusters are walked in canonical order and the walk stops at the
     /// first witness. Returns whether one was found and the rows visited,
@@ -104,25 +107,82 @@ fn row_hash(rest: &[&[u32]], row: RowId) -> u64 {
     })
 }
 
+/// The column of `set` whose clusters a witness search walks: the one
+/// with the highest `distinct_count()`, whose clusters are the smallest
+/// on average, and the lowest index on ties. `None` for `∅`.
+fn pivot(table: &Table, set: &ColumnSet) -> Option<usize> {
+    set.iter().max_by_key(|&c| (table.column(c).distinct_count(), Reverse(c)))
+}
+
+/// The codes of `set`'s columns other than `pivot`, in column order.
+fn rest<'t>(table: &'t Table, set: &ColumnSet, pivot: Option<usize>) -> Vec<&'t [u32]> {
+    set.iter().filter(|&c| Some(c) != pivot).map(|c| table.column(c).codes()).collect()
+}
+
+/// Witness probe for a delete: answers "does `X` hold?" (is it unique, or
+/// does it determine `a`?) on the post-delete table by a
+/// [`Pli::find_witness`] search for one pair of rows that refutes it, in
+/// the PLI of `X`'s pivot column (the empty set's PLI for `X = ∅`). Every
+/// set takes that one search, whatever its size. A pivot's PLI is built
+/// once, on first use, and no other PLI is built.
+pub struct BorderProbe<'a> {
+    table: &'a Table,
+    /// Per column, then `∅`: its PLI, once some set pivots on it.
+    plis: Vec<Option<Pli>>,
+    visited: u64,
+}
+
+impl<'a> BorderProbe<'a> {
+    /// A probe over `table`.
+    pub fn new(table: &'a Table) -> Self {
+        BorderProbe { table, plis: vec![None; table.num_columns() + 1], visited: 0 }
+    }
+
+    /// Rows visited so far, over every search.
+    pub fn rows_visited(&self) -> u64 {
+        self.visited
+    }
+
+    /// True iff `set` is unique (`rhs` `None`) or determines `rhs`, that
+    /// is, iff no two rows agree on `set` (and differ on `rhs`). Trivial
+    /// FDs (`rhs ∈ set`) hold without a search.
+    pub fn holds(&mut self, set: &ColumnSet, rhs: Option<usize>) -> bool {
+        if rhs.is_some_and(|a| set.contains(a)) {
+            return true;
+        }
+        let table = self.table;
+        let pivot = pivot(table, set);
+        let pli =
+            self.plis[pivot.unwrap_or(table.num_columns())].get_or_insert_with(|| match pivot {
+                Some(p) => Pli::from_column(table.column(p)),
+                None => Pli::empty_set(table.num_rows()),
+            });
+        let rhs = rhs.map(|a| table.column(a).codes());
+        let (found, visited) = pli.find_witness(&rest(table, set, pivot), rhs);
+        self.visited += visited as u64;
+        !found
+    }
+}
+
 /// Witness probe for an append: answers "is `X` still unique?" and "does
 /// `X` still determine `a`?" on a table whose rows `old_rows..` were just
 /// appended, for sets that held on the rows before them (the old minimal
 /// positives and every superset of one). A pair that breaks such a set
 /// must include an appended row, so the probe finds, for each appended row
 /// `j`, the first row `i ≠ j` that agrees with it on `X`, reading only the
-/// appended rows' clusters of one pivot column of `X` (the highest
-/// `distinct_count()`, lowest index on ties; each column is gathered once,
-/// on first use). `X` is still unique iff no appended row has such an `i`;
-/// `X → a` still holds iff every `i` has `j`'s value of `a`. One pair per
-/// appended row suffices for the FD because old rows come first in row
-/// order, the old rows of one `X`-group share `a` (the FD held), and a
-/// group of appended rows only is compared against its first member.
+/// appended rows' clusters of `X`'s pivot column (the rule
+/// [`BorderProbe`] uses; each column is gathered once, on first use). `X`
+/// is still unique iff no appended row has such an `i`; `X → a` still
+/// holds iff every `i` has `j`'s value of `a`. One pair per appended row
+/// suffices for the FD because old rows come first in row order, the old
+/// rows of one `X`-group share `a` (the FD held), and a group of appended
+/// rows only is compared against its first member.
 ///
-/// The rows found for the last set are kept, so the FDs of one left-hand
-/// side cost one scan. A set with a column outside `affected` (where every
-/// appended row is alone in its cluster) holds without a scan. The probe
-/// is sequential and hash-free, so the rows it visits depend on the data
-/// alone.
+/// The rows found for the last set are kept, so a UCC and the FDs of one
+/// left-hand side cost one scan. A set with a column outside `affected`
+/// (where every appended row is alone in its cluster) holds without a
+/// scan. The probe is sequential and hash-free, so the rows it visits
+/// depend on the data alone.
 pub struct AppendProbe<'a> {
     table: &'a Table,
     old_rows: usize,
@@ -146,16 +206,11 @@ impl<'a> AppendProbe<'a> {
             table,
             old_rows,
             affected: *affected,
-            gathered: (0..table.num_columns()).map(|_| None).collect(),
+            gathered: vec![None; table.num_columns()],
             last: None,
             firsts: Vec::new(),
             visited: 0,
         }
-    }
-
-    /// The table probed.
-    pub fn table(&self) -> &'a Table {
-        self.table
     }
 
     /// Rows compared against an appended row so far, over every scan.
@@ -163,20 +218,20 @@ impl<'a> AppendProbe<'a> {
         self.visited
     }
 
-    /// True iff `set`, unique on the rows before the append, still is.
-    pub fn is_unique(&mut self, set: &ColumnSet) -> bool {
-        self.first_agreeing(set).iter().all(Option::is_none)
-    }
-
-    /// True iff `lhs → rhs`, valid on the rows before the append, still
-    /// holds. Trivial FDs (`rhs ∈ lhs`) hold without a scan.
-    pub fn determines(&mut self, lhs: &ColumnSet, rhs: usize) -> bool {
-        if lhs.contains(rhs) {
+    /// True iff `set`, unique (`rhs` `None`) or determining `rhs` on the
+    /// rows before the append, still is. Trivial FDs (`rhs ∈ set`) hold
+    /// without a scan.
+    pub fn holds(&mut self, set: &ColumnSet, rhs: Option<usize>) -> bool {
+        if rhs.is_some_and(|a| set.contains(a)) {
             return true;
         }
-        let (a, old_rows) = (self.table.column(rhs).codes(), self.old_rows);
-        let firsts = self.first_agreeing(lhs);
-        firsts.iter().zip(old_rows..).all(|(i, j)| i.is_none_or(|i| a[i] == a[j]))
+        let (rhs, old_rows) = (rhs.map(|a| self.table.column(a).codes()), self.old_rows);
+        let firsts = self.first_agreeing(set);
+        // An agreeing row breaks a UCC, and an FD where it differs on `rhs`.
+        firsts
+            .iter()
+            .zip(old_rows..)
+            .all(|(i, j)| i.is_none_or(|i| rhs.is_some_and(|a| a[i] == a[j])))
     }
 
     /// Per appended row `j`, the first row `i ≠ j` that agrees with it on
@@ -203,8 +258,7 @@ impl<'a> AppendProbe<'a> {
         if !set.is_subset_of(&self.affected) {
             return firsts;
         }
-        let by_distinct = |c: usize| (table.column(c).distinct_count(), Reverse(c));
-        let Some(pivot) = set.iter().max_by_key(|&c| by_distinct(c)) else {
+        let Some(pivot) = pivot(table, set) else {
             // Every row agrees on ∅: row 0 is the first for every other row.
             for (first, j) in firsts.iter_mut().zip(old_rows..) {
                 *first = [0, 1].into_iter().find(|&i| i != j && i < num_rows);
@@ -212,8 +266,7 @@ impl<'a> AppendProbe<'a> {
             }
             return firsts;
         };
-        let rest: Vec<&[u32]> =
-            set.iter().filter(|&c| c != pivot).map(|c| table.column(c).codes()).collect();
+        let rest = rest(table, set, Some(pivot));
         let by_rest = |x: RowId, y: RowId| {
             let mut order = rest.iter().map(|c| c[x as usize].cmp(&c[y as usize]));
             order.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
@@ -378,6 +431,112 @@ mod tests {
         assert_eq!(Pli::from_column(&col(&["a", "b"])).find_witness(&[], None), (false, 0));
     }
 
+    /// The reference verdict: `set` is unique, or determines `rhs`, by
+    /// its full PLI.
+    fn pli_holds(cache: &mut PliCache<'_>, set: &ColumnSet, rhs: Option<usize>) -> bool {
+        match rhs {
+            None => cache.is_unique(set),
+            Some(a) => cache.determines(set, a),
+        }
+    }
+
+    /// One column of `rows` cells of the given kind: 0 NULL-heavy, 1
+    /// constant, 2 duplicate-heavy, 3 near-unique.
+    fn random_column(rng: &mut rand::rngs::StdRng, rows: usize, kind: u32) -> Vec<String> {
+        use rand::Rng;
+        (0..rows)
+            .map(|row| match kind {
+                0 if rng.gen_bool(0.8) => String::new(),
+                0 => format!("v{}", rng.gen_range(0..3)),
+                1 => "k".to_string(),
+                2 => format!("v{}", rng.gen_range(0..3)),
+                _ if row > 0 && rng.gen_bool(0.1) => format!("u{}", row - 1),
+                _ => format!("u{row}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn border_probe_matches_is_unique_and_determines() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(31);
+        for round in 0..150 {
+            let rows = match round % 5 {
+                0 => round % 3,
+                _ => rng.gen_range(3..80),
+            };
+            // Every fourth table is 70 columns wide, so sets drawn from
+            // its columns 58–69 cross the 64-column word boundary.
+            let (cols, low) = if round % 4 == 0 { (70, 58) } else { (rng.gen_range(1..8), 0) };
+            let columns: Vec<Vec<String>> = (0..cols)
+                .map(|_| {
+                    let kind = rng.gen_range(0..4);
+                    random_column(&mut rng, rows, kind)
+                })
+                .collect();
+            let data: Vec<Vec<&str>> =
+                (0..rows).map(|r| columns.iter().map(|c| c[r].as_str()).collect()).collect();
+            let names: Vec<String> = (0..cols).map(|c| format!("c{c}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let t = Table::from_rows("t", &names, &data).unwrap();
+            let mut cache = PliCache::new(&t);
+            let mut probe = BorderProbe::new(&t);
+            // Sets of 0 and 1 columns take the same search as wider ones.
+            for size in [0, 1, 2, 3, 5, 12] {
+                let pool = cols - low;
+                let set = ColumnSet::from_indices(
+                    (0..size.min(pool)).map(|_| low + rng.gen_range(0..pool)),
+                );
+                let label = format!("round {round}: {set:?} over {rows} rows");
+                for rhs in [None, Some(low + rng.gen_range(0..pool)), Some(rng.gen_range(0..cols))]
+                {
+                    let holds = pli_holds(&mut cache, &set, rhs);
+                    assert_eq!(probe.holds(&set, rhs), holds, "{label} -> {rhs:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn border_probe_builds_only_its_pivots_plis() {
+        // a: 1 1 2 2 ; b: x y x y ; c: p p p q ; d: 1 1 2 3. Columns a, b
+        // and c have two values, so the lowest of them in a set is its
+        // pivot; d has three and pivots every set it is in.
+        let t = table(
+            &rows(&[
+                &["1", "x", "p", "1"],
+                &["1", "y", "p", "1"],
+                &["2", "x", "p", "2"],
+                &["2", "y", "q", "3"],
+            ]),
+            4,
+        );
+        let mut probe = BorderProbe::new(&t);
+        let mut holds = |cols: &[usize], rhs: Option<usize>| {
+            let before = probe.rows_visited();
+            let holds = probe.holds(&ColumnSet::from_indices(cols.iter().copied()), rhs);
+            (holds, probe.rows_visited() - before)
+        };
+        // a's clusters {0,1} and {2,3}: (b, c) separates both.
+        assert_eq!(holds(&[0, 1, 2], None), (true, 4));
+        // {a, c} pairs rows 0 and 1, the first two rows of a's first cluster.
+        assert_eq!(holds(&[0, 2], None), (false, 2));
+        assert_eq!(holds(&[0, 2], Some(3)), (true, 4));
+        assert_eq!(holds(&[0, 2], Some(1)), (false, 2));
+        assert_eq!(holds(&[0, 2], Some(2)), (true, 0), "trivial FD");
+        // One column and ∅ take the same search: c's cluster {0,1,2} and
+        // ∅'s one cluster each pair their first two rows, and only row 3
+        // differs from row 0 on c.
+        assert_eq!(holds(&[2], None), (false, 2));
+        assert_eq!(holds(&[], None), (false, 2));
+        assert_eq!(holds(&[], Some(2)), (false, 4));
+        // d's cluster {0, 1} agrees on a.
+        assert_eq!(holds(&[0, 3], None), (false, 2));
+        // The PLIs of a, c, d and ∅ (slot 4), the pivots; none of b.
+        let built: Vec<usize> = (0..5).filter(|&c| probe.plis[c].is_some()).collect();
+        assert_eq!(built, [0, 2, 3, 4]);
+    }
+
     fn table<S: AsRef<str> + Sync>(rows: &[Vec<S>], cols: usize) -> Table {
         let names: Vec<String> = (0..cols).map(|c| format!("c{c}")).collect();
         let names: Vec<&str> = names.iter().map(String::as_str).collect();
@@ -406,16 +565,9 @@ mod tests {
         for bits in 0..1u32 << n {
             let set = ColumnSet::from_indices((0..n).filter(|c| bits >> c & 1 == 1));
             for rhs in std::iter::once(None).chain((0..n).map(Some)) {
-                let (held, holds, probed) = match rhs {
-                    None if before.is_unique(&set) => {
-                        (true, after.is_unique(&set), probe.is_unique(&set))
-                    }
-                    Some(a) if before.determines(&set, a) => {
-                        (true, after.determines(&set, a), probe.determines(&set, a))
-                    }
-                    _ => (false, false, false),
-                };
-                if held {
+                if pli_holds(&mut before, &set, rhs) {
+                    let holds = pli_holds(&mut after, &set, rhs);
+                    let probed = probe.holds(&set, rhs);
                     assert_eq!(probed, holds, "{set:?} rhs {rhs:?} after {:?}", out.table);
                     checks.push((set, rhs, holds));
                 }
@@ -518,9 +670,9 @@ mod tests {
         // Trivial FDs hold without a scan.
         let t = table(&rows(&[&["1", "a"], &["1", "b"]]), 2);
         let mut probe = AppendProbe::new(&t, 1, &ColumnSet::full(2));
-        assert!(probe.determines(&ColumnSet::single(0), 0));
+        assert!(probe.holds(&ColumnSet::single(0), Some(0)));
         assert_eq!(probe.rows_visited(), 0);
-        assert!(!probe.is_unique(&ColumnSet::single(0)));
+        assert!(!probe.holds(&ColumnSet::single(0), None));
         assert_eq!(probe.rows_visited(), 1);
     }
 
@@ -536,12 +688,32 @@ mod tests {
         let append: Vec<Vec<String>> = (1800..3600).map(|r| row(r, "")).collect();
         let out = old.apply_delta(&TableDelta::Append { rows: append }).unwrap();
         let mut probe = AppendProbe::new(&out.table, 1800, &ColumnSet::full(3));
-        assert!(probe.is_unique(&key));
+        assert!(probe.holds(&key, None));
         assert!(probe.rows_visited() < 3600, "{} rows", probe.rows_visited());
         // An appended row that repeats an old key in a new row breaks it.
         let dup = vec![row(7, "dup")];
         let out = out.table.apply_delta(&TableDelta::Append { rows: dup }).unwrap();
         let mut probe = AppendProbe::new(&out.table, 3600, &ColumnSet::full(3));
-        assert!(!probe.is_unique(&key));
+        assert!(!probe.holds(&key, None));
+    }
+
+    #[test]
+    fn a_ucc_and_the_fds_of_its_set_share_one_scan() {
+        // {c0} is unique before the append and determines c1 and c2; the
+        // appended row repeats c0 = a with a new c1 and the old c2.
+        let old = table(&rows(&[&["a", "x", "1"], &["b", "y", "2"]]), 3);
+        let append = rows(&[&["a", "z", "1"]]);
+        let out = old.apply_delta(&TableDelta::Append { rows: append }).unwrap();
+        let mut probe = AppendProbe::new(&out.table, 2, &ColumnSet::full(3));
+        let key = ColumnSet::single(0);
+        assert!(!probe.holds(&key, None));
+        let scanned = probe.rows_visited();
+        assert!(scanned > 0);
+        assert!(!probe.holds(&key, Some(1)));
+        assert!(probe.holds(&key, Some(2)));
+        assert_eq!(probe.rows_visited(), scanned, "the FDs reuse the UCC's scan");
+        // Another set scans again.
+        assert!(!probe.holds(&ColumnSet::single(2), None));
+        assert!(probe.rows_visited() > scanned);
     }
 }
