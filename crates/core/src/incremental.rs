@@ -484,6 +484,16 @@ mod tests {
     }
 
     #[test]
+    fn delete_of_a_pair_sharing_a_value_no_survivor_holds() {
+        // Rows 0 and 1 are c0's only violating pair. No survivor holds
+        // "a", so c0 is affected only by counting both deleted rows; then
+        // the border {c0} turns unique and the delete re-profiles.
+        let t = table(&[&["a", "x"], &["a", "y"], &["b", "z"], &["c", "w"]]);
+        let out = assert_delete_branch(&t, &[0, 1], false);
+        assert_eq!(out.result.minimal_uccs.len(), 2);
+    }
+
+    #[test]
     fn delete_keeping_the_border_carries_uccs_and_fds() {
         // {c1, c2} is the only wide minimal UCC; every maximal negative
         // ({c1}, {c2}, and c1 ↛ c0, c2 ↛ c0, c1 ↛ c2, c2 ↛ c1) keeps a

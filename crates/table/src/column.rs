@@ -19,6 +19,7 @@
 //! compared against the dictionary.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// NULL handling: an empty input field is NULL. For UCC/FD discovery NULL
 /// behaves as an ordinary value equal to itself (two NULLs agree) — all
@@ -43,7 +44,9 @@ pub struct Column {
     /// class.
     codes: Vec<u32>,
     /// Sorted distinct non-null values; the code of a value is its index.
-    dictionary: Vec<String>,
+    /// Shared, so a delta that leaves a dictionary unchanged copies no
+    /// string of it.
+    dictionary: Arc<Vec<String>>,
     /// Number of NULL entries.
     null_count: usize,
 }
@@ -97,7 +100,8 @@ impl Column {
             // `NULL_ID` is past the end of `code_of`.
             *code = code_of.get(*code as usize).copied().unwrap_or(null_code);
         }
-        let dictionary = sorted.iter().map(|&id| distinct[id as usize].to_owned()).collect();
+        let dictionary =
+            Arc::new(sorted.iter().map(|&id| distinct[id as usize].to_owned()).collect());
         Column { name: name.into(), codes, dictionary, null_count }
     }
 
@@ -109,7 +113,7 @@ impl Column {
     pub(crate) fn from_parts(
         name: String,
         codes: Vec<u32>,
-        dictionary: Vec<String>,
+        dictionary: Arc<Vec<String>>,
         null_count: usize,
     ) -> Self {
         // lint:allow(panic): windows(2) always yields two-element slices.
@@ -144,6 +148,11 @@ impl Column {
 
     /// The sorted, duplicate-free list of non-null values — SPIDER's input.
     pub fn sorted_distinct_values(&self) -> &[String] {
+        &self.dictionary
+    }
+
+    /// The shared dictionary, for a rebuild that keeps it unchanged.
+    pub(crate) fn dictionary(&self) -> &Arc<Vec<String>> {
         &self.dictionary
     }
 

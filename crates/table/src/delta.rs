@@ -10,6 +10,15 @@
 //! final data ([`crate::fingerprint`]s match, which is what lets a serving
 //! layer patch its content-addressed registry instead of re-registering).
 //!
+//! An append costs what it adds: it looks the appended cells up in the old
+//! dictionaries, merges only the values they lack, and copies each old
+//! code vector once into one vector of the final length. A column's old
+//! codes are copied verbatim unless the merge moves them (a new value
+//! sorts before an old one, or one sorts anywhere and the column has
+//! NULLs, whose code sits past the dictionary); only such a column pays a
+//! remap, counted by `delta.codes_remapped`. A dictionary that gains no
+//! value is shared with the old table, not copied.
+//!
 //! Alongside the new table, application reports the set of **affected
 //! columns**: the columns whose duplicate structure could have changed.
 //! After an append it is the input to incremental dependency revalidation
@@ -18,11 +27,12 @@
 //! carry their verdicts over unchanged. After a deletion dependencies can
 //! only *appear*, again only inside the affected set: `muds-core` checks
 //! just the old result's maximal non-dependencies that lie inside it.
+//! Both are derived without counting the table: an append's from the
+//! appended rows alone, a delete's from the counts its projection takes.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
-use rayon::prelude::*;
+use std::cmp::Reverse;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::column::Column;
 use crate::error::TableError;
@@ -72,6 +82,89 @@ pub struct DeltaOutcome {
     pub rows_deduplicated: usize,
 }
 
+/// The old code of an appended cell whose value no old row holds.
+const ABSENT: u32 = u32::MAX;
+
+/// One column's appended cells, located in its old dictionary.
+struct Located<'a> {
+    /// The values the column gains, sorted and distinct.
+    added: Vec<&'a str>,
+    /// Per appended row: its code in the final column.
+    codes: Vec<u32>,
+    /// Per appended row: its code in the old column, [`ABSENT`] when no
+    /// old row holds its value.
+    old: Vec<u32>,
+}
+
+impl<'a> Located<'a> {
+    /// Binary-searches column `c` of every appended row in `col`'s
+    /// dictionary; the final codes follow from where the added values
+    /// sort, without building the merged dictionary.
+    fn new(col: &Column, rows: &'a [Vec<String>], c: usize) -> Self {
+        let dict = col.sorted_distinct_values();
+        let old_null = if col.null_count() > 0 { dict.len() as u32 } else { ABSENT };
+        // `None` for NULL, else the search result: `Ok(old code)` or
+        // `Err(insertion point)`.
+        let found: Vec<Option<Result<usize, usize>>> = rows
+            .iter()
+            .map(|r| {
+                let v = r[c].as_str();
+                (!v.is_empty()).then(|| dict.binary_search_by(|d| d.as_str().cmp(v)))
+            })
+            .collect();
+        let mut added: Vec<&str> = rows
+            .iter()
+            .zip(&found)
+            .filter(|(_, f)| matches!(f, Some(Err(_))))
+            .map(|(r, _)| r[c].as_str())
+            .collect();
+        added.sort_unstable();
+        added.dedup();
+        // A final code is the old rank plus the added values sorting
+        // before it; NULL moves past every added value.
+        let before = |v: &str| added.partition_point(|a| *a < v);
+        let (codes, old) = rows
+            .iter()
+            .zip(&found)
+            .map(|(r, f)| match *f {
+                None => ((dict.len() + added.len()) as u32, old_null),
+                Some(Ok(code)) => ((code + before(&dict[code])) as u32, code as u32),
+                Some(Err(at)) => ((at + before(&r[c])) as u32, ABSENT),
+            })
+            .unzip();
+        Located { added, codes, old }
+    }
+
+    /// The merged dictionary, and the new code of every old code when the
+    /// merge moves any old row's code (`None` when all stay). Old codes
+    /// stay when nothing was added, or when every added value sorts after
+    /// the old ones and no old row holds the NULL code past them.
+    fn merge(&self, col: &Column) -> (Arc<Vec<String>>, Option<Vec<u32>>) {
+        let dict = col.sorted_distinct_values();
+        let Some(&first) = self.added.first() else {
+            return (col.dictionary().clone(), None);
+        };
+        let moves = col.null_count() > 0 || dict.last().is_some_and(|last| first < last.as_str());
+        let mut merged: Vec<String> = Vec::with_capacity(dict.len() + self.added.len());
+        let mut remap: Vec<u32> = Vec::with_capacity(if moves { dict.len() + 1 } else { 0 });
+        let mut added = self.added.iter().peekable();
+        for value in dict {
+            while let Some(a) = added.next_if(|a| **a < value.as_str()) {
+                merged.push(a.to_string());
+            }
+            if moves {
+                remap.push(merged.len() as u32);
+            }
+            merged.push(value.clone());
+        }
+        merged.extend(added.map(|a| a.to_string()));
+        if moves {
+            remap.push(merged.len() as u32);
+        }
+        (Arc::new(merged), moves.then_some(remap))
+    }
+}
+
 impl Table {
     /// Applies `delta`, producing the mutated table plus the affected-column
     /// report. `self` is unchanged (columns are rebuilt from the merged
@@ -99,144 +192,73 @@ impl Table {
             }
         }
         let old_rows = self.num_rows();
-        // Per column: merge the new values into the sorted dictionary and
-        // encode both the old rows (code remap) and the appended rows
-        // against it. Independent per column, so fan out like `from_rows`.
-        let encoded: Vec<(Vec<String>, Vec<u32>, Vec<u32>)> = (0..self.num_columns())
-            .into_par_iter()
-            .map(|c| {
-                let col = self.column(c);
-                let dict = col.sorted_distinct_values();
-                let mut added: Vec<&str> = rows
-                    .iter()
-                    .map(|r| r[c].as_str())
-                    .filter(|v| {
-                        !v.is_empty() && dict.binary_search_by(|d| d.as_str().cmp(v)).is_err()
-                    })
-                    .collect();
-                added.sort_unstable();
-                added.dedup();
-                // Merge walk: `merged` is the sorted union, `remap[i]` the
-                // new code of old code `i` (old codes shift up by the
-                // number of added values sorting before them); the NULL
-                // code moves from `dict.len()` to `merged.len()`.
-                let mut merged: Vec<String> = Vec::with_capacity(dict.len() + added.len());
-                let mut remap: Vec<u32> = vec![0; dict.len() + 1];
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < dict.len() || j < added.len() {
-                    if j < added.len() && (i >= dict.len() || added[j] < dict[i].as_str()) {
-                        merged.push(added[j].to_string());
-                        j += 1;
-                    } else {
-                        remap[i] = merged.len() as u32;
-                        merged.push(dict[i].clone());
-                        i += 1;
-                    }
-                }
-                remap[dict.len()] = merged.len() as u32;
-                let old_codes: Vec<u32> =
-                    col.codes().iter().map(|&code| remap[code as usize]).collect();
-                let null_code = merged.len() as u32;
-                // lint:allow(panic): every non-empty appended value was
-                // either found in the old dictionary or merged in above, so
-                // the search always hits.
-                let new_codes: Vec<u32> = rows
-                    .iter()
-                    .map(|r| {
-                        let v = r[c].as_str();
-                        if v.is_empty() {
-                            null_code
-                        } else {
-                            merged
-                                .binary_search_by(|d| d.as_str().cmp(v))
-                                .expect("appended value in merged dictionary")
-                                as u32
-                        }
-                    })
-                    .collect();
-                (merged, old_codes, new_codes)
-            })
-            .collect();
+        let located: Vec<Located> =
+            self.columns().iter().enumerate().map(|(c, col)| Located::new(col, rows, c)).collect();
 
         // Duplicate dropping on coded keys: appended rows equal to an
-        // existing row or an earlier kept append are skipped (NULLs share a
-        // code, so they compare equal, matching `Table::dedup_rows`). A
+        // earlier appended row or to an existing row are skipped (NULLs
+        // share a code, so they compare equal, matching `dedup_rows`). A
         // duplicate contributes no dictionary value its original doesn't,
-        // so the merged dictionaries above are unaffected by the drop.
-        // Only the appended rows are hashed; the old rows are scanned once,
-        // and only those whose code in the column with the largest
-        // dictionary some appended row shares are keyed and looked up.
-        let mut first: HashMap<Vec<u32>, usize> = HashMap::with_capacity(rows.len());
-        let mut kept: Vec<usize> = Vec::with_capacity(rows.len());
-        for k in 0..rows.len() {
-            let key: Vec<u32> = encoded.iter().map(|(_, _, new)| new[k]).collect();
-            if let Entry::Vacant(slot) = first.entry(key) {
-                slot.insert(k);
-                kept.push(k);
-            }
-        }
-        if let Some((merged, probe_codes, new_codes)) = encoded.iter().max_by_key(|e| e.0.len()) {
-            let mut probe = vec![false; merged.len() + 1];
-            for &k in &kept {
-                probe[new_codes[k] as usize] = true;
-            }
-            let mut in_old = vec![false; rows.len()];
-            let mut key: Vec<u32> = Vec::with_capacity(encoded.len());
-            for (r, &code) in probe_codes.iter().enumerate() {
-                if probe[code as usize] {
-                    key.clear();
-                    key.extend(encoded.iter().map(|(_, old, _)| old[r]));
-                    if let Some(&k) = first.get(&key) {
-                        in_old[k] = true;
-                    }
-                }
-            }
+        // so the merged dictionaries are unaffected by the drop.
+        let mut seen: HashSet<Vec<u32>> = HashSet::with_capacity(rows.len());
+        let mut kept: Vec<usize> = (0..rows.len())
+            .filter(|&k| seen.insert(located.iter().map(|l| l.codes[k]).collect()))
+            .collect();
+        // Only a kept row whose every value some old row holds can equal
+        // an old row, so the old rows are read only for such rows.
+        let known: Vec<(usize, Vec<u32>)> = kept
+            .iter()
+            .map(|&k| (k, located.iter().map(|l| l.old[k]).collect::<Vec<u32>>()))
+            .filter(|(_, key)| !key.contains(&ABSENT))
+            .collect();
+        if !known.is_empty() {
+            let in_old = self.rows_among(&known, rows.len());
             kept.retain(|&k| !in_old[k]);
         }
-        // Zero-column tables: every row is the empty tuple, so at most one
-        // survives in total (mirroring `dedup_rows`).
-        let kept = if self.num_columns() == 0 {
-            if old_rows == 0 && !rows.is_empty() {
-                vec![0]
-            } else {
-                Vec::new()
-            }
-        } else {
-            kept
-        };
 
-        let num_rows = old_rows + kept.len();
-        let mut affected: Vec<usize> = Vec::new();
-        let columns: Vec<Column> = encoded
-            .into_iter()
-            .zip(self.columns())
-            .map(|((merged, mut codes, new_codes), col)| {
-                let null_code = merged.len() as u32;
-                let mut null_count = col.null_count();
-                codes.reserve(kept.len());
-                for &k in &kept {
-                    codes.push(new_codes[k]);
-                    if new_codes[k] == null_code {
-                        null_count += 1;
-                    }
-                }
-                Column::from_parts(col.name().to_string(), codes, merged, null_count)
-            })
-            .collect();
-        // Affected = columns where some appended row landed in a duplicate
-        // cluster of the final table (its code occurs at least twice). Only
+        // Affected = columns where some kept row lands in a duplicate
+        // cluster of the final table. Its code occurs twice iff an old row
+        // holds its value (every dictionary value and a present NULL
+        // occur in some old row) or another kept row carries it. Only
         // dependencies drawn entirely from these columns can break: an
         // appended row that is unique in column c makes every set
         // containing c trivially violation-free for that row.
-        for (c, col) in columns.iter().enumerate() {
-            let mut counts = vec![0u32; col.code_domain()];
-            for &code in col.codes() {
-                counts[code as usize] += 1;
-            }
-            if col.codes()[old_rows..].iter().any(|&code| counts[code as usize] >= 2) {
-                affected.push(c);
-            }
-        }
+        let affected: Vec<usize> = located
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| {
+                let mut codes: Vec<u32> = kept.iter().map(|&k| l.codes[k]).collect();
+                codes.sort_unstable();
+                codes.dedup();
+                codes.len() < kept.len() || kept.iter().any(|&k| l.old[k] != ABSENT)
+            })
+            .map(|(c, _)| c)
+            .collect();
+
+        let num_rows = old_rows + kept.len();
+        let mut remapped = 0u64;
+        let columns: Vec<Column> = self
+            .columns()
+            .iter()
+            .zip(&located)
+            .map(|(col, l)| {
+                let (dictionary, remap) = l.merge(col);
+                let mut codes: Vec<u32> = Vec::with_capacity(num_rows);
+                match remap {
+                    None => codes.extend_from_slice(col.codes()),
+                    Some(remap) => {
+                        remapped += old_rows as u64;
+                        codes.extend(col.codes().iter().map(|&code| remap[code as usize]));
+                    }
+                }
+                codes.extend(kept.iter().map(|&k| l.codes[k]));
+                let null_code = dictionary.len() as u32;
+                let null_count =
+                    col.null_count() + kept.iter().filter(|&&k| l.codes[k] == null_code).count();
+                Column::from_parts(col.name().to_string(), codes, dictionary, null_count)
+            })
+            .collect();
+        muds_obs::counter("delta.codes_remapped").add(remapped);
 
         Ok(DeltaOutcome {
             table: Table::from_parts(self.name().to_string(), columns, num_rows),
@@ -245,6 +267,39 @@ impl Table {
             deleted_rows: 0,
             rows_deduplicated: rows.len() - kept.len(),
         })
+    }
+
+    /// Marks which of the `known` appended rows (row, old codes; the
+    /// codes distinct) some row of this table equals. Columns are tried
+    /// from the largest dictionary down, each against the codes the known
+    /// rows hold, so most rows are rejected after one or two reads; a row
+    /// that passes every column is looked up in a hash of the known rows,
+    /// so a large append cannot go quadratic. A zero-column table's every
+    /// row equals the empty key.
+    fn rows_among(&self, known: &[(usize, Vec<u32>)], num_appended: usize) -> Vec<bool> {
+        let mut order: Vec<usize> = (0..self.num_columns()).collect();
+        order.sort_by_key(|&c| Reverse(self.column(c).code_domain()));
+        let mut held: Vec<Vec<bool>> =
+            self.columns().iter().map(|col| vec![false; col.code_domain()]).collect();
+        for (_, key) in known {
+            for (held, &code) in held.iter_mut().zip(key) {
+                held[code as usize] = true;
+            }
+        }
+        let index: HashMap<&[u32], usize> =
+            known.iter().map(|(k, key)| (key.as_slice(), *k)).collect();
+        let mut found = vec![false; num_appended];
+        let mut row: Vec<u32> = Vec::with_capacity(self.num_columns());
+        for r in 0..self.num_rows() {
+            if order.iter().all(|&c| held[c][self.column(c).codes()[r] as usize]) {
+                row.clear();
+                row.extend(self.columns().iter().map(|col| col.codes()[r]));
+                if let Some(&k) = index.get(row.as_slice()) {
+                    found[k] = true;
+                }
+            }
+        }
+        found
     }
 
     fn apply_delete(&self, rows: &[usize]) -> Result<DeltaOutcome, TableError> {
@@ -261,23 +316,15 @@ impl Table {
         let keep: Vec<usize> = (0..self.num_rows()).filter(|&r| !gone[r]).collect();
 
         // Affected = columns where some deleted row sat in a duplicate
-        // cluster of the *old* table: removing a row that was unique in
-        // column c cannot make any set containing c newly unique (no
-        // violating pair through c involved it), so only dependencies
+        // cluster of the *old* table (its code occurs at least twice there,
+        // counting the other deleted rows too): removing a row that was
+        // unique in column c cannot make any set containing c newly unique
+        // (no violating pair through c involved it), so only dependencies
         // drawn entirely from these columns can flip to valid.
-        let mut affected: Vec<usize> = Vec::new();
-        for (c, col) in self.columns().iter().enumerate() {
-            let mut counts = vec![0u32; col.code_domain()];
-            for &code in col.codes() {
-                counts[code as usize] += 1;
-            }
-            if deleted.iter().any(|&r| counts[col.codes()[r] as usize] >= 2) {
-                affected.push(c);
-            }
-        }
+        let (table, affected) = self.select_rows_dropping(&keep, &deleted);
 
         Ok(DeltaOutcome {
-            table: self.select_rows(&keep),
+            table,
             affected_columns: affected,
             appended_rows: 0,
             deleted_rows: deleted.len(),
@@ -425,6 +472,17 @@ mod tests {
     }
 
     #[test]
+    fn deleting_both_rows_of_a_pair_marks_their_column_affected() {
+        // Rows 0 and 1 are the only pair sharing "a" in column 0: no
+        // survivor holds "a", yet deleting both removes that column's only
+        // violating pair, so the column must be reported.
+        let t = table(&[&["a", "x"], &["a", "y"], &["b", "z"]]);
+        let out = t.apply_delta(&TableDelta::Delete { rows: vec![1, 0] }).unwrap();
+        assert_eq!(out.affected_columns, vec![0]);
+        assert_survivors(&t, &[0, 1], &out);
+    }
+
+    #[test]
     fn delete_null_rows_updates_null_count() {
         let t = table(&[&["a", ""], &["b", ""], &["c", "y"]]);
         let out = t.apply_delta(&TableDelta::Delete { rows: vec![0] }).unwrap();
@@ -493,43 +551,105 @@ mod tests {
         assert_matches_from_scratch(&back.table);
     }
 
+    /// `delta.codes_remapped` after appending `rows` to `t`.
+    fn codes_remapped(t: &Table, rows: &[&[&str]]) -> u64 {
+        let metrics = muds_obs::Metrics::new();
+        let _guard = metrics.install();
+        t.apply_delta(&append(rows)).unwrap();
+        metrics.drain_snapshot().counter("delta.codes_remapped")
+    }
+
+    #[test]
+    fn appends_remap_old_codes_only_when_the_merge_moves_them() {
+        for n in [1_000usize, 10_000] {
+            // A key, a 7-value column and a 13-value column with NULLs.
+            let rows: Vec<Vec<String>> = (0..n)
+                .map(|r| {
+                    let nulls = if r % 5 == 0 { String::new() } else { format!("v{}", r % 13) };
+                    vec![format!("k{r:05}"), format!("v{}", r % 7), nulls]
+                })
+                .collect();
+            let t = Table::from_rows("t", &["a", "b", "c"], &rows).unwrap();
+            // Known values (a new combination of them, and a copy of an
+            // existing row) move nothing.
+            assert_eq!(codes_remapped(&t, &[&["k00001", "v3", ""], &["k00002", "v2", "v2"]]), 0);
+            // Values that sort after the old ones keep the NULL-free
+            // columns' codes; in column c NULL's code moves past them.
+            assert_eq!(codes_remapped(&t, &[&["z", "z", "z"]]), n as u64);
+            // A value that sorts first moves every old code of its column.
+            assert_eq!(codes_remapped(&t, &[&["a", "v1", "v1"]]), n as u64);
+            assert_eq!(codes_remapped(&t, &[&["a", "a", "a"]]), 3 * n as u64);
+            let out = t.apply_delta(&append(&[&["a", "a", "a"]])).unwrap();
+            assert_eq!(out.table.row(0), t.row(0));
+            assert_matches_from_scratch(&out.table);
+        }
+    }
+
+    /// The columns a delta affects, counted over a whole table: those where
+    /// one of `rows` carries a code that occurs at least twice in `table`.
+    fn affected_by_count(table: &Table, rows: impl Iterator<Item = usize> + Clone) -> Vec<usize> {
+        (0..table.num_columns())
+            .filter(|&c| {
+                let col = table.column(c);
+                let counts = col.value_counts();
+                rows.clone().any(|r| counts[col.codes()[r] as usize] >= 2)
+            })
+            .collect()
+    }
+
     proptest::proptest! {
-        /// Random base tables and deltas: the incremental encoding must be
-        /// indistinguishable from a from-scratch build of the final rows.
+        /// Random base tables and chains of appends, then a delete: the
+        /// incremental encoding must be indistinguishable from a
+        /// from-scratch build of the final rows, and each delta's affected
+        /// columns those a count over the whole table gives — the final
+        /// table for an append, the old one for a delete.
         #[test]
         fn random_deltas_match_from_scratch(
-            (base, extra, dels) in (
+            (base, appends, dels) in (
                 proptest::collection::vec(
                     proptest::collection::vec(cell_strategy(4), 3), 0..12),
                 proptest::collection::vec(
-                    proptest::collection::vec(cell_strategy(5), 3), 0..6),
-                proptest::collection::vec(0usize..12, 0..6),
+                    proptest::collection::vec(
+                        proptest::collection::vec(cell_strategy(8), 3), 0..6),
+                    2..4),
+                proptest::collection::vec(0usize..30, 0..6),
             )
         ) {
             let rows: Vec<Vec<&str>> =
                 base.iter().map(|r| r.iter().map(|v| v.as_str()).collect()).collect();
-            let t = Table::from_rows("t", &["a", "b", "c"], &rows).unwrap().dedup_rows();
-            let out = t.apply_delta(&TableDelta::Append { rows: extra.clone() }).unwrap();
-            assert_matches_from_scratch(&out.table);
-            // Appends keep exactly the rows not seen before, in order.
-            let mut expected = rows_of(&t);
-            for row in &extra {
-                if !expected.contains(row) {
-                    expected.push(row.clone());
+            let mut t = Table::from_rows("t", &["a", "b", "c"], &rows).unwrap().dedup_rows();
+            for extra in appends {
+                let out = t.apply_delta(&TableDelta::Append { rows: extra.clone() }).unwrap();
+                assert_matches_from_scratch(&out.table);
+                // Appends keep exactly the rows not seen before, in order.
+                let mut expected = rows_of(&t);
+                for row in &extra {
+                    if !expected.contains(row) {
+                        expected.push(row.clone());
+                    }
                 }
+                assert_eq!(rows_of(&out.table), expected);
+                assert_eq!(
+                    out.affected_columns,
+                    affected_by_count(&out.table, t.num_rows()..out.table.num_rows())
+                );
+                t = out.table;
             }
-            assert_eq!(rows_of(&out.table), expected);
             // Ids in any order, repeats included.
             let dels: Vec<usize> = dels.into_iter().filter(|&r| r < t.num_rows()).collect();
             let out = t.apply_delta(&TableDelta::Delete { rows: dels.clone() }).unwrap();
             assert_survivors(&t, &dels, &out);
+            assert_eq!(out.affected_columns, affected_by_count(&t, dels.iter().copied()));
         }
     }
 
     /// Small value domain (including NULL) so collisions — the interesting
     /// case for dictionary merging and affected-column tracking — abound.
-    fn cell_strategy(domain: u32) -> impl proptest::Strategy<Value = String> {
+    /// Values past a base table's domain sort before, between and after
+    /// its values, so appends both keep and move old codes.
+    fn cell_strategy(domain: usize) -> impl proptest::Strategy<Value = String> {
         use proptest::Strategy as _;
-        (0..domain).prop_map(|v| if v == 0 { String::new() } else { format!("v{v}") })
+        const VALUES: [&str; 7] = ["m", "c", "t", "a", "p", "z", "f"];
+        (0..domain).prop_map(|v| if v == 0 { String::new() } else { VALUES[v - 1].to_string() })
     }
 }

@@ -1,6 +1,7 @@
 //! In-memory relation: a named collection of dictionary-encoded columns.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use rayon::prelude::*;
 
@@ -165,7 +166,20 @@ impl Table {
     /// dictionaries and fingerprint — without decoding a cell. Columns
     /// compact independently, in parallel.
     pub fn select_rows(&self, rows: &[usize]) -> Table {
-        let columns = self
+        self.select_rows_dropping(rows, &[]).0
+    }
+
+    /// [`Table::select_rows`] of `rows`, the survivors of dropping the
+    /// distinct rows `dropped`. Also returns, ascending, the columns where
+    /// some dropped row's code occurs at least twice in this table: the
+    /// survivors' counts the projection takes anyway, plus the dropped
+    /// rows' own, so a delete reads each code once.
+    pub(crate) fn select_rows_dropping(
+        &self,
+        rows: &[usize],
+        dropped: &[usize],
+    ) -> (Table, Vec<usize>) {
+        let parts: Vec<(Column, bool)> = self
             .columns
             .par_iter()
             .map(|col| {
@@ -173,25 +187,37 @@ impl Table {
                 for &r in rows {
                     refs[col.codes()[r] as usize] += 1;
                 }
+                // A survivor shares the code, or a second dropped row does.
+                let mut gone: Vec<u32> = dropped.iter().map(|&r| col.codes()[r]).collect();
+                gone.sort_unstable();
+                gone.dedup();
+                let shared =
+                    gone.len() < dropped.len() || gone.iter().any(|&code| refs[code as usize] > 0);
                 // Surviving values keep their relative order, so the
                 // remapped codes stay sorted-order codes; NULL moves to one
-                // past the compacted dictionary.
+                // past the compacted dictionary, which is the old one shared
+                // when no value was orphaned.
                 let dict = col.sorted_distinct_values();
                 let mut remap = vec![0u32; col.code_domain()];
-                let mut kept: Vec<String> = Vec::with_capacity(dict.len());
-                for (code, value) in dict.iter().enumerate() {
-                    remap[code] = kept.len() as u32;
-                    if refs[code] > 0 {
-                        kept.push(value.clone());
-                    }
+                let mut next = 0u32;
+                for (slot, &n) in remap.iter_mut().zip(&refs) {
+                    *slot = next;
+                    next += u32::from(n > 0);
                 }
-                remap[dict.len()] = kept.len() as u32;
+                let dictionary = if remap[dict.len()] as usize == dict.len() {
+                    col.dictionary().clone()
+                } else {
+                    let kept = dict.iter().zip(&refs).filter(|(_, &n)| n > 0);
+                    Arc::new(kept.map(|(value, _)| value.clone()).collect())
+                };
                 let codes = rows.iter().map(|&r| remap[col.codes()[r] as usize]).collect();
                 let null_count = refs[dict.len()] as usize;
-                Column::from_parts(col.name().to_string(), codes, kept, null_count)
+                (Column::from_parts(col.name().to_string(), codes, dictionary, null_count), shared)
             })
             .collect();
-        Table { name: self.name.clone(), columns, num_rows: rows.len() }
+        let affected = parts.iter().enumerate().filter(|(_, p)| p.1).map(|(c, _)| c).collect();
+        let columns = parts.into_iter().map(|(column, _)| column).collect();
+        (Table { name: self.name.clone(), columns, num_rows: rows.len() }, affected)
     }
 
     /// Projects the table onto its first `n` rows — the paper's
