@@ -8,8 +8,8 @@
 use std::collections::BTreeSet;
 
 use muds_core::{
-    apply_incremental, profile, profile_from_json, profile_to_json, Algorithm, ProfilePayload,
-    ProfilerConfig,
+    apply_incremental, profile, profile_from_json, profile_to_json, Algorithm, IncrementalOutcome,
+    ProfilePayload, ProfileResult, ProfilerConfig,
 };
 use muds_fd::{approximate_fds, g3_error, holds, Fd};
 use muds_ind::{naive_inds, nary_ind_holds, nary_inds, Ind};
@@ -697,117 +697,51 @@ impl CheckSuite {
     /// Incremental ≡ from-scratch: for every algorithm and a handful of
     /// deterministically derived deltas, patching a cached profile through
     /// [`apply_incremental`] must reproduce exactly the dependencies of
-    /// profiling the patched table from scratch. Counts which way each
-    /// delete went into the caller's registry: `check.delete.border_kept`
-    /// (the old UCCs and FDs carried over) or `check.delete.reprofiled`.
+    /// profiling the patched table from scratch. A delete's outcome is
+    /// carried on through an append and a second delete, each checked the
+    /// same way, so the second delete starts from the witness pairs the
+    /// first one kept. Counts which way each delete went into the caller's
+    /// registry: `check.delete.border_kept` (the old UCCs and FDs carried
+    /// over) or `check.delete.reprofiled`, and `check.delete.witness_reused`
+    /// for a delete that answered a border check from a carried pair.
     fn check_incremental(&self, table: &Table) -> Option<FailureDetail> {
         if !narrow(table) || table.num_columns() == 0 {
             return None;
         }
         // Bound before the per-run registries below are installed.
-        let border_kept = muds_obs::counter("check.delete.border_kept");
-        let reprofiled = muds_obs::counter("check.delete.reprofiled");
-        let fp = muds_table::fingerprint(table).0;
-        let mut rng = StdRng::seed_from_u64(fp as u64 ^ (fp >> 64) as u64 ^ DELTA_SEED);
+        let meters = DeleteMeters {
+            border_kept: muds_obs::counter("check.delete.border_kept"),
+            reprofiled: muds_obs::counter("check.delete.reprofiled"),
+            witness_reused: muds_obs::counter("check.delete.witness_reused"),
+        };
+        let mut rng = delta_rng(table);
         for _ in 0..INCREMENTAL_DELTAS {
             let delta = random_delta(&mut rng, table);
             for &algorithm in &Algorithm::ALL {
                 let metrics = Metrics::new();
                 let _guard = metrics.install();
                 let old = profile(table, algorithm, &profiler());
-                let inc = match apply_incremental(&old, table, &delta) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        return Some(FailureDetail {
-                            invariant: "incremental-apply",
-                            detail: format!(
-                                "{}: apply_incremental failed on {delta:?}: {e}",
-                                algorithm.name()
-                            ),
-                        });
+                let chain = check_delta(&old, table, &delta, &meters).and_then(|first| {
+                    if first.deleted_rows == 0 {
+                        return Ok(());
                     }
-                };
-                let scratch = profile(&inc.table, algorithm, &profiler());
-                if inc.result.fds.to_sorted_vec() != scratch.fds.to_sorted_vec() {
-                    return Some(FailureDetail {
-                        invariant: "incremental-fd",
-                        detail: format!(
-                            "{}: incremental FDs {:?} != from-scratch {:?} after {delta:?}",
-                            algorithm.name(),
-                            inc.result.fds.to_sorted_vec(),
-                            scratch.fds.to_sorted_vec()
-                        ),
-                    });
-                }
-                if inc.result.minimal_uccs != scratch.minimal_uccs {
-                    return Some(FailureDetail {
-                        invariant: "incremental-ucc",
-                        detail: format!(
-                            "{}: incremental UCCs {:?} != from-scratch {:?} after {delta:?}",
-                            algorithm.name(),
-                            inc.result.minimal_uccs,
-                            scratch.minimal_uccs
-                        ),
-                    });
-                }
-                if inc.result.inds != scratch.inds {
-                    return Some(FailureDetail {
-                        invariant: "incremental-ind",
-                        detail: format!(
-                            "{}: incremental INDs {:?} != from-scratch {:?} after {delta:?}",
-                            algorithm.name(),
-                            inc.result.inds,
-                            scratch.inds
-                        ),
-                    });
-                }
-                // Carried-or-recomputed column profiles must be
-                // bit-identical to a from-scratch profile of the patched
-                // table (both paths feed the same deterministic
-                // accumulator in the same row order).
-                if inc.result.stats != scratch.stats {
-                    return Some(FailureDetail {
-                        invariant: "incremental-stats",
-                        detail: format!(
-                            "{}: incremental stats {:?} != from-scratch {:?} after {delta:?}",
-                            algorithm.name(),
-                            inc.result.stats,
-                            scratch.stats
-                        ),
-                    });
-                }
-                if inc.deleted_rows > 0 {
-                    // A kept border runs none of the algorithm's own
-                    // phases. With the result correct, it must also be
-                    // kept exactly when the delete left the UCCs and FDs
-                    // as they were: an old maximal negative that turned
-                    // positive changes the minimal positives, and if none
-                    // did, nothing changed.
-                    let kept = inc.result.phases.iter().all(|p| {
-                        matches!(
-                            p.name.as_str(),
-                            "delta apply" | "delta border" | "SPIDER" | "stats"
-                        )
-                    });
-                    let unchanged =
-                        scratch.minimal_uccs == old.minimal_uccs && scratch.fds == old.fds;
-                    if kept != unchanged {
-                        return Some(FailureDetail {
-                            invariant: "incremental-border",
-                            detail: format!(
-                                "{}: delete {delta:?} {} the old result, but the dependencies \
-                                 {} changed",
-                                algorithm.name(),
-                                if kept { "kept" } else { "re-profiled" },
-                                if unchanged { "had not" } else { "had" }
-                            ),
-                        });
-                    }
-                    if kept {
-                        border_kept.inc();
-                    } else {
-                        reprofiled.inc();
-                    }
+                    // Seeded by the post-delete table, which every algorithm
+                    // shares, so all four replay one chain.
+                    let mut rng = delta_rng(&first.table);
+                    let append = random_append(&mut rng, &first.table);
+                    let chained = |mut failure: FailureDetail| {
+                        failure.detail.push_str(&format!(", chained after {delta:?}"));
+                        failure
+                    };
+                    let appended = check_delta(&first.result, &first.table, &append, &meters)
+                        .map_err(chained)?;
+                    let delete = random_delete(&mut rng, &appended.table);
+                    check_delta(&appended.result, &appended.table, &delete, &meters)
+                        .map(drop)
+                        .map_err(chained)
+                });
+                if let Err(failure) = chain {
+                    return Some(failure);
                 }
             }
         }
@@ -861,32 +795,147 @@ impl CheckSuite {
 /// row-deletion batch (possibly with duplicate ids, which `apply_delta`
 /// must tolerate).
 fn random_delta(rng: &mut StdRng, table: &Table) -> TableDelta {
-    let rows = table.num_rows();
-    let cols = table.num_columns();
-    if rows > 0 && rng.gen_bool(0.5) {
-        let k = rng.gen_range(1..=rows.min(3));
-        let dels: Vec<usize> = (0..k).map(|_| rng.gen_range(0..rows)).collect();
-        TableDelta::Delete { rows: dels }
+    if table.num_rows() > 0 && rng.gen_bool(0.5) {
+        random_delete(rng, table)
     } else {
-        let k = rng.gen_range(1..=3usize);
-        let appended = (0..k)
-            .map(|_| {
-                (0..cols)
-                    .map(|c| {
-                        if rows > 0 && rng.gen_bool(0.5) {
-                            let source = rng.gen_range(0..rows);
-                            table.row(source)[c].unwrap_or("").to_string()
-                        } else if rng.gen_bool(0.25) {
-                            String::new()
-                        } else {
-                            format!("δ{}", rng.gen_range(0..4u32))
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        TableDelta::Append { rows: appended }
+        random_append(rng, table)
     }
+}
+
+/// The generator behind a table's deltas, seeded by its content alone.
+fn delta_rng(table: &Table) -> StdRng {
+    let fp = muds_table::fingerprint(table).0;
+    StdRng::seed_from_u64(fp as u64 ^ (fp >> 64) as u64 ^ DELTA_SEED)
+}
+
+/// Deletes 1–3 random rows (ids may repeat); an empty table gets an empty
+/// delete.
+fn random_delete(rng: &mut StdRng, table: &Table) -> TableDelta {
+    let rows = table.num_rows();
+    let k = if rows == 0 { 0 } else { rng.gen_range(1..=rows.min(3)) };
+    TableDelta::Delete { rows: (0..k).map(|_| rng.gen_range(0..rows)).collect() }
+}
+
+/// Appends 1–3 rows whose cells copy one of the table's, are NULL, or are
+/// one of four fresh values.
+fn random_append(rng: &mut StdRng, table: &Table) -> TableDelta {
+    let rows = table.num_rows();
+    let k = rng.gen_range(1..=3usize);
+    let appended = (0..k)
+        .map(|_| {
+            (0..table.num_columns())
+                .map(|c| {
+                    if rows > 0 && rng.gen_bool(0.5) {
+                        let source = rng.gen_range(0..rows);
+                        table.row(source)[c].unwrap_or("").to_string()
+                    } else if rng.gen_bool(0.25) {
+                        String::new()
+                    } else {
+                        format!("δ{}", rng.gen_range(0..4u32))
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    TableDelta::Append { rows: appended }
+}
+
+/// The registry counters [`CheckSuite::check_incremental`] feeds, bound in
+/// the caller's registry.
+struct DeleteMeters {
+    border_kept: muds_obs::Counter,
+    reprofiled: muds_obs::Counter,
+    witness_reused: muds_obs::Counter,
+}
+
+/// Applies `delta` to `table`, whose profile is `old`, through
+/// [`apply_incremental`], and checks the outcome against a from-scratch
+/// profile of the patched table: FDs, UCCs, INDs and stats, and for a
+/// delete that it kept the old result exactly when the dependencies did
+/// not change. Counts a delete's branch and whether it reused a witness.
+fn check_delta(
+    old: &ProfileResult,
+    table: &Table,
+    delta: &TableDelta,
+    meters: &DeleteMeters,
+) -> Result<IncrementalOutcome, FailureDetail> {
+    let algorithm = old.algorithm;
+    let fail = |invariant, detail: String| {
+        Err(FailureDetail { invariant, detail: format!("{}: {detail}", algorithm.name()) })
+    };
+    let inc = match apply_incremental(old, table, delta) {
+        Ok(out) => out,
+        Err(e) => {
+            return fail("incremental-apply", format!("apply_incremental failed on {delta:?}: {e}"))
+        }
+    };
+    let scratch = profile(&inc.table, algorithm, &profiler());
+    if inc.result.fds.to_sorted_vec() != scratch.fds.to_sorted_vec() {
+        return fail(
+            "incremental-fd",
+            format!(
+                "incremental FDs {:?} != from-scratch {:?} after {delta:?}",
+                inc.result.fds.to_sorted_vec(),
+                scratch.fds.to_sorted_vec()
+            ),
+        );
+    }
+    if inc.result.minimal_uccs != scratch.minimal_uccs {
+        return fail(
+            "incremental-ucc",
+            format!(
+                "incremental UCCs {:?} != from-scratch {:?} after {delta:?}",
+                inc.result.minimal_uccs, scratch.minimal_uccs
+            ),
+        );
+    }
+    if inc.result.inds != scratch.inds {
+        return fail(
+            "incremental-ind",
+            format!(
+                "incremental INDs {:?} != from-scratch {:?} after {delta:?}",
+                inc.result.inds, scratch.inds
+            ),
+        );
+    }
+    // Carried-or-recomputed column profiles must be bit-identical to a
+    // from-scratch profile of the patched table (both paths feed the same
+    // deterministic accumulator in the same row order).
+    if inc.result.stats != scratch.stats {
+        return fail(
+            "incremental-stats",
+            format!(
+                "incremental stats {:?} != from-scratch {:?} after {delta:?}",
+                inc.result.stats, scratch.stats
+            ),
+        );
+    }
+    if inc.deleted_rows > 0 {
+        // A kept border runs none of the algorithm's own phases. With the
+        // result correct, it must also be kept exactly when the delete left
+        // the UCCs and FDs as they were: an old maximal negative that
+        // turned positive changes the minimal positives, and if none did,
+        // nothing changed.
+        let kept = inc.result.phases.iter().all(|p| {
+            matches!(p.name.as_str(), "delta apply" | "delta border" | "SPIDER" | "stats")
+        });
+        let unchanged = scratch.minimal_uccs == old.minimal_uccs && scratch.fds == old.fds;
+        if kept != unchanged {
+            return fail(
+                "incremental-border",
+                format!(
+                    "delete {delta:?} {} the old result, but the dependencies {} changed",
+                    if kept { "kept" } else { "re-profiled" },
+                    if unchanged { "had not" } else { "had" }
+                ),
+            );
+        }
+        if kept { &meters.border_kept } else { &meters.reprofiled }.inc();
+        if inc.result.metrics.counter("delta.witnesses_reused") > 0 {
+            meters.witness_reused.inc();
+        }
+    }
+    Ok(inc)
 }
 
 fn without_index(v: &[usize], idx: usize) -> Vec<usize> {
@@ -937,10 +986,8 @@ mod tests {
         let a = Table::from_rows("t", &["p", "q"], &rows).unwrap();
         let b = Table::from_rows("t", &["p", "q"], &rows).unwrap();
         let suite = CheckSuite::default();
-        let fp = muds_table::fingerprint(&a).0;
-        let seed = fp as u64 ^ (fp >> 64) as u64 ^ DELTA_SEED;
-        let mut ra = StdRng::seed_from_u64(seed);
-        let mut rb = StdRng::seed_from_u64(seed);
+        let mut ra = delta_rng(&a);
+        let mut rb = delta_rng(&b);
         for _ in 0..4 {
             assert_eq!(
                 format!("{:?}", random_delta(&mut ra, &a)),

@@ -38,6 +38,16 @@
 //! counts them) and only the INDs are recomputed; otherwise the delete
 //! re-profiles the post-delta table from scratch.
 //!
+//! The pair is the certificate, so a kept delete keeps it: the result
+//! carries one pair per border set ([`Witnesses`]). The next delete moves
+//! each row id past the deleted rows, drops a pair that lost a row, and
+//! checks a carried pair on the post-delete table before it trusts it
+//! (two rows that agree on the set and differ on the rhs); only a set
+//! whose pair fails is searched (`delta.witnesses_reused` counts the
+//! others). A pair can cost a search, never a verdict. Appends and
+//! identity deltas keep every row's id, so they carry the pairs as they
+//! are; a re-profile starts without any.
+//!
 //! Both directions take a dependency as `(set, rhs)`: `rhs` is `None` for
 //! a UCC, which is an FD without a right-hand side, over the universe `R`,
 //! and `Some(a)` for an FD over `R \ {a}`. The old result is listed once
@@ -50,14 +60,20 @@
 //! (`crates/check`) asserts across all four algorithms on every adversarial
 //! table it generates.
 
+use std::collections::BTreeMap;
+
 use muds_fd::FdSet;
 use muds_lattice::{minimal_hitting_sets, ColumnSet};
-use muds_pli::{AppendProbe, BorderProbe};
+use muds_pli::{AppendProbe, BorderProbe, RowPair};
 use muds_table::{DeltaOutcome, Table, TableDelta, TableError};
 
 use crate::profiler::{
     ensure_ambient, finish, profile, table_stats, ProfileResult, ProfilerConfig,
 };
+
+/// Per dependency `(set, rhs)` of the negative border, a pair of rows that
+/// refuted it (module docs).
+pub(crate) type Witnesses = BTreeMap<(ColumnSet, Option<usize>), RowPair>;
 
 /// The outcome of [`apply_incremental`]: the post-delta table plus a
 /// [`ProfileResult`] equivalent to profiling it from scratch.
@@ -131,19 +147,24 @@ pub fn apply_incremental(
             &metrics,
         );
         result.stats = old.stats.clone();
+        result.witnesses = old.witnesses.clone();
         (result, 0, skipped)
-    } else if deleted_rows > 0 {
+    } else if let TableDelta::Delete { rows } = delta {
         let span = muds_obs::span("delta border");
         let mut probe = BorderProbe::new(&table);
-        let (held, revalidated) = border_holds(&mut probe, old, table.num_columns(), &d);
+        let mut witnesses = shifted_past(&old.witnesses, rows);
+        let (held, revalidated, reused) =
+            border_holds(&mut probe, old, table.num_columns(), &d, &mut witnesses);
         span.stop();
         revalidated_meter.add(revalidated);
         muds_obs::add("delta.border_rows", probe.rows_visited());
+        muds_obs::add("delta.witnesses_reused", reused);
         if held {
             let skipped = (old.minimal_uccs.len() + old.fds.len()) as u64;
             skipped_meter.add(skipped);
-            let result =
+            let mut result =
                 with_fresh_inds(old, &table, old.minimal_uccs.clone(), old.fds.clone(), &metrics);
+            result.witnesses = witnesses;
             (result, revalidated, skipped)
         } else {
             let config = ProfilerConfig { stats: old.stats.is_some(), ..ProfilerConfig::default() };
@@ -158,7 +179,9 @@ pub fn apply_incremental(
         muds_obs::add("delta.append_rows", probe.rows_visited());
         revalidated_meter.add(revalidated);
         skipped_meter.add(skipped);
-        (with_fresh_inds(old, &table, minimal_uccs, fds, &metrics), revalidated, skipped)
+        let mut result = with_fresh_inds(old, &table, minimal_uccs, fds, &metrics);
+        result.witnesses = old.witnesses.clone();
+        (result, revalidated, skipped)
     };
     Ok(IncrementalOutcome {
         table,
@@ -216,36 +239,67 @@ fn universe(n: usize, rhs: Option<usize>) -> ColumnSet {
     rhs.map_or(all, |a| all.without(a))
 }
 
+/// `witnesses` with each row id moved past the `deleted` rows (ids of
+/// the old table, in any order, repeats allowed), dropping each pair that
+/// lost a row.
+fn shifted_past(witnesses: &Witnesses, deleted: &[usize]) -> Witnesses {
+    let mut deleted = deleted.to_vec();
+    deleted.sort_unstable();
+    deleted.dedup();
+    let shift = |row: u32| match deleted.binary_search(&(row as usize)) {
+        Ok(_) => None,
+        Err(before) => Some(row - before as u32),
+    };
+    let pairs = witnesses.iter().filter_map(|(&key, &(x, y))| Some((key, (shift(x)?, shift(y)?))));
+    pairs.collect()
+}
+
 /// Delete direction: true iff every maximal negative of `old` is still
-/// negative on `probe`'s post-delete table, plus the number of checks run.
-/// Per right-hand side, UCCs first, the maximal negatives are the
-/// complements within the universe of the minimal hitting sets of the old
-/// minimal positives (module docs); one with a column outside the
-/// affected set `d` keeps a violating pair of surviving rows, so only
-/// subsets of `d` are checked. Each check is a [`BorderProbe`] search for
-/// one surviving pair of rows that agree on the set (and differ on its
-/// rhs), up to the first witness. Stops at the first set without one: it
-/// turned positive, which only the full search can show.
+/// negative on `probe`'s post-delete table, plus the number of checks run
+/// and how many of them a carried pair answered. Per right-hand side,
+/// UCCs first, the maximal negatives are the complements within the
+/// universe of the minimal hitting sets of the old minimal positives
+/// (module docs); one with a column outside the affected set `d` keeps a
+/// violating pair of surviving rows, so only subsets of `d` are checked.
+/// A check first tries the set's pair in `witnesses` (already moved past
+/// the deleted rows), and only if that pair does not refute the set on
+/// this table runs a [`BorderProbe`] search for one surviving pair of rows
+/// that agree on the set (and differ on its rhs), up to the first witness.
+/// Stops at the first set without one: it turned positive, which only the
+/// full search can show. When every set held, `witnesses` is left with a
+/// pair per border set that has one: the pair checked or found, or for an
+/// unchecked set its carried pair.
 fn border_holds(
     probe: &mut BorderProbe<'_>,
     old: &ProfileResult,
     n: usize,
     d: &ColumnSet,
-) -> (bool, u64) {
-    let mut checks = 0u64;
+    witnesses: &mut Witnesses,
+) -> (bool, u64, u64) {
+    let carried = std::mem::take(witnesses);
+    let (mut checks, mut reused) = (0u64, 0u64);
     for (rhs, positives) in positives(old, n) {
         let universe = universe(n, rhs);
         for hit in minimal_hitting_sets(&positives, &universe) {
             let negative = universe.difference(&hit);
+            let mut pair = carried.get(&(negative, rhs)).copied();
             if negative.is_subset_of(d) {
                 checks += 1;
-                if probe.holds(&negative, rhs) {
-                    return (false, checks);
+                if pair.is_some_and(|p| probe.refutes(&negative, rhs, p)) {
+                    reused += 1;
+                } else {
+                    pair = probe.witness(&negative, rhs);
+                    if pair.is_none() {
+                        return (false, checks, reused);
+                    }
                 }
+            }
+            if let Some(pair) = pair {
+                witnesses.insert((negative, rhs), pair);
             }
         }
     }
-    (true, checks)
+    (true, checks, reused)
 }
 
 /// True iff some set in `minimal` is a subset of `x` (so `x` is valid but
@@ -353,6 +407,7 @@ fn append_repair(
 mod tests {
     use super::*;
     use crate::profiler::{profile, Algorithm, ProfilerConfig};
+    use muds_pli::RowId;
 
     fn table(rows: &[&[&str]]) -> Table {
         let names: Vec<String> =
@@ -636,6 +691,126 @@ mod tests {
         let scratch = profile(&kept.table, Algorithm::Muds, &ProfilerConfig::default());
         assert_eq!(kept.result.minimal_uccs, scratch.minimal_uccs);
         assert_eq!(kept.result.fds.to_sorted_vec(), scratch.fds.to_sorted_vec());
+    }
+
+    /// Deletes `rows` from `t`, whose MUDS profile is `old`, and checks the
+    /// outcome against a from-scratch profile. Returns it with its
+    /// `delta.witnesses_reused` and `delta.border_rows`.
+    fn delete_checked(
+        old: &ProfileResult,
+        t: &Table,
+        rows: &[usize],
+    ) -> (IncrementalOutcome, u64, u64) {
+        let inc = apply_incremental(old, t, &TableDelta::Delete { rows: rows.to_vec() }).unwrap();
+        let scratch = profile(&inc.table, Algorithm::Muds, &ProfilerConfig::default());
+        assert_eq!(inc.result.minimal_uccs, scratch.minimal_uccs, "delete {rows:?}");
+        assert_eq!(inc.result.fds.to_sorted_vec(), scratch.fds.to_sorted_vec(), "delete {rows:?}");
+        let m = &inc.result.metrics;
+        let (reused, visited) =
+            (m.counter("delta.witnesses_reused"), m.counter("delta.border_rows"));
+        (inc, reused, visited)
+    }
+
+    /// A kept delete of three rows of a 3k-row table, from a fresh profile.
+    fn first_kept_delete() -> IncrementalOutcome {
+        let t = muds_datagen::uniprot_like(3_000, 8);
+        let old = profile(&t, Algorithm::Muds, &ProfilerConfig::default());
+        assert!(old.witnesses.is_empty(), "a profile carries no witnesses");
+        let (first, reused, _) = delete_checked(&old, &t, &[3, 1_500, 2_999]);
+        assert_eq!(reused, 0);
+        assert_eq!(first.skipped, (old.minimal_uccs.len() + old.fds.len()) as u64, "border held");
+        // One pair per border set, each a witness on the post-delete table.
+        assert!(first.result.witnesses.len() as u64 >= first.revalidated);
+        let probe = BorderProbe::new(&first.table);
+        for (&(set, rhs), &pair) in &first.result.witnesses {
+            assert!(probe.refutes(&set, rhs, pair), "{set:?} -> {rhs:?}: {pair:?}");
+        }
+        first
+    }
+
+    #[test]
+    fn a_kept_delete_hands_its_witnesses_to_the_next() {
+        let first = first_kept_delete();
+        // The lowest row in no pair, below some pair's rows: deleting it
+        // moves those pairs down by one row.
+        let used: Vec<u32> = first.result.witnesses.values().flat_map(|&(x, y)| [x, y]).collect();
+        let free = (0..).find(|r| !used.contains(r)).unwrap();
+        assert!(used.iter().any(|&r| r > free));
+        let (second, reused, visited) =
+            delete_checked(&first.result, &first.table, &[free as usize]);
+        assert_eq!(second.skipped, first.skipped, "border held");
+        assert!(second.revalidated > 0);
+        assert_eq!(reused, second.revalidated, "every check answered by its carried pair");
+        assert_eq!(visited, 0, "no search ran");
+        // The carried pairs, each row past `free` one lower.
+        let down = |r: u32| r - u32::from(r > free);
+        let moved: Witnesses =
+            first.result.witnesses.iter().map(|(&k, &(x, y))| (k, (down(x), down(y)))).collect();
+        assert_eq!(second.result.witnesses, moved);
+        // An append keeps every row's id, so it carries the pairs as they are.
+        let row: Vec<String> = (0..8).map(|c| format!("fresh{c}")).collect();
+        let appended = apply_incremental(
+            &second.result,
+            &second.table,
+            &TableDelta::Append { rows: vec![row] },
+        )
+        .unwrap();
+        assert_eq!(appended.result.witnesses, second.result.witnesses);
+    }
+
+    #[test]
+    fn a_carried_witness_whose_row_is_deleted_forces_a_search() {
+        let first = first_kept_delete();
+        // Delete one row of a pair: every set refuted by a pair with that
+        // row is checked (the row shared its value in each of the set's
+        // columns), and searched.
+        let &(x, _) = first.result.witnesses.values().next().unwrap();
+        let lost = first.result.witnesses.values().filter(|&&(a, b)| a == x || b == x).count();
+        let (second, reused, visited) = delete_checked(&first.result, &first.table, &[x as usize]);
+        assert!(visited > 0, "the sets that lost their pair were searched");
+        assert!(reused + lost as u64 <= second.revalidated, "{reused} + {lost}");
+        // The same checks and verdict as a delete that carries no pair.
+        let mut bare = first.result.clone();
+        bare.witnesses.clear();
+        let (fresh, none, _) = delete_checked(&bare, &first.table, &[x as usize]);
+        assert_eq!(none, 0);
+        assert_eq!((second.revalidated, second.skipped), (fresh.revalidated, fresh.skipped));
+        assert_eq!(second.result.witnesses.len(), fresh.result.witnesses.len());
+    }
+
+    #[test]
+    fn carried_pairs_are_verified_before_they_are_trusted() {
+        // Deleting row 3 keeps the border (as in
+        // `delete_keeping_the_border_carries_uccs_and_fds`); deleting rows 0
+        // and 3 makes {c1} unique, so that delete must re-profile.
+        let t = table(&[&["1", "a", "x"], &["2", "a", "y"], &["3", "b", "x"], &["4", "b", "y"]]);
+        let old = profile(&t, Algorithm::Muds, &ProfilerConfig::default());
+        let every_dependency = (0..1u32 << 3).flat_map(|bits| {
+            let set = ColumnSet::from_indices((0..3).filter(|c| bits >> c & 1 == 1));
+            std::iter::once(None).chain((0..3).map(Some)).map(move |rhs| (set, rhs))
+        });
+        // Rows that agree on little, a row paired with itself, and rows
+        // past the end before and after the shift.
+        for pair in [(1, 2), (2, 1), (1, 1), (0, 9), (9, 1), (RowId::MAX, 1), (2, RowId::MAX)] {
+            let mut corrupted = old.clone();
+            corrupted.witnesses = every_dependency.clone().map(|key| (key, pair)).collect();
+            for (rows, kept) in [(&[3][..], true), (&[0, 3][..], false)] {
+                let (fresh, _, _) = delete_checked(&old, &t, rows);
+                let (inc, reused, _) = delete_checked(&corrupted, &t, rows);
+                let label = format!("pair {pair:?}, delete {rows:?}");
+                assert_eq!(fresh.skipped > 0, kept, "{label}");
+                assert_eq!(
+                    (inc.revalidated, inc.skipped),
+                    (fresh.revalidated, fresh.skipped),
+                    "{label}"
+                );
+                let phases = |o: &IncrementalOutcome| -> Vec<String> {
+                    o.result.phases.iter().map(|p| p.name.clone()).collect()
+                };
+                assert_eq!(phases(&inc), phases(&fresh), "{label}");
+                assert!(reused <= inc.revalidated, "{label}");
+            }
+        }
     }
 
     #[test]

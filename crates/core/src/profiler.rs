@@ -16,6 +16,7 @@ use muds_table::{table_from_csv, CsvOptions, Table, TableError};
 
 use crate::baseline::{baseline, baseline_csv};
 use crate::holistic_fun::holistic_fun;
+use crate::incremental::Witnesses;
 use crate::muds::{muds, MudsConfig};
 
 /// The profiling algorithm to execute.
@@ -130,6 +131,11 @@ pub struct ProfileResult {
     /// Single-scan column statistics plus dependency classification (§15),
     /// present iff [`ProfilerConfig::stats`] was set.
     pub stats: Option<muds_stats::StatsProfile>,
+    /// Per maximal negative `(set, rhs)`, a pair of rows that refuted it
+    /// when a delete last kept the border; empty after a profile or a
+    /// re-profile. The next delete re-verifies a pair before it trusts it
+    /// (DESIGN.md §13). Not part of the payload.
+    pub(crate) witnesses: Witnesses,
 }
 
 impl ProfileResult {
@@ -169,7 +175,16 @@ pub(crate) fn finish(
 ) -> ProfileResult {
     let snapshot = metrics.drain_snapshot();
     let phases = snapshot.spans.clone();
-    ProfileResult { algorithm, inds, minimal_uccs, fds, phases, metrics: snapshot, stats: None }
+    ProfileResult {
+        algorithm,
+        inds,
+        minimal_uccs,
+        fds,
+        phases,
+        metrics: snapshot,
+        stats: None,
+        witnesses: Witnesses::new(),
+    }
 }
 
 /// Bridges the dependency sets into `muds-stats` (which speaks plain

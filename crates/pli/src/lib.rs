@@ -14,4 +14,4 @@ mod witness;
 pub use agree::{agree_sets, maximal_sets};
 pub use cache::PliCache;
 pub use pli::{Pli, RowId};
-pub use witness::{AppendProbe, BorderProbe};
+pub use witness::{AppendProbe, BorderProbe, RowPair};

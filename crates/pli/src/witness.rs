@@ -3,10 +3,12 @@
 //! so the search looks for that pair instead of building the combination's
 //! PLI. Both probes take a dependency as `(set, rhs)`, `rhs` `None` for a
 //! UCC, and walk the clusters of one pivot column of the set, picked by
-//! one rule. The delete path asks a [`BorderProbe`] whether the old
-//! result's maximal negatives survived, in the pivot's full PLI; the
-//! append path asks an [`AppendProbe`] whether an old positive broke, in
-//! the pivot's clusters of the appended rows alone (DESIGN.md §13).
+//! one rule. The delete path asks a [`BorderProbe`] for a pair that shows
+//! an old maximal negative survived, in the pivot's full PLI, and the
+//! pair it returns is the certificate a later delete re-verifies in
+//! `O(|set|)` before it searches again; the append path asks an
+//! [`AppendProbe`] whether an old positive broke, in the pivot's clusters
+//! of the appended rows alone (DESIGN.md §13).
 
 use std::cmp::{Ordering, Reverse};
 
@@ -14,6 +16,10 @@ use muds_lattice::ColumnSet;
 use muds_table::{Column, Table};
 
 use crate::pli::{Pli, RowId};
+
+/// Two rows that refute a dependency `(set, rhs)`: they agree on every
+/// column of `set` and, with `rhs` given, differ on it.
+pub type RowPair = (RowId, RowId);
 
 impl Pli {
     /// Exact witness search over this PLI's clusters: looks for two rows of
@@ -24,20 +30,20 @@ impl Pli {
     /// combination.
     ///
     /// Clusters are walked in canonical order and the walk stops at the
-    /// first witness. Returns whether one was found and the rows visited,
-    /// which depend on the data alone (the row hash is fixed, never seeded).
-    pub fn find_witness(&self, rest: &[&[u32]], rhs: Option<&[u32]>) -> (bool, usize) {
+    /// first witness. Returns the witness, if any, and the rows visited;
+    /// both depend on the data alone (the row hash is fixed, never seeded).
+    pub fn find_witness(&self, rest: &[&[u32]], rhs: Option<&[u32]>) -> (Option<RowPair>, usize) {
         let mut slots = Vec::new();
         let mut visited = 0;
         for cluster in self.clusters() {
             let (found, rows) =
                 cluster_witness(cluster, rest, rhs, |row| row_hash(rest, row), &mut slots);
             visited += rows;
-            if found {
-                return (true, visited);
+            if found.is_some() {
+                return (found, visited);
             }
         }
-        (false, visited)
+        (None, visited)
     }
 }
 
@@ -51,14 +57,14 @@ const NO_ROW: RowId = RowId::MAX;
 /// group with two `rhs` values holds a row that differs from its
 /// representative). A hash hit on a different tuple re-checks the whole
 /// cluster exactly by sorting it, so the verdict never depends on `hash`.
-/// Returns the verdict and the rows visited.
+/// Returns the witness, if any, and the rows visited.
 fn cluster_witness(
     cluster: &[RowId],
     rest: &[&[u32]],
     rhs: Option<&[u32]>,
     hash: impl Fn(RowId) -> u64,
     slots: &mut Vec<(u64, RowId)>,
-) -> (bool, usize) {
+) -> (Option<RowPair>, usize) {
     let same = |x: RowId, y: RowId| rest.iter().all(|c| c[x as usize] == c[y as usize]);
     let splits = |x: RowId, y: RowId| rhs.is_none_or(|a| a[x as usize] != a[y as usize]);
     let bits = (2 * cluster.len()).max(2).next_power_of_two().trailing_zeros();
@@ -83,19 +89,19 @@ fn cluster_witness(
                         let by_rhs = rhs.map(|a| a[x as usize].cmp(&a[y as usize]));
                         by_rest.chain(by_rhs).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
                     });
-                    let mut pairs = sorted.iter().zip(sorted.iter().skip(1));
-                    let found = pairs.any(|(&x, &y)| same(x, y) && splits(x, y));
+                    let mut pairs = sorted.iter().copied().zip(sorted.iter().copied().skip(1));
+                    let found = pairs.find(|&(x, y)| same(x, y) && splits(x, y));
                     return (found, cluster.len());
                 }
                 if splits(rep, row) {
-                    return (true, i + 1);
+                    return (Some((rep, row)), i + 1);
                 }
                 break;
             }
             slot = (slot + 1) & mask;
         }
     }
-    (false, cluster.len())
+    (None, cluster.len())
 }
 
 /// The fixed hash of `row`'s codes on `rest` (FxHash's rotate-xor-multiply
@@ -124,7 +130,9 @@ fn rest<'t>(table: &'t Table, set: &ColumnSet, pivot: Option<usize>) -> Vec<&'t 
 /// [`Pli::find_witness`] search for one pair of rows that refutes it, in
 /// the PLI of `X`'s pivot column (the empty set's PLI for `X = ∅`). Every
 /// set takes that one search, whatever its size. A pivot's PLI is built
-/// once, on first use, and no other PLI is built.
+/// once, on first use, and no other PLI is built. A pair found earlier,
+/// on this table or carried from another, is checked by
+/// [`BorderProbe::refutes`] without a search or a PLI.
 pub struct BorderProbe<'a> {
     table: &'a Table,
     /// Per column, then `∅`: its PLI, once some set pivots on it.
@@ -143,12 +151,12 @@ impl<'a> BorderProbe<'a> {
         self.visited
     }
 
-    /// True iff `set` is unique (`rhs` `None`) or determines `rhs`, that
-    /// is, iff no two rows agree on `set` (and differ on `rhs`). Trivial
-    /// FDs (`rhs ∈ set`) hold without a search.
-    pub fn holds(&mut self, set: &ColumnSet, rhs: Option<usize>) -> bool {
+    /// A pair of rows that agree on `set` (and differ on `rhs`), or `None`
+    /// iff `set` is unique (`rhs` `None`) or determines `rhs`. Trivial FDs
+    /// (`rhs ∈ set`) hold without a search.
+    pub fn witness(&mut self, set: &ColumnSet, rhs: Option<usize>) -> Option<RowPair> {
         if rhs.is_some_and(|a| set.contains(a)) {
-            return true;
+            return None;
         }
         let table = self.table;
         let pivot = pivot(table, set);
@@ -160,7 +168,18 @@ impl<'a> BorderProbe<'a> {
         let rhs = rhs.map(|a| table.column(a).codes());
         let (found, visited) = pli.find_witness(&rest(table, set, pivot), rhs);
         self.visited += visited as u64;
-        !found
+        found
+    }
+
+    /// True iff `pair` refutes `(set, rhs)` on this table: two distinct
+    /// rows in range that agree on every column of `set` and, with `rhs`
+    /// given, differ on it. Reads `|set| + 1` codes per row, so any pair,
+    /// stale or made up, is rejected or confirmed without a search.
+    pub fn refutes(&self, set: &ColumnSet, rhs: Option<usize>, (x, y): RowPair) -> bool {
+        let (x, y) = (x as usize, y as usize);
+        let agree = |c: usize| self.table.column(c).codes()[x] == self.table.column(c).codes()[y];
+        let rows = self.table.num_rows();
+        x != y && x < rows && y < rows && set.iter().all(agree) && rhs.is_none_or(|a| !agree(a))
     }
 }
 
@@ -358,15 +377,23 @@ mod tests {
         (0..rows).map(|_| rng.gen_range(0..domain)).collect()
     }
 
-    /// Every pair of rows in `cluster` that agree on `rest` and, with `rhs`,
-    /// differ on it: the definition a witness search must match.
+    /// True iff rows `x` and `y` agree on `rest` and, with `rhs`, differ on
+    /// it: the definition of a witness.
+    fn is_witness(x: RowId, y: RowId, rest: &[&[u32]], rhs: Option<&[u32]>) -> bool {
+        rest.iter().all(|c| c[x as usize] == c[y as usize])
+            && rhs.is_none_or(|a| a[x as usize] != a[y as usize])
+    }
+
+    /// Whether some pair of rows in `cluster` is a witness: the verdict a
+    /// witness search must match.
     fn brute_witness(cluster: &[RowId], rest: &[&[u32]], rhs: Option<&[u32]>) -> bool {
-        cluster.iter().enumerate().any(|(i, &x)| {
-            cluster[i + 1..].iter().any(|&y| {
-                rest.iter().all(|c| c[x as usize] == c[y as usize])
-                    && rhs.is_none_or(|a| a[x as usize] != a[y as usize])
-            })
-        })
+        let mut rows = cluster.iter().enumerate();
+        rows.any(|(i, &x)| cluster[i + 1..].iter().any(|&y| is_witness(x, y, rest, rhs)))
+    }
+
+    /// A witness `pair` as `(lower row, higher row)`.
+    fn ordered(pair: Option<RowPair>) -> Option<RowPair> {
+        pair.map(|(x, y)| (x.min(y), x.max(y)))
     }
 
     #[test]
@@ -395,25 +422,29 @@ mod tests {
                 // A constant hash makes every row after the first a hash hit,
                 // so any two tuples that differ force the sorted re-check.
                 let collided = cluster_witness(&cluster, &rest, rhs, |_| 7, &mut slots);
-                assert_eq!(hashed.0, expected, "round {round}: row hash");
-                assert_eq!(collided.0, expected, "round {round}: constant hash");
+                assert_eq!(hashed.0.is_some(), expected, "round {round}: row hash");
+                assert_eq!(collided.0.is_some(), expected, "round {round}: constant hash");
                 assert!(hashed.1 <= cluster.len() && collided.1 <= cluster.len());
+                // The pair returned is a witness of two distinct cluster rows.
+                for (x, y) in hashed.0.into_iter().chain(collided.0) {
+                    assert!(x != y && cluster.contains(&x) && cluster.contains(&y));
+                    assert!(is_witness(x, y, &rest, rhs), "round {round}: ({x}, {y})");
+                }
             }
         }
         // Rows 0 and 2 agree on `rest`, row 1 does not. Under the constant
         // hash row 1 meets row 0's tuple first, and only the sorted re-check
         // (which visits the whole cluster) pairs rows 0 and 2.
         let rest: [&[u32]; 1] = [&[5, 6, 5]];
-        assert_eq!(cluster_witness(&[0, 1, 2], &rest, None, |_| 0, &mut slots), (true, 3));
-        assert_eq!(
-            cluster_witness(&[0, 1, 2], &rest, None, |r| row_hash(&rest, r), &mut slots),
-            (true, 3)
-        );
+        let mut search = |rhs: Option<&[u32]>, hash: &dyn Fn(RowId) -> u64| {
+            let (pair, visited) = cluster_witness(&[0, 1, 2], &rest, rhs, hash, &mut slots);
+            (ordered(pair), visited)
+        };
+        assert_eq!(search(None, &|_| 0), (Some((0, 2)), 3));
+        assert_eq!(search(None, &|r| row_hash(&rest, r)), (Some((0, 2)), 3));
         // The rhs decides: rows 0 and 2 agree on it too, so no witness.
-        let rhs: &[u32] = &[1, 2, 1];
-        assert_eq!(cluster_witness(&[0, 1, 2], &rest, Some(rhs), |_| 0, &mut slots), (false, 3));
-        let rhs: &[u32] = &[1, 1, 2];
-        assert_eq!(cluster_witness(&[0, 1, 2], &rest, Some(rhs), |_| 0, &mut slots), (true, 3));
+        assert_eq!(search(Some(&[1, 2, 1]), &|_| 0), (None, 3));
+        assert_eq!(search(Some(&[1, 1, 2]), &|_| 0), (Some((0, 2)), 3));
     }
 
     #[test]
@@ -422,13 +453,13 @@ mod tests {
         // first cluster three ways and pairs rows 3 and 4.
         let p = Pli::from_column(&col(&["a", "a", "a", "b", "b"]));
         let q = col(&["x", "y", "z", "w", "w"]);
-        assert_eq!(p.find_witness(&[q.codes()], None), (true, 5));
+        assert_eq!(p.find_witness(&[q.codes()], None), (Some((3, 4)), 5));
         // Only the last cluster holds a witness, and it fails the rhs.
         let r = col(&["1", "1", "1", "2", "2"]);
-        assert_eq!(p.find_witness(&[q.codes()], Some(r.codes())), (false, 5));
+        assert_eq!(p.find_witness(&[q.codes()], Some(r.codes())), (None, 5));
         // No other columns: the first cluster's first two rows are a pair.
-        assert_eq!(p.find_witness(&[], None), (true, 2));
-        assert_eq!(Pli::from_column(&col(&["a", "b"])).find_witness(&[], None), (false, 0));
+        assert_eq!(p.find_witness(&[], None), (Some((0, 1)), 2));
+        assert_eq!(Pli::from_column(&col(&["a", "b"])).find_witness(&[], None), (None, 0));
     }
 
     /// The reference verdict: `set` is unique, or determines `rhs`, by
@@ -491,7 +522,16 @@ mod tests {
                 for rhs in [None, Some(low + rng.gen_range(0..pool)), Some(rng.gen_range(0..cols))]
                 {
                     let holds = pli_holds(&mut cache, &set, rhs);
-                    assert_eq!(probe.holds(&set, rhs), holds, "{label} -> {rhs:?}");
+                    let witness = probe.witness(&set, rhs);
+                    assert_eq!(witness.is_none(), holds, "{label} -> {rhs:?}");
+                    // The pair found refutes the set, and no pair refutes a
+                    // set that holds, in range or not.
+                    if let Some(pair) = witness {
+                        assert!(probe.refutes(&set, rhs, pair), "{label} -> {rhs:?}: {pair:?}");
+                    }
+                    let rows = rows as RowId;
+                    let pair = (rng.gen_range(0..rows + 2), rng.gen_range(0..rows + 2));
+                    assert!(!(holds && probe.refutes(&set, rhs, pair)), "{label}: {pair:?}");
                 }
             }
         }
@@ -514,8 +554,8 @@ mod tests {
         let mut probe = BorderProbe::new(&t);
         let mut holds = |cols: &[usize], rhs: Option<usize>| {
             let before = probe.rows_visited();
-            let holds = probe.holds(&ColumnSet::from_indices(cols.iter().copied()), rhs);
-            (holds, probe.rows_visited() - before)
+            let witness = probe.witness(&ColumnSet::from_indices(cols.iter().copied()), rhs);
+            (witness.is_none(), probe.rows_visited() - before)
         };
         // a's clusters {0,1} and {2,3}: (b, c) separates both.
         assert_eq!(holds(&[0, 1, 2], None), (true, 4));
@@ -535,6 +575,35 @@ mod tests {
         // The PLIs of a, c, d and ∅ (slot 4), the pivots; none of b.
         let built: Vec<usize> = (0..5).filter(|&c| probe.plis[c].is_some()).collect();
         assert_eq!(built, [0, 2, 3, 4]);
+    }
+
+    #[test]
+    fn refutes_rejects_stale_corrupted_and_out_of_range_pairs() {
+        // a: 1 1 2 ; b: x x x ; c: p q p. {a} is refuted by rows 0 and 1,
+        // {a} → c too (they differ on c); {a} → b is not.
+        let t = table(&rows(&[&["1", "x", "p"], &["1", "x", "q"], &["2", "x", "p"]]), 3);
+        let probe = BorderProbe::new(&t);
+        let a = ColumnSet::single(0);
+        assert!(probe.refutes(&a, None, (0, 1)));
+        assert!(probe.refutes(&a, None, (1, 0)));
+        assert!(probe.refutes(&a, Some(2), (0, 1)));
+        // Agreeing on the rhs, or on the set's own column, refutes no FD.
+        assert!(!probe.refutes(&a, Some(1), (0, 1)));
+        assert!(!probe.refutes(&a, Some(0), (0, 1)), "trivial FD");
+        // Rows that differ on the set, a row paired with itself, and rows
+        // past the table's end are rejected without a panic.
+        assert!(!probe.refutes(&a, None, (0, 2)));
+        assert!(!probe.refutes(&a, None, (1, 1)));
+        for pair in [(0, 3), (3, 0), (3, 4), (RowId::MAX, 0), (0, RowId::MAX)] {
+            assert!(!probe.refutes(&a, None, pair), "{pair:?}");
+            assert!(!probe.refutes(&ColumnSet::empty(), Some(2), pair), "{pair:?}");
+        }
+        // ∅ is refuted by any two rows; ∅ → b by none.
+        assert!(probe.refutes(&ColumnSet::empty(), None, (2, 0)));
+        assert!(!probe.refutes(&ColumnSet::empty(), Some(1), (2, 0)));
+        // No search ran.
+        assert_eq!(probe.rows_visited(), 0);
+        assert!(probe.plis.iter().all(Option::is_none));
     }
 
     fn table<S: AsRef<str> + Sync>(rows: &[Vec<S>], cols: usize) -> Table {

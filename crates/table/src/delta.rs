@@ -5,7 +5,7 @@
 //! most mutations touch a tiny fraction of the data. [`Table::apply_delta`]
 //! updates the dictionary encoding in place — merging new values into the
 //! sorted dictionaries and remapping codes, or dropping orphaned entries
-//! after a deletion (a [`Table::select_rows`] of the survivors) — so the
+//! after a deletion (equal to a [`Table::select_rows`] of the survivors) — so the
 //! resulting [`Table`] is *bit-identical* to one built from scratch on the
 //! final data ([`crate::fingerprint`]s match, which is what lets a serving
 //! layer patch its content-addressed registry instead of re-registering).
@@ -17,7 +17,10 @@
 //! sorts before an old one, or one sorts anywhere and the column has
 //! NULLs, whose code sits past the dictionary); only such a column pays a
 //! remap, counted by `delta.codes_remapped`. A dictionary that gains no
-//! value is shared with the old table, not copied.
+//! value is shared with the old table, not copied. A delete costs what it
+//! drops wherever no value loses its last row: each column's codes are
+//! the runs between the deleted rows, copied as they are, and its
+//! dictionary is shared.
 //!
 //! Alongside the new table, application reports the set of **affected
 //! columns**: the columns whose duplicate structure could have changed.
@@ -28,7 +31,8 @@
 //! only *appear*, again only inside the affected set: `muds-core` checks
 //! just the old result's maximal non-dependencies that lie inside it.
 //! Both are derived without counting the table: an append's from the
-//! appended rows alone, a delete's from the counts its projection takes.
+//! appended rows alone, a delete's from a search for each deleted row's
+//! values among the survivors that stops once each one is found.
 
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
@@ -309,19 +313,13 @@ impl Table {
         if let Some(&bad) = deleted.iter().find(|&&r| r >= self.num_rows()) {
             return Err(TableError::RowOutOfRange { row: bad, num_rows: self.num_rows() });
         }
-        let mut gone = vec![false; self.num_rows()];
-        for &r in &deleted {
-            gone[r] = true;
-        }
-        let keep: Vec<usize> = (0..self.num_rows()).filter(|&r| !gone[r]).collect();
-
         // Affected = columns where some deleted row sat in a duplicate
         // cluster of the *old* table (its code occurs at least twice there,
         // counting the other deleted rows too): removing a row that was
         // unique in column c cannot make any set containing c newly unique
         // (no violating pair through c involved it), so only dependencies
         // drawn entirely from these columns can flip to valid.
-        let (table, affected) = self.select_rows_dropping(&keep, &deleted);
+        let (table, affected) = self.drop_rows(&deleted);
 
         Ok(DeltaOutcome {
             table,
@@ -480,6 +478,49 @@ mod tests {
         let out = t.apply_delta(&TableDelta::Delete { rows: vec![1, 0] }).unwrap();
         assert_eq!(out.affected_columns, vec![0]);
         assert_survivors(&t, &[0, 1], &out);
+    }
+
+    #[test]
+    fn deletes_copy_the_codes_unless_a_value_is_orphaned() {
+        // 1000 rows: a unique key, a 7-value column and a column whose
+        // every fifth row is NULL, the rest 13 values.
+        let rows: Vec<Vec<String>> = (0..1000)
+            .map(|r| {
+                let nulls = if r % 5 == 0 { String::new() } else { format!("v{:02}", r % 13) };
+                vec![format!("k{r:04}"), format!("v{}", r % 7), nulls]
+            })
+            .collect();
+        let t = Table::from_rows("t", &["a", "b", "c"], &rows).unwrap();
+        let shares = |out: &DeltaOutcome, c: usize| {
+            Arc::ptr_eq(t.column(c).dictionary(), out.table.column(c).dictionary())
+        };
+        // Rows 0, 3 and 999: every b and c value keeps a row, so both
+        // dictionaries are shared and only the key loses values, from its
+        // first, middle and last codes.
+        let dels = [999, 0, 3];
+        let out = t.apply_delta(&TableDelta::Delete { rows: dels.to_vec() }).unwrap();
+        assert_survivors(&t, &dels, &out);
+        assert_eq!((shares(&out, 0), shares(&out, 1), shares(&out, 2)), (false, true, true));
+        assert_eq!(out.table.column(2).null_count(), 199, "row 0 was NULL in c");
+        assert_eq!(out.affected_columns, [1, 2]);
+        // Down to 30 rows, then drop every row holding c's "v05": that
+        // value is orphaned and the codes above it move down.
+        let t = out.table.take_rows(30);
+        let dels: Vec<usize> = (0..30).filter(|&r| t.column(2).value(r) == Some("v05")).collect();
+        assert!(!dels.is_empty());
+        let out = t.apply_delta(&TableDelta::Delete { rows: dels.clone() }).unwrap();
+        assert_survivors(&t, &dels, &out);
+        assert!(!out.table.column(2).sorted_distinct_values().contains(&"v05".to_string()));
+        assert_eq!(out.table.column(2).null_count(), t.column(2).null_count());
+        // Every NULL goes: NULL's code is past the dictionary, so no code
+        // moves and the dictionary is shared.
+        let t = out.table;
+        let nulls: Vec<usize> =
+            (0..t.num_rows()).filter(|&r| t.column(2).value(r).is_none()).collect();
+        let out = t.apply_delta(&TableDelta::Delete { rows: nulls.clone() }).unwrap();
+        assert_survivors(&t, &nulls, &out);
+        assert_eq!(out.table.column(2).null_count(), 0);
+        assert!(Arc::ptr_eq(t.column(2).dictionary(), out.table.column(2).dictionary()));
     }
 
     #[test]

@@ -166,20 +166,7 @@ impl Table {
     /// dictionaries and fingerprint — without decoding a cell. Columns
     /// compact independently, in parallel.
     pub fn select_rows(&self, rows: &[usize]) -> Table {
-        self.select_rows_dropping(rows, &[]).0
-    }
-
-    /// [`Table::select_rows`] of `rows`, the survivors of dropping the
-    /// distinct rows `dropped`. Also returns, ascending, the columns where
-    /// some dropped row's code occurs at least twice in this table: the
-    /// survivors' counts the projection takes anyway, plus the dropped
-    /// rows' own, so a delete reads each code once.
-    pub(crate) fn select_rows_dropping(
-        &self,
-        rows: &[usize],
-        dropped: &[usize],
-    ) -> (Table, Vec<usize>) {
-        let parts: Vec<(Column, bool)> = self
+        let columns = self
             .columns
             .par_iter()
             .map(|col| {
@@ -187,12 +174,6 @@ impl Table {
                 for &r in rows {
                     refs[col.codes()[r] as usize] += 1;
                 }
-                // A survivor shares the code, or a second dropped row does.
-                let mut gone: Vec<u32> = dropped.iter().map(|&r| col.codes()[r]).collect();
-                gone.sort_unstable();
-                gone.dedup();
-                let shared =
-                    gone.len() < dropped.len() || gone.iter().any(|&code| refs[code as usize] > 0);
                 // Surviving values keep their relative order, so the
                 // remapped codes stay sorted-order codes; NULL moves to one
                 // past the compacted dictionary, which is the old one shared
@@ -212,12 +193,89 @@ impl Table {
                 };
                 let codes = rows.iter().map(|&r| remap[col.codes()[r] as usize]).collect();
                 let null_count = refs[dict.len()] as usize;
-                (Column::from_parts(col.name().to_string(), codes, dictionary, null_count), shared)
+                Column::from_parts(col.name().to_string(), codes, dictionary, null_count)
             })
             .collect();
-        let affected = parts.iter().enumerate().filter(|(_, p)| p.1).map(|(c, _)| c).collect();
-        let columns = parts.into_iter().map(|(column, _)| column).collect();
-        (Table { name: self.name.clone(), columns, num_rows: rows.len() }, affected)
+        Table { name: self.name.clone(), columns, num_rows: rows.len() }
+    }
+
+    /// The table without the rows `dropped` (ascending, distinct, in
+    /// range): equal to [`Table::select_rows`] of the survivors, at a cost
+    /// that follows the dropped rows wherever no value loses its last row.
+    /// Also returns, ascending, the columns where some dropped row's code
+    /// occurs at least twice in this table.
+    ///
+    /// Per column, each dropped row's code is looked for among the
+    /// survivors, stopping once every one is found. The column is affected
+    /// iff one is found or two dropped rows share a code. If every value
+    /// keeps a row, the codes are the runs between the dropped rows, copied
+    /// as they are, and the dictionary is shared; otherwise the codes above
+    /// an orphaned value move down past it. The NULL count drops by the
+    /// dropped NULLs. Columns run one after another: each costs about one
+    /// copy of its codes.
+    pub(crate) fn drop_rows(&self, dropped: &[usize]) -> (Table, Vec<usize>) {
+        let num_rows = self.num_rows - dropped.len();
+        let mut affected = Vec::new();
+        let mut columns = Vec::with_capacity(self.columns.len());
+        for (c, col) in self.columns.iter().enumerate() {
+            let codes = col.codes();
+            // The slices of survivors between the dropped rows, in order.
+            let starts = std::iter::once(0).chain(dropped.iter().map(|&r| r + 1));
+            let ends = dropped.iter().copied().chain([codes.len()]);
+            let runs = || starts.clone().zip(ends.clone()).map(|(s, e)| &codes[s..e]);
+            let mut gone: Vec<u32> = dropped.iter().map(|&r| codes[r]).collect();
+            gone.sort_unstable();
+            gone.dedup();
+            let mut wanted = vec![false; col.code_domain()];
+            for &code in &gone {
+                wanted[code as usize] = true;
+            }
+            let mut open = gone.len();
+            'scan: for run in runs() {
+                for &code in run {
+                    if wanted[code as usize] {
+                        wanted[code as usize] = false;
+                        open -= 1;
+                        if open == 0 {
+                            break 'scan;
+                        }
+                    }
+                }
+            }
+            if gone.len() < dropped.len() || open < gone.len() {
+                affected.push(c);
+            }
+            // Values no survivor holds (NULL, one past the dictionary,
+            // shifts no code), ascending.
+            let dict = col.sorted_distinct_values();
+            let orphaned: Vec<u32> = gone
+                .iter()
+                .copied()
+                .filter(|&code| wanted[code as usize] && (code as usize) < dict.len())
+                .collect();
+            let mut kept = Vec::with_capacity(num_rows);
+            let dictionary = if orphaned.is_empty() {
+                for run in runs() {
+                    kept.extend_from_slice(run);
+                }
+                col.dictionary().clone()
+            } else {
+                let remap: Vec<u32> = (0..col.code_domain() as u32)
+                    .map(|code| code - orphaned.partition_point(|&o| o < code) as u32)
+                    .collect();
+                for run in runs() {
+                    kept.extend(run.iter().map(|&code| remap[code as usize]));
+                }
+                let values = dict.iter().enumerate();
+                let values =
+                    values.filter(|&(code, _)| orphaned.binary_search(&(code as u32)).is_err());
+                Arc::new(values.map(|(_, value)| value.clone()).collect())
+            };
+            let nulls_dropped = dropped.iter().filter(|&&r| codes[r] == col.null_code()).count();
+            let null_count = col.null_count() - nulls_dropped;
+            columns.push(Column::from_parts(col.name().to_string(), kept, dictionary, null_count));
+        }
+        (Table { name: self.name.clone(), columns, num_rows }, affected)
     }
 
     /// Projects the table onto its first `n` rows — the paper's
