@@ -403,12 +403,12 @@ impl CheckSuite {
     /// distinct/null/min/max, exact length stats, entropy and moments
     /// within a tiny float tolerance, the dominant format an argmax of
     /// per-occurrence format detection, quality following the documented
-    /// formula, quartiles within the sketch's documented rank-error bound
-    /// (zero — i.e. exact — below 256 rows, which covers every generator),
-    /// and the dependency classifications mirroring the discovered
-    /// UCCs/INDs. Runs on every table: the oracle is `O(rows · cols)`.
+    /// formula, quartiles bit-equal to the nearest-rank value of the sorted
+    /// parsed data, and the dependency classifications mirroring the
+    /// discovered UCCs/INDs. Runs on every table: the oracle is
+    /// `O(rows · cols)` plus a sort per numeric column.
     fn check_stats(&self, table: &Table) -> Option<FailureDetail> {
-        use muds_core::{detect_format, QuantileSketch, ValueFormat};
+        use muds_core::{detect_format, ValueFormat};
         const TOL: f64 = 1e-9;
         let metrics = Metrics::new();
         let _guard = metrics.install();
@@ -590,32 +590,15 @@ impl CheckSuite {
                             ),
                         );
                     }
-                    // Rebuild the sketch over the same insertion sequence
-                    // to obtain its documented rank-error bound, then hold
-                    // the *reported* quartiles to it against the exactly
-                    // sorted data.
-                    let mut sketch = QuantileSketch::new();
-                    for &x in &parsed {
-                        sketch.insert(x);
-                    }
-                    let bound = sketch.rank_error_bound();
-                    let mut sorted = parsed.clone();
-                    sorted.sort_unstable_by(f64::total_cmp);
+                    // Nearest rank: the ceil(φ·n)-th smallest parsed value.
+                    parsed.sort_unstable_by(f64::total_cmp);
                     for (phi, q) in [(0.25, n.q25), (0.5, n.median), (0.75, n.q75)] {
-                        let lo = sorted.partition_point(|&v| v < q) as u64;
-                        let hi = sorted.partition_point(|&v| v <= q) as u64;
-                        if lo == hi {
+                        let rank = ((phi * count).ceil() as usize).clamp(1, parsed.len());
+                        let want = parsed[rank - 1];
+                        if q.to_bits() != want.to_bits() {
                             return fail(
                                 "quantile",
-                                format!("phi={phi}: reported {q} is not a data value"),
-                            );
-                        }
-                        let target = ((phi * count).ceil() as u64).clamp(1, parsed.len() as u64);
-                        let err = if target < lo { lo - target } else { target.saturating_sub(hi) };
-                        if err > bound {
-                            return fail(
-                                "quantile",
-                                format!("phi={phi}: rank error {err} exceeds bound {bound}"),
+                                format!("phi={phi}: got {q}, nearest rank {rank} is {want}"),
                             );
                         }
                     }

@@ -533,7 +533,7 @@ STATISTICS:
   --stats            piggyback a full column profile on the same scan that
                      discovers the dependencies: exact distinct/null counts,
                      min/max, length stats, entropy, numeric moments and
-                     approximate quantiles per column, value-format and
+                     exact quartiles per column, value-format and
                      semantic-type detection with a quality score, plus
                      dependency classification (minimal UCCs ranked as
                      identifier candidates, unary INDs typed as FK

@@ -867,6 +867,29 @@ mod tests {
         let plain = profile(&t, Algorithm::Muds, &ProfilerConfig::default());
         let inc = apply_incremental(&plain, &t, &append(&[&["4", "b"]])).unwrap();
         assert_eq!(inc.result.stats, None);
+
+        // A few thousand rows, past the few dozen of the fuzz tables: a key,
+        // a skewed numeric column with NULLs, and a low-cardinality one.
+        let data: Vec<Vec<String>> = (0..3_000u64)
+            .map(|r| {
+                let skewed =
+                    if r % 11 == 0 { String::new() } else { ((r % 97).pow(3) / 50).to_string() };
+                vec![r.to_string(), skewed, format!("g{}", r * 7919 % 13)]
+            })
+            .collect();
+        let t = Table::from_rows("t", &["k", "x", "g"], &data).unwrap();
+        let old = profile(&t, Algorithm::Muds, &cfg);
+        // The append brings a value sorting before every old one and a
+        // NULL; the delete orphans key values.
+        for delta in [
+            append(&[&["-1", "-7.5", "g0"], &["3000", "", "a"]]),
+            TableDelta::Delete { rows: vec![0, 17, 1_500, 2_999] },
+        ] {
+            let inc = apply_incremental(&old, &t, &delta).unwrap();
+            let scratch = profile(&inc.table, Algorithm::Muds, &cfg);
+            assert!(scratch.stats.as_ref().unwrap().columns[1].numeric.is_some());
+            assert_eq!(inc.result.stats, scratch.stats, "{delta:?}");
+        }
     }
 
     #[test]

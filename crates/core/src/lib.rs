@@ -63,6 +63,6 @@ pub use serialize::{profile_from_json, profile_to_json, ProfilePayload};
 // Re-exported so downstream layers (CLI, serve, check) consume the stats
 // types without a direct muds-stats dependency.
 pub use muds_stats::{
-    detect_format, ColumnStats, FkCandidate, IdentifierCandidate, NumericStats, QuantileSketch,
-    SemanticType, StatsProfile, ValueFormat, STATS_SCHEMA_VERSION,
+    detect_format, ColumnStats, FkCandidate, IdentifierCandidate, NumericStats, SemanticType,
+    StatsProfile, ValueFormat, STATS_SCHEMA_VERSION,
 };

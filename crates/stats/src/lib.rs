@@ -6,11 +6,11 @@
 //! dictionary-encoded column store already holds everything a per-column
 //! statistics profile needs. The dictionary gives exact distinct counts
 //! and lexicographic min/max for free; one pass over the codes yields the
-//! per-value histogram that entropy, duplication, and count-weighted
-//! length stats derive from; and the same pass streams parsed numeric
-//! values into a deterministic quantile sketch. Formats are detected once
-//! per *distinct* value (dictionary entry) and aggregated count-weighted,
-//! so format detection costs `O(distinct · len)`, not `O(rows · len)`.
+//! per-value histogram that entropy, duplication, count-weighted length
+//! stats, numeric moments and exact quartiles derive from. Everything
+//! after that pass works per *distinct* value (dictionary entry),
+//! aggregated count-weighted, so format detection costs
+//! `O(distinct · len)`, not `O(rows · len)`.
 //!
 //! On top of the raw stats, [`compute_stats`] classifies the discovered
 //! dependencies: minimal UCCs become ranked identifier (primary-key)
@@ -20,10 +20,8 @@
 //! Work is metered under the `stats.*` counters of the §7 catalogue.
 
 mod format;
-mod sketch;
 
 pub use format::{detect_format, SemanticType, ValueFormat};
-pub use sketch::QuantileSketch;
 
 use muds_table::Table;
 
@@ -31,7 +29,7 @@ use muds_table::Table;
 /// Bump on any wire-visible change to the structures below.
 pub const STATS_SCHEMA_VERSION: u64 = 1;
 
-/// Numeric moments and approximate quantiles of a fully numeric column.
+/// Numeric moments and exact quartiles of a fully numeric column.
 /// Present only when *every* non-NULL value matched the integer or decimal
 /// format and parsed to a finite `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,9 +40,8 @@ pub struct NumericStats {
     /// Population variance (`Σ(x−μ)²/n`), clamped at zero against
     /// floating-point cancellation.
     pub variance: f64,
-    /// Approximate quartiles from the deterministic sketch; the rank-error
-    /// bound is documented in the private `sketch` module (exact below 256
-    /// values).
+    /// Nearest-rank quartiles: the first value, in ascending order, whose
+    /// running count reaches `ceil(φ·n)` (clamped to `[1, n]`).
     pub q25: f64,
     pub median: f64,
     pub q75: f64,
@@ -141,9 +138,8 @@ pub fn compute_stats(
     StatsProfile { columns, identifiers, foreign_keys }
 }
 
-/// One column's profile: a dictionary pass for formats/lengths and a code
-/// pass for the histogram and the numeric stream — the "extended decode
-/// pass" of §15.
+/// One column's profile: one pass over the codes for the histogram, then
+/// only per-dictionary-entry work — the "extended decode pass" of §15.
 fn profile_column(table: &Table, index: usize) -> ColumnStats {
     let column = table.column(index);
     let rows = column.len() as u64;
@@ -151,41 +147,23 @@ fn profile_column(table: &Table, index: usize) -> ColumnStats {
     let non_null = rows - nulls;
     let dictionary = column.sorted_distinct_values();
     let distinct = dictionary.len() as u64;
+    let counts = column.value_counts();
+    muds_obs::add("stats.values_scanned", rows);
 
-    // Dictionary pass: per-distinct-value format and parse results, reused
-    // count-weighted below so no per-row string work ever happens.
+    // Per-distinct-value format and parse results, weighted by their
+    // counts below so no per-row string or numeric work ever happens.
     let formats: Vec<ValueFormat> = dictionary.iter().map(|v| detect_format(v)).collect();
-    let parsed: Vec<Option<f64>> = dictionary
+    let numbers: Vec<(f64, u64)> = dictionary
         .iter()
         .zip(&formats)
-        .map(|(v, f)| match f {
+        .zip(&counts)
+        .filter_map(|((v, f), &weight)| match f {
             ValueFormat::Integer | ValueFormat::Decimal => {
-                v.parse::<f64>().ok().filter(|x| x.is_finite())
+                v.parse::<f64>().ok().filter(|x| x.is_finite()).map(|x| (x, weight))
             }
             _ => None,
         })
         .collect();
-
-    // Code pass: histogram plus the numeric stream in row order.
-    let counts = column.value_counts();
-    let mut sketch = QuantileSketch::new();
-    let mut sum = 0.0f64;
-    let mut sum_sq = 0.0f64;
-    let mut numeric_count = 0u64;
-    let mut numeric_min = f64::INFINITY;
-    let mut numeric_max = f64::NEG_INFINITY;
-    for &code in column.codes() {
-        if let Some(Some(x)) = parsed.get(code as usize) {
-            sketch.insert(*x);
-            sum += x;
-            sum_sq += x * x;
-            numeric_count += 1;
-            numeric_min = numeric_min.min(*x);
-            numeric_max = numeric_max.max(*x);
-        }
-    }
-    muds_obs::add("stats.values_scanned", rows);
-    muds_obs::add("stats.sketch_compactions", sketch.compactions());
 
     // Aggregation over the histogram (count-weighted, O(distinct)).
     let mut entropy = 0.0f64;
@@ -226,24 +204,6 @@ fn profile_column(table: &Table, index: usize) -> ColumnStats {
     let completeness = 1.0 - null_fraction;
     let quality = (2.0 * completeness + format_consistency) / 3.0;
 
-    let numeric = if numeric_count == non_null && non_null > 0 {
-        let mean = sum / numeric_count as f64;
-        let variance = (sum_sq / numeric_count as f64 - mean * mean).max(0.0);
-        // The sketch saw numeric_count > 0 inserts, so quantiles exist;
-        // the fallback is unreachable but keeps this path panic-free.
-        Some(NumericStats {
-            min: numeric_min,
-            max: numeric_max,
-            mean,
-            variance,
-            q25: sketch.quantile(0.25).unwrap_or(mean),
-            median: sketch.quantile(0.5).unwrap_or(mean),
-            q75: sketch.quantile(0.75).unwrap_or(mean),
-        })
-    } else {
-        None
-    };
-
     let semantic_type = semantic_for(format, distinct, distinct_fraction);
     muds_obs::add("stats.columns_profiled", 1);
     ColumnStats {
@@ -263,8 +223,40 @@ fn profile_column(table: &Table, index: usize) -> ColumnStats {
         format_consistency,
         semantic_type,
         quality,
-        numeric,
+        numeric: numeric_stats(numbers, non_null),
     }
+}
+
+/// Moments and quartiles over `(value, count)` pairs, or `None` unless
+/// the pairs cover all `non_null > 0` occurrences of the column.
+fn numeric_stats(mut numbers: Vec<(f64, u64)>, non_null: u64) -> Option<NumericStats> {
+    let n: u64 = numbers.iter().map(|&(_, weight)| weight).sum();
+    if n != non_null || n == 0 {
+        return None;
+    }
+    numbers.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let (sum, sum_sq) = numbers.iter().fold((0.0f64, 0.0f64), |(sum, sum_sq), &(x, weight)| {
+        let w = weight as f64;
+        (sum + w * x, sum_sq + w * x * x)
+    });
+    let mean = sum / n as f64;
+    let quartile = |phi: f64| {
+        let target = ((phi * n as f64).ceil() as u64).clamp(1, n);
+        let mut running = 0u64;
+        numbers.iter().find(|&&(_, weight)| {
+            running += weight;
+            running >= target
+        })
+    };
+    Some(NumericStats {
+        min: numbers.first()?.0,
+        max: numbers.last()?.0,
+        mean,
+        variance: (sum_sq / n as f64 - mean * mean).max(0.0),
+        q25: quartile(0.25)?.0,
+        median: quartile(0.5)?.0,
+        q75: quartile(0.75)?.0,
+    })
 }
 
 /// Format → semantic type, before the UCC-based identifier upgrade. The
@@ -361,6 +353,38 @@ mod tests {
         assert!(c1.numeric.is_none());
         assert_eq!(c1.min.as_deref(), Some("a"));
         assert_eq!(c1.max.as_deref(), Some("b"));
+    }
+
+    #[test]
+    fn quartiles_are_exact_nearest_ranks_on_a_long_skewed_column() {
+        use rand::prelude::*;
+        // 2,000 rows: ~10% NULLs, negative decimals, a head of repeats
+        // (cubes of draws below 100, scaled down: 0 for every draw below
+        // 10) and a long tail up to 10^9.
+        let mut rng = StdRng::seed_from_u64(4);
+        let cells: Vec<String> = (0..2_000)
+            .map(|_| match rng.gen_range(0..100u32) {
+                0..=9 => String::new(),
+                10..=14 => format!("{}", rng.gen_range(1..1_000_000_000u64)),
+                15..=24 => format!("-{}.5", rng.gen_range(0..50u32)),
+                _ => format!("{}", rng.gen_range(0..100u64).pow(3) / 1_000),
+            })
+            .collect();
+        let rows: Vec<Vec<&str>> = cells.iter().map(|c| vec![c.as_str()]).collect();
+        let s = compute_stats(&table(&rows), &[], &[]);
+        let mut sorted: Vec<f64> =
+            cells.iter().filter(|c| !c.is_empty()).map(|c| c.parse().unwrap()).collect();
+        sorted.sort_unstable_by(f64::total_cmp);
+        let nearest_rank = |phi: f64| {
+            let rank = ((phi * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            sorted[rank - 1]
+        };
+        let n = s.columns[0].numeric.as_ref().expect("every non-NULL cell is a number");
+        assert!(s.columns[0].nulls > 0 && sorted.len() > 1_000);
+        assert_eq!((n.min, n.max), (sorted[0], sorted[sorted.len() - 1]));
+        assert_eq!(n.q25, nearest_rank(0.25));
+        assert_eq!(n.median, nearest_rank(0.5));
+        assert_eq!(n.q75, nearest_rank(0.75));
     }
 
     #[test]
