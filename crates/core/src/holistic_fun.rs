@@ -18,17 +18,8 @@ use crate::Dependencies;
 /// Runs Holistic FUN on `table` (assumed duplicate-free, §3).
 pub fn holistic_fun(table: &Table) -> Dependencies {
     let span = muds_obs::span("SPIDER");
-    // Same shared-input-scan join as MUDS: PLI construction on the caller
-    // thread, SPIDER on a worker with the ambient metrics handle installed
-    // (ambient registries are thread-local).
-    let ambient = muds_obs::Metrics::current();
-    let (mut cache, inds) = rayon::join(
-        || PliCache::new(table),
-        move || {
-            let _guard = ambient.as_ref().map(|m| m.install());
-            spider(table)
-        },
-    );
+    let mut cache = PliCache::new(table);
+    let inds = spider(table);
     span.stop();
 
     let span = muds_obs::span("FUN");

@@ -224,11 +224,6 @@ fn positives(old: &ProfileResult, n: usize) -> Vec<(Option<usize>, Vec<ColumnSet
             lists[a + 1].1.push(*lhs);
         }
     }
-    // `iter_entries` walks a hash map; sort so the check order (and with
-    // it the counters of an early stop) is reproducible.
-    for (_, sets) in &mut lists {
-        sets.sort_unstable();
-    }
     lists
 }
 

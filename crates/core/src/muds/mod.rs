@@ -69,19 +69,8 @@ impl Default for MudsConfig {
 pub fn muds(table: &Table, config: &MudsConfig) -> Dependencies {
     // Phase: SPIDER + PLI construction (shared input scan).
     let span = muds_obs::span("SPIDER");
-    // SPIDER and PLI construction read the same immutable columns but
-    // produce independent outputs, so the "one shared scan" phase runs them
-    // as the two branches of a join. Ambient metrics registries are
-    // thread-local; the branch that may land on a worker thread installs
-    // the captured handle so SPIDER's counter flush is not lost.
-    let ambient = muds_obs::Metrics::current();
-    let (mut cache, inds) = rayon::join(
-        || PliCache::new(table),
-        move || {
-            let _guard = ambient.as_ref().map(|m| m.install());
-            spider(table)
-        },
-    );
+    let mut cache = PliCache::new(table);
+    let inds = spider(table);
     span.stop();
 
     // Phase: DUCC.

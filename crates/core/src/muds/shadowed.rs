@@ -177,21 +177,14 @@ fn generate_tasks(
     // UCC-removal of Algorithm 3 is memoized per distinct set.
     let mut reductions: HashMap<ColumnSet, Vec<ColumnSet>> = HashMap::new();
     let mut tasks: Vec<(ColumnSet, ColumnSet)> = Vec::new();
-    // `FdSet` stores entries in a hash map; sort so the check sequence
-    // (and thus every interleaving of knowledge lookups with knowledge
-    // growth) is identical across runs — probe counters are part of the
-    // determinism contract pinned by tests/determinism.rs.
-    let mut entries: Vec<(ColumnSet, ColumnSet)> =
-        fds.iter_entries().map(|(l, r)| (*l, *r)).collect();
-    entries.sort_unstable();
     // Index all current left-hand sides. A connector with a non-empty
     // `FDs[connector]` is by definition a stored lhs, so instead of
     // enumerating all 2^|lhs| subsets (the paper's formulation) we
     // enumerate exactly the stored lhs's inside fd.lhs via the prefix
     // tree — identical outcomes, exponentially less iteration on
     // FD-dense data.
-    let lhs_trie = SetTrie::from_sets(entries.iter().map(|(l, _)| *l));
-    for (lhs, rhs) in &entries {
+    let lhs_trie = SetTrie::from_sets(fds.iter_entries().map(|(l, _)| *l));
+    for (lhs, rhs) in fds.iter_entries() {
         for connector in lhs_trie.subsets_of(lhs) {
             let shadowed_rhs = fds.rhs_of(&connector);
             if shadowed_rhs.is_empty() {

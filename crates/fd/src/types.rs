@@ -1,12 +1,14 @@
 //! Functional dependency representation.
 //!
-//! FDs are stored in the shape the paper's algorithms use: a map from a
-//! left-hand side [`ColumnSet`] to the set of right-hand side columns it
-//! (minimally) determines. MUDS' shadowed-FD phase performs look-ups of the
-//! form `FDs[connector]` (Algorithm 2, line 5), which this representation
-//! serves in O(1).
+//! FDs are stored in the shape the paper's algorithms use: an ordered map
+//! from a left-hand side [`ColumnSet`] to the set of right-hand side
+//! columns it (minimally) determines. MUDS' shadowed-FD phase performs
+//! look-ups of the form `FDs[connector]` (Algorithm 2, line 5), which this
+//! representation serves in O(log n). The map is ordered, so every
+//! iteration is in ascending left-hand side order and no consumer sees a
+//! hash order.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use muds_lattice::{ColumnSet, SetTrie};
@@ -33,10 +35,11 @@ impl fmt::Display for Fd {
     }
 }
 
-/// A collection of FDs keyed by left-hand side.
-#[derive(Debug, Clone, Default)]
+/// A collection of FDs keyed by left-hand side. No entry has an empty
+/// right-hand side set, so the derived equality is set equality.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FdSet {
-    by_lhs: HashMap<ColumnSet, ColumnSet>,
+    by_lhs: BTreeMap<ColumnSet, ColumnSet>,
     count: usize,
 }
 
@@ -84,25 +87,16 @@ impl FdSet {
         self.count == 0
     }
 
-    /// Iterates `(lhs, rhs-set)` entries in arbitrary order.
+    /// Iterates `(lhs, rhs-set)` entries by ascending left-hand side.
     pub fn iter_entries(&self) -> impl Iterator<Item = (&ColumnSet, &ColumnSet)> {
-        // lint:allow(hash-order): documented as arbitrary order; every
-        // ordered consumer goes through to_sorted_vec or minimize, which
-        // canonicalize (pinned by the tests/determinism.rs matrix).
-        self.by_lhs.iter().filter(|(_, r)| !r.is_empty())
+        self.by_lhs.iter()
     }
 
     /// Flattens into sorted canonical `Fd`s.
     pub fn to_sorted_vec(&self) -> Vec<Fd> {
-        // lint:allow(hash-order): the flattened vec is fully sorted on
-        // the line below, erasing map iteration order from the result.
-        let mut out: Vec<Fd> = self
-            .by_lhs
-            .iter()
+        self.iter_entries()
             .flat_map(|(lhs, rhs)| rhs.iter().map(move |a| Fd::new(*lhs, a)))
-            .collect();
-        out.sort();
-        out
+            .collect()
     }
 
     /// Returns the subset of FDs whose left-hand sides are minimal per
@@ -110,25 +104,18 @@ impl FdSet {
     /// `Y ⊂ X`. Pure set algebra (no data access); used as the final
     /// minimality guard of the holistic algorithms.
     pub fn minimize(&self) -> FdSet {
-        // Group left-hand sides per rhs.
-        let mut per_rhs: HashMap<usize, Vec<ColumnSet>> = HashMap::new();
+        // Group left-hand sides per rhs, each group ascending.
+        let mut per_rhs: BTreeMap<usize, Vec<ColumnSet>> = BTreeMap::new();
         for (lhs, rhs) in self.iter_entries() {
             for a in rhs.iter() {
                 per_rhs.entry(a).or_default().push(*lhs);
             }
         }
         let mut out = FdSet::new();
-        // lint:allow(hash-order): rhs groups are independent — each group
-        // writes only its own rhs bit into `out`, and within a group the
-        // (cardinality, set) sort below fully canonicalizes trie growth;
-        // covered by the tests/determinism.rs matrix.
         for (a, mut lhss) in per_rhs {
             // Insert in ascending cardinality; a trie catches dominated sets.
-            // Ties break on the set itself: `by_lhs` iterates in hash order,
-            // and a cardinality-only (stable) sort would leak that order into
-            // the trie's growth — probe counters are part of the determinism
-            // contract pinned by tests/determinism.rs.
-            lhss.sort_unstable_by_key(|l| (l.cardinality(), *l));
+            // The sort is stable, so ties keep the ascending set order.
+            lhss.sort_by_key(|l| l.cardinality());
             let mut trie = SetTrie::new();
             for lhs in lhss {
                 if !trie.contains_subset_of(&lhs) {
@@ -156,14 +143,6 @@ impl FromIterator<Fd> for FdSet {
         s
     }
 }
-
-impl PartialEq for FdSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.to_sorted_vec() == other.to_sorted_vec()
-    }
-}
-
-impl Eq for FdSet {}
 
 #[cfg(test)]
 mod tests {
@@ -194,6 +173,25 @@ mod tests {
         let v = s.to_sorted_vec();
         assert_eq!(v.len(), 2);
         assert!(v.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn entries_iterate_in_ascending_lhs_order() {
+        // 96 FDs over 80 distinct left-hand sides, inserted in a scrambled
+        // order (41 is coprime to 96).
+        let mut s = FdSet::new();
+        for i in 0..96 {
+            let k = (i * 41) % 96;
+            let lhs = ColumnSet::from_indices((0..7).filter(|b| (k % 80 + 1) >> b & 1 == 1));
+            s.insert(lhs, 7 + k / 80);
+        }
+        assert_eq!(s.len(), 96);
+        let lhss: Vec<ColumnSet> = s.iter_entries().map(|(lhs, _)| *lhs).collect();
+        assert_eq!(lhss.len(), 80);
+        assert!(lhss.windows(2).all(|w| w[0] < w[1]), "entries out of order: {lhss:?}");
+        let flattened: Vec<Fd> =
+            s.iter_entries().flat_map(|(l, r)| r.iter().map(move |a| Fd::new(*l, a))).collect();
+        assert_eq!(s.to_sorted_vec(), flattened);
     }
 
     #[test]

@@ -249,11 +249,8 @@ impl<'a> PliCache<'a> {
             slots.push(Slot::Job(jobs.len()));
             jobs.push((*set, left, right, tick));
         }
-        let computed: Vec<Arc<Pli>> = if jobs.len() <= 1 {
-            jobs.iter().map(|(_, left, right, _)| Arc::new(left.intersect(right))).collect()
-        } else {
-            jobs.par_iter().map(|(_, left, right, _)| Arc::new(left.intersect(right))).collect()
-        };
+        let computed: Vec<Arc<Pli>> =
+            jobs.par_iter().map(|(_, left, right, _)| Arc::new(left.intersect(right))).collect();
         for ((set, _, _, stamp), pli) in jobs.iter().zip(&computed) {
             self.insert_at(*set, Arc::clone(pli), *stamp);
         }
@@ -391,11 +388,7 @@ impl<'a> PliCache<'a> {
             slots.push(Slot::Job(jobs.len()));
             jobs.push((pli, table.column(*rhs).codes()));
         }
-        let verdicts: Vec<bool> = if jobs.len() <= 1 {
-            jobs.iter().map(|(pli, codes)| pli.refines(codes)).collect()
-        } else {
-            jobs.par_iter().map(|(pli, codes)| pli.refines(codes)).collect()
-        };
+        let verdicts: Vec<bool> = jobs.par_iter().map(|(pli, codes)| pli.refines(codes)).collect();
         slots
             .into_iter()
             .map(|slot| match slot {

@@ -163,12 +163,11 @@ impl Table {
     /// (ids may repeat). Each column keeps the dictionary entries the
     /// selected rows still reference and remaps their codes down, so the
     /// result equals [`Table::from_rows`] on the decoded rows — codes,
-    /// dictionaries and fingerprint — without decoding a cell. Columns
-    /// compact independently, in parallel.
+    /// dictionaries and fingerprint — without decoding a cell.
     pub fn select_rows(&self, rows: &[usize]) -> Table {
         let columns = self
             .columns
-            .par_iter()
+            .iter()
             .map(|col| {
                 let mut refs = vec![0u32; col.code_domain()];
                 for &r in rows {
