@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use muds_lattice::{apriori_gen, ColumnSet};
+use muds_lattice::{apriori_gen, ColumnSet, ColumnSetState};
 use muds_pli::PliCache;
 
 use crate::types::FdSet;
@@ -41,7 +41,7 @@ struct Fun<'a, 'b> {
     cache: &'a mut PliCache<'b>,
     /// Known cardinalities: free sets, apriori candidates, and inferred
     /// non-free sets.
-    card: HashMap<ColumnSet, usize>,
+    card: HashMap<ColumnSet, usize, ColumnSetState>,
     /// Cardinalities obtained by recursive inference instead of a PLI
     /// intersection — FUN's saving over TANE.
     cards_inferred: u64,
@@ -82,7 +82,7 @@ pub fn fun(cache: &mut PliCache<'_>) -> FunResult {
     let table_rows = cache.table().num_rows();
     let n = cache.table().num_columns();
     let r = ColumnSet::full(n);
-    let mut fun = Fun { cache, card: HashMap::new(), cards_inferred: 0 };
+    let mut fun = Fun { cache, card: HashMap::default(), cards_inferred: 0 };
     let mut cards_computed = 0u64;
     let mut free_sets = 0u64;
     let mut max_level = 0usize;

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use muds_lattice::{apriori_gen, first_level, ColumnSet, SetTrie};
+use muds_lattice::{apriori_gen, first_level, ColumnSet, ColumnSetState, SetTrie};
 use muds_pli::PliCache;
 
 use crate::types::FdSet;
@@ -60,7 +60,7 @@ pub fn tane(cache: &mut PliCache<'_>) -> TaneResult {
     let mut max_level = 0usize;
 
     // C⁺(∅) = R.
-    let mut cplus_prev: HashMap<ColumnSet, ColumnSet> = HashMap::new();
+    let mut cplus_prev: HashMap<ColumnSet, ColumnSet, ColumnSetState> = HashMap::default();
     cplus_prev.insert(ColumnSet::empty(), r);
 
     // The empty set is itself a key for degenerate (≤1 row) tables.
@@ -81,7 +81,8 @@ pub fn tane(cache: &mut PliCache<'_>) -> TaneResult {
     let mut depth = 1usize;
     while !level.is_empty() {
         max_level = depth;
-        let mut cplus: HashMap<ColumnSet, ColumnSet> = HashMap::with_capacity(level.len());
+        let mut cplus: HashMap<ColumnSet, ColumnSet, ColumnSetState> =
+            HashMap::with_capacity_and_hasher(level.len(), ColumnSetState::default());
 
         // COMPUTE_DEPENDENCIES. Each node's candidate rhs set is fixed on
         // entry (`X ∩ C⁺₀(X)` — the sequential loop iterates a snapshot

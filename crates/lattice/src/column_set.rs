@@ -4,11 +4,17 @@
 //! columns (an "attribute set" in the paper's terminology) by a [`ColumnSet`].
 //! The representation is a fixed `[u64; 4]`, i.e. at most 256 columns, which
 //! comfortably covers every dataset in the paper (the widest, uniprot, has
-//! 223 columns). The fixed width keeps the type `Copy`, 32 bytes, and cheap
-//! to hash — properties the random-walk and level-wise algorithms rely on,
-//! since they keep millions of sets in hash maps.
+//! 223 columns). The fixed width keeps the type `Copy` and 32 bytes, and
+//! its `Hash` feeds one multiply-folded `u64` to the hasher. The
+//! random-walk and level-wise algorithms and the PLI cache keep millions
+//! of sets in hash maps, so they key them with [`ColumnSetState`], which
+//! finishes that word with one seeded mix instead of running SipHash over
+//! 32 bytes.
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Number of `u64` words backing a [`ColumnSet`].
 const WORDS: usize = 4;
@@ -25,9 +31,91 @@ pub const MAX_COLUMNS: usize = WORDS * 64;
 ///
 /// Inserting an index `>= MAX_COLUMNS` (256) panics. Tables wider than that
 /// are rejected at load time by `muds-table`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct ColumnSet {
     words: [u64; WORDS],
+}
+
+/// Odd multiplier of [`ColumnSetHasher`] (2⁶⁴ / φ).
+const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Keys of the fold: digits of π, as in wyhash and foldhash.
+const KEYS: [u64; 4] =
+    [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344, 0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89];
+
+/// The 128-bit product of `x` and `y`, its halves xored together.
+#[inline]
+fn folded_multiply(x: u64, y: u64) -> u64 {
+    let product = u128::from(x) * u128::from(y);
+    product as u64 ^ (product >> 64) as u64
+}
+
+impl Hash for ColumnSet {
+    /// One `write_u64` of the words multiply-folded: the first word xored
+    /// with folded products of the other three. Sets within the first 64
+    /// columns fold to their own word (xor a constant), so on such tables
+    /// distinct sets never share a hash input.
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b, c, d] = self.words;
+        let [k0, k1, k2, k3] = KEYS;
+        state.write_u64(a ^ folded_multiply(b ^ k0, c ^ k1) ^ folded_multiply(d ^ k2, k3));
+    }
+}
+
+/// The [`BuildHasher`] for `ColumnSet`-keyed maps and sets. Every hasher
+/// it builds starts from one per-process seed, drawn once from
+/// [`RandomState`], so a table cannot aim its column sets at buckets.
+#[derive(Clone, Copy, Debug)]
+pub struct ColumnSetState {
+    seed: u64,
+}
+
+impl Default for ColumnSetState {
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        ColumnSetState { seed: *SEED.get_or_init(|| RandomState::new().hash_one(FOLD)) }
+    }
+}
+
+impl BuildHasher for ColumnSetState {
+    type Hasher = ColumnSetHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> ColumnSetHasher {
+        ColumnSetHasher { state: self.seed }
+    }
+}
+
+/// The hasher [`ColumnSetState`] builds: each word is xored into the state
+/// and multiplied by an odd constant, and `finish` applies MurmurHash3's
+/// fmix64, so one word maps to its hash bijectively.
+#[derive(Clone, Copy, Debug)]
+pub struct ColumnSetHasher {
+    state: u64,
+}
+
+impl Hasher for ColumnSetHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.state = (self.state ^ word).wrapping_mul(FOLD);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut h = self.state;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
 }
 
 impl ColumnSet {
@@ -471,6 +559,20 @@ mod tests {
         let u = t.without(1);
         assert!(t.contains(1));
         assert!(!u.contains(1));
+    }
+
+    #[test]
+    fn hashing_separates_sets_in_every_word() {
+        use std::collections::HashSet;
+        let state = ColumnSetState::default();
+        // Every set of one or two columns, the empty and the full set.
+        let sets: Vec<ColumnSet> = (0..MAX_COLUMNS)
+            .flat_map(|a| (a..MAX_COLUMNS).map(move |b| cs(&[a, b])))
+            .chain([ColumnSet::empty(), ColumnSet::full(MAX_COLUMNS)])
+            .collect();
+        let hashes: HashSet<u64> = sets.iter().map(|s| state.hash_one(s)).collect();
+        assert_eq!(hashes.len(), sets.len(), "two of these sets share a hash");
+        assert_eq!(state.hash_one(cs(&[3, 200])), state.hash_one(cs(&[200, 3])));
     }
 
     #[test]

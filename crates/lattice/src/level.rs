@@ -10,7 +10,7 @@ use std::collections::HashSet;
 
 use rayon::prelude::*;
 
-use crate::ColumnSet;
+use crate::{ColumnSet, ColumnSetState};
 
 /// Generates level `k+1` candidates from the surviving level-`k` sets.
 ///
@@ -27,7 +27,7 @@ pub fn apriori_gen(level: &[ColumnSet]) -> Vec<ColumnSet> {
     if level.is_empty() {
         return Vec::new();
     }
-    let members: HashSet<ColumnSet> = level.iter().copied().collect();
+    let members: HashSet<ColumnSet, ColumnSetState> = level.iter().copied().collect();
     let mut sorted: Vec<ColumnSet> = level.to_vec();
     // Group by prefix (set minus largest element) by sorting on it.
     sorted.sort_by_key(|s| (s.max_col().map(|m| s.without(m)), s.max_col()));

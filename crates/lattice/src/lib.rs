@@ -5,7 +5,8 @@
 //! Data Profiling: Simultaneous Discovery of Various Metadata"*, EDBT 2016):
 //!
 //! * [`ColumnSet`] — a 256-bit column-index bitset; nodes of the attribute
-//!   lattice (Figure 1 of the paper).
+//!   lattice (Figure 1 of the paper). [`ColumnSetState`] hashes it for the
+//!   lattice's hash maps.
 //! * [`SetTrie`] — the prefix tree of §5.4 with subset and superset
 //!   (connector look-up) queries, plus the [`MinimalSetFamily`] /
 //!   [`MaximalSetFamily`] antichain maintainers built on it.
@@ -23,7 +24,7 @@ mod level;
 mod set_trie;
 mod walk;
 
-pub use column_set::{ColumnIter, ColumnSet, MAX_COLUMNS};
+pub use column_set::{ColumnIter, ColumnSet, ColumnSetState, MAX_COLUMNS};
 pub use hitting_set::{complement_family, minimal_hitting_sets};
 pub use level::{apriori_gen, first_level};
 pub use set_trie::{MaximalSetFamily, MinimalSetFamily, SetTrie};

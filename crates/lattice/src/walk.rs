@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 
 use crate::hitting_set::{complement_family, minimal_hitting_sets};
 use crate::set_trie::{MaximalSetFamily, MinimalSetFamily};
-use crate::ColumnSet;
+use crate::{ColumnSet, ColumnSetState};
 
 /// A monotone (upward-closed) predicate over column sets: if `check(X)` is
 /// true then `check(Y)` is true for every `Y ⊇ X`.
@@ -69,7 +69,7 @@ struct Frame {
 struct Search<'a, O: MonotoneOracle> {
     universe: ColumnSet,
     oracle: &'a mut O,
-    visited: HashMap<ColumnSet, Status>,
+    visited: HashMap<ColumnSet, Status, ColumnSetState>,
     min_pos: MinimalSetFamily,
     max_neg: MaximalSetFamily,
     rng: StdRng,
@@ -337,7 +337,7 @@ pub fn find_minimal_positives<O: MonotoneOracle>(
     let mut search = Search {
         universe,
         oracle,
-        visited: HashMap::new(),
+        visited: HashMap::default(),
         min_pos: MinimalSetFamily::new(),
         max_neg: MaximalSetFamily::with_universe(universe),
         rng: StdRng::seed_from_u64(seed),

@@ -8,10 +8,12 @@
 //! pinned; larger combinations live in a bounded LRU so wide lattices do not
 //! exhaust memory.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use muds_lattice::ColumnSet;
+use muds_lattice::{ColumnSet, ColumnSetState};
 use muds_table::Table;
 use rayon::prelude::*;
 
@@ -60,13 +62,16 @@ pub struct PliCache<'a> {
     /// Pinned PLIs: empty set and singletons, indexed by column.
     empty: Arc<Pli>,
     singles: Vec<Arc<Pli>>,
-    /// LRU region for multi-column combinations.
-    entries: HashMap<ColumnSet, (Arc<Pli>, u64)>,
-    /// Stamp-ordered mirror of `entries` (stamps are unique), so eviction
-    /// pops the oldest entry in O(log n) instead of scanning the map —
-    /// under capacity pressure (wide tables flood the cache with prefix
-    /// PLIs) a per-insert scan turns every miss into O(capacity).
-    lru: BTreeMap<u64, ColumnSet>,
+    /// LRU region for multi-column combinations, each with the stamp of
+    /// its latest use.
+    entries: HashMap<ColumnSet, (Arc<Pli>, u64), ColumnSetState>,
+    /// Min-heap of `(stamp, set)` pairs with lazy deletion: every stamp an
+    /// entry takes is pushed, and a pair is live while its stamp is still
+    /// its entry's. A hit costs one push; eviction pops the oldest live
+    /// pair, skipping stale ones, in O(log n) amortized. Stamps are unique,
+    /// so the victim is exactly the entry with the smallest stamp.
+    /// [`PliCache::push_stamp`] bounds the stale pairs.
+    lru: BinaryHeap<Reverse<(u64, ColumnSet)>>,
     capacity: usize,
     /// Optional ceiling on the *estimated* byte footprint of the LRU
     /// region (pinned singletons excluded — they are the working set every
@@ -99,8 +104,8 @@ impl<'a> PliCache<'a> {
             table,
             empty: Arc::new(Pli::empty_set(table.num_rows())),
             singles,
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
+            entries: HashMap::default(),
+            lru: BinaryHeap::new(),
             capacity: capacity.max(1),
             byte_budget: None,
             lru_bytes: 0,
@@ -130,15 +135,39 @@ impl<'a> PliCache<'a> {
     }
 
     fn evict_lru_one(&mut self) -> bool {
-        if let Some((&oldest, &victim)) = self.lru.iter().next() {
-            self.lru.remove(&oldest);
-            if let Some((pli, _)) = self.entries.remove(&victim) {
-                self.lru_bytes = self.lru_bytes.saturating_sub(pli.estimated_bytes());
+        while let Some(Reverse((stamp, victim))) = self.lru.pop() {
+            let Entry::Occupied(entry) = self.entries.entry(victim) else { continue };
+            if entry.get().1 != stamp {
+                continue;
             }
+            let (pli, _) = entry.remove();
+            self.lru_bytes = self.lru_bytes.saturating_sub(pli.estimated_bytes());
             self.meters.evictions.inc();
-            true
-        } else {
-            false
+            self.compact_lru();
+            return true;
+        }
+        false
+    }
+
+    /// Stale pairs `lru` may hold beyond twice the live entries before it
+    /// is compacted.
+    const LRU_SLACK: usize = 32;
+
+    /// Records that `set`'s entry now carries `stamp`.
+    fn push_stamp(&mut self, stamp: u64, set: ColumnSet) {
+        self.lru.push(Reverse((stamp, set)));
+        self.compact_lru();
+    }
+
+    /// Drops the stale pairs once `lru` outgrows `2 × entries + LRU_SLACK`,
+    /// leaving one live pair per entry. Each compaction follows at least
+    /// `entries + LRU_SLACK` pushes or pops, so its cost is O(1) amortized.
+    fn compact_lru(&mut self) {
+        if self.lru.len() > 2 * self.entries.len() + Self::LRU_SLACK {
+            let entries = &self.entries;
+            self.lru.retain(|Reverse((stamp, set))| {
+                entries.get(set).is_some_and(|&(_, live)| live == *stamp)
+            });
         }
     }
 
@@ -155,10 +184,9 @@ impl<'a> PliCache<'a> {
 
     /// Returns the PLI of `set`, computing and caching it if necessary.
     ///
-    /// Multi-column PLIs are assembled by intersecting the PLI of
-    /// `set \ {max}` with the single-column PLI of `max`, so a chain of
-    /// related look-ups (as produced by lattice traversals) reuses cached
-    /// prefixes.
+    /// Multi-column PLIs are assembled by refining the PLI of
+    /// `set \ {max}` by the codes of column `max`, so a chain of related
+    /// look-ups (as produced by lattice traversals) reuses cached prefixes.
     pub fn get(&mut self, set: &ColumnSet) -> Arc<Pli> {
         self.meters.requests.inc();
         match set.cardinality() {
@@ -176,11 +204,11 @@ impl<'a> PliCache<'a> {
                 self.tick += 1;
                 let tick = self.tick;
                 if let Some((pli, stamp)) = self.entries.get_mut(set) {
-                    self.lru.remove(stamp);
-                    self.lru.insert(tick, *set);
                     *stamp = tick;
+                    let pli = Arc::clone(pli);
+                    self.push_stamp(tick, *set);
                     self.meters.hits.inc();
-                    return Arc::clone(pli);
+                    return pli;
                 }
                 self.meters.misses.inc();
                 // lint:allow(panic): this match arm is cardinality() >= 2,
@@ -188,9 +216,8 @@ impl<'a> PliCache<'a> {
                 let last = set.max_col().expect("non-empty");
                 let rest = set.without(last);
                 let left = self.get(&rest);
-                let right = Arc::clone(&self.singles[last]);
                 self.meters.intersects.inc();
-                let pli = Arc::new(left.intersect(&right));
+                let pli = Arc::new(refine(self.table, &left, last));
                 self.insert_at(*set, Arc::clone(&pli), tick);
                 pli
             }
@@ -198,7 +225,7 @@ impl<'a> PliCache<'a> {
     }
 
     /// Batch [`PliCache::get`]: resolves every set, computing the PLIs that
-    /// miss with their final intersections fanned out in parallel.
+    /// miss with their final refinements fanned out in parallel.
     ///
     /// Bookkeeping runs sequentially in `sets` order — request/hit/miss
     /// accounting, LRU ticks, prefix materialization, and (after the
@@ -217,9 +244,9 @@ impl<'a> PliCache<'a> {
             Job(usize),
         }
         let mut slots: Vec<Slot> = Vec::with_capacity(sets.len());
-        // Pending computations: (set, left operand, right operand, stamp).
-        let mut jobs: Vec<(ColumnSet, Arc<Pli>, Arc<Pli>, u64)> = Vec::new();
-        let mut job_of: HashMap<ColumnSet, usize> = HashMap::new();
+        // Pending computations: (set, prefix PLI, refining column, stamp).
+        let mut jobs: Vec<(ColumnSet, Arc<Pli>, usize, u64)> = Vec::new();
+        let mut job_of: HashMap<ColumnSet, usize, ColumnSetState> = HashMap::default();
         for set in sets {
             if set.cardinality() < 2 || self.entries.contains_key(set) {
                 slots.push(Slot::Ready(self.get(set)));
@@ -243,14 +270,16 @@ impl<'a> PliCache<'a> {
             let last = set.max_col().expect("cardinality >= 2");
             let rest = set.without(last);
             let left = self.get(&rest);
-            let right = Arc::clone(&self.singles[last]);
             self.meters.intersects.inc();
             job_of.insert(*set, jobs.len());
             slots.push(Slot::Job(jobs.len()));
-            jobs.push((*set, left, right, tick));
+            jobs.push((*set, left, last, tick));
         }
-        let computed: Vec<Arc<Pli>> =
-            jobs.par_iter().map(|(_, left, right, _)| Arc::new(left.intersect(right))).collect();
+        let table = self.table;
+        let computed: Vec<Arc<Pli>> = jobs
+            .par_iter()
+            .map(|(_, left, last, _)| Arc::new(refine(table, left, *last)))
+            .collect();
         for ((set, _, _, stamp), pli) in jobs.iter().zip(&computed) {
             self.insert_at(*set, Arc::clone(pli), *stamp);
         }
@@ -271,11 +300,11 @@ impl<'a> PliCache<'a> {
             self.evict_lru_one();
         }
         self.lru_bytes += pli.estimated_bytes();
-        if let Some((old_pli, old_stamp)) = self.entries.insert(set, (pli, stamp)) {
-            self.lru.remove(&old_stamp);
+        if let Some((old_pli, _)) = self.entries.insert(set, (pli, stamp)) {
+            // The replaced entry's pair goes stale with its stamp.
             self.lru_bytes = self.lru_bytes.saturating_sub(old_pli.estimated_bytes());
         }
-        self.lru.insert(stamp, set);
+        self.push_stamp(stamp, set);
         // The byte budget may demand more than the one-entry eviction the
         // count bound performed — including, for a pathologically large
         // PLI, the entry just inserted (the returned Arc stays valid).
@@ -286,10 +315,11 @@ impl<'a> PliCache<'a> {
     /// instead of materializing every prefix PLI via [`PliCache::get`].
     const STREAM_THRESHOLD: usize = 16;
 
-    /// Intersects the singleton PLIs of `set` smallest-first, without
-    /// caching intermediates, stopping as soon as the partition strips
-    /// empty (an empty stripped partition refines every column and stays
-    /// empty under further intersection).
+    /// Intersects the singleton PLIs of `set` smallest-first (each step a
+    /// refinement by the next column's codes), without caching
+    /// intermediates, stopping as soon as the partition strips empty (an
+    /// empty stripped partition refines every column and stays empty under
+    /// further intersection).
     fn stream_intersect(&mut self, set: &ColumnSet) -> Arc<Pli> {
         // A single-class partition covering every row (a constant column)
         // is an identity operand of `intersect`; dropping such columns up
@@ -313,7 +343,7 @@ impl<'a> PliCache<'a> {
                 break;
             }
             self.meters.intersects.inc();
-            acc = Arc::new(acc.intersect(&self.singles[c]));
+            acc = Arc::new(refine(self.table, &acc, c));
         }
         acc
     }
@@ -402,6 +432,13 @@ impl<'a> PliCache<'a> {
     pub fn cached_entries(&self) -> usize {
         self.entries.len()
     }
+}
+
+/// `pli` refined by column `col` of `table`: the PLI of its column set
+/// plus `col`.
+fn refine(table: &Table, pli: &Pli, col: usize) -> Pli {
+    let column = table.column(col);
+    pli.refine_by(column.codes(), column.code_domain())
 }
 
 #[cfg(test)]
@@ -648,6 +685,222 @@ mod tests {
         assert!(ab.is_unique());
         assert_eq!(cache.cached_entries(), 0);
         assert!(cache.determines(&cs(&[0, 1]), 2));
+    }
+
+    /// The cache's bookkeeping as it was with a stamp-ordered `BTreeMap`
+    /// mirror of `entries`: the reference the heap LRU must reproduce
+    /// victim for victim. PLIs are built by `intersect` with the single
+    /// column's PLI.
+    struct StampOrdered<'a> {
+        table: &'a Table,
+        entries: HashMap<ColumnSet, (Arc<Pli>, u64)>,
+        lru: std::collections::BTreeMap<u64, ColumnSet>,
+        capacity: usize,
+        byte_budget: Option<usize>,
+        lru_bytes: usize,
+        tick: u64,
+        /// requests, hits, misses, intersects, evictions
+        counts: [u64; 5],
+    }
+
+    impl<'a> StampOrdered<'a> {
+        fn new(table: &'a Table, capacity: usize) -> Self {
+            StampOrdered {
+                table,
+                entries: HashMap::new(),
+                lru: Default::default(),
+                capacity,
+                byte_budget: None,
+                lru_bytes: 0,
+                tick: 0,
+                counts: [0; 5],
+            }
+        }
+
+        fn single(&self, col: usize) -> Pli {
+            Pli::from_column(self.table.column(col))
+        }
+
+        fn evict_lru_one(&mut self) -> bool {
+            let Some((&oldest, &victim)) = self.lru.iter().next() else { return false };
+            self.lru.remove(&oldest);
+            if let Some((pli, _)) = self.entries.remove(&victim) {
+                self.lru_bytes -= pli.estimated_bytes();
+            }
+            self.counts[4] += 1;
+            true
+        }
+
+        fn evict_over_budget(&mut self) {
+            if let Some(budget) = self.byte_budget {
+                while self.lru_bytes > budget && self.evict_lru_one() {}
+            }
+        }
+
+        fn set_byte_budget(&mut self, budget: Option<usize>) {
+            self.byte_budget = budget;
+            self.evict_over_budget();
+        }
+
+        fn get(&mut self, set: &ColumnSet) -> Arc<Pli> {
+            self.counts[0] += 1;
+            match set.cardinality() {
+                0 => {
+                    self.counts[1] += 1;
+                    Arc::new(Pli::empty_set(self.table.num_rows()))
+                }
+                1 => {
+                    self.counts[1] += 1;
+                    Arc::new(self.single(set.min_col().unwrap()))
+                }
+                _ => {
+                    self.tick += 1;
+                    let tick = self.tick;
+                    if let Some((pli, stamp)) = self.entries.get_mut(set) {
+                        self.lru.remove(stamp);
+                        self.lru.insert(tick, *set);
+                        *stamp = tick;
+                        self.counts[1] += 1;
+                        return Arc::clone(pli);
+                    }
+                    self.counts[2] += 1;
+                    let last = set.max_col().unwrap();
+                    let left = self.get(&set.without(last));
+                    self.counts[3] += 1;
+                    let pli = Arc::new(left.intersect(&self.single(last)));
+                    self.insert_at(*set, Arc::clone(&pli), tick);
+                    pli
+                }
+            }
+        }
+
+        fn get_many(&mut self, sets: &[ColumnSet]) -> Vec<Arc<Pli>> {
+            // Ok: resolved at once; Err: the index of a pending job.
+            let mut out: Vec<Result<Arc<Pli>, usize>> = Vec::new();
+            let mut jobs: Vec<(ColumnSet, Arc<Pli>, usize, u64)> = Vec::new();
+            let mut job_of: HashMap<ColumnSet, usize> = HashMap::new();
+            for set in sets {
+                if set.cardinality() < 2 || self.entries.contains_key(set) {
+                    out.push(Ok(self.get(set)));
+                    continue;
+                }
+                self.counts[0] += 1;
+                self.tick += 1;
+                let tick = self.tick;
+                if let Some(&job) = job_of.get(set) {
+                    self.counts[1] += 1;
+                    jobs[job].3 = tick;
+                    out.push(Err(job));
+                    continue;
+                }
+                self.counts[2] += 1;
+                let last = set.max_col().unwrap();
+                let left = self.get(&set.without(last));
+                self.counts[3] += 1;
+                job_of.insert(*set, jobs.len());
+                out.push(Err(jobs.len()));
+                jobs.push((*set, left, last, tick));
+            }
+            let computed: Vec<Arc<Pli>> = jobs
+                .iter()
+                .map(|(_, left, last, _)| Arc::new(left.intersect(&self.single(*last))))
+                .collect();
+            for ((set, _, _, stamp), pli) in jobs.into_iter().zip(&computed) {
+                self.insert_at(set, Arc::clone(pli), stamp);
+            }
+            out.into_iter()
+                .map(|slot| slot.unwrap_or_else(|job| Arc::clone(&computed[job])))
+                .collect()
+        }
+
+        fn insert_at(&mut self, set: ColumnSet, pli: Arc<Pli>, stamp: u64) {
+            if self.entries.len() >= self.capacity {
+                self.evict_lru_one();
+            }
+            self.lru_bytes += pli.estimated_bytes();
+            if let Some((old_pli, old_stamp)) = self.entries.insert(set, (pli, stamp)) {
+                self.lru.remove(&old_stamp);
+                self.lru_bytes -= old_pli.estimated_bytes();
+            }
+            self.lru.insert(stamp, set);
+            self.evict_over_budget();
+        }
+    }
+
+    /// Every entry with its stamp, in set order.
+    fn stamps<'a>(
+        entries: impl Iterator<Item = (&'a ColumnSet, &'a (Arc<Pli>, u64))>,
+    ) -> Vec<(ColumnSet, u64)> {
+        let mut stamps: Vec<(ColumnSet, u64)> = entries.map(|(s, (_, t))| (*s, *t)).collect();
+        stamps.sort_unstable();
+        stamps
+    }
+
+    #[test]
+    fn heap_lru_evicts_exactly_like_the_stamp_ordered_map() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(31);
+        let rows: Vec<Vec<String>> = (0..14)
+            .map(|_| (0..6).map(|c| rng.gen_range(0..2 + c).to_string()).collect())
+            .collect();
+        let rows: Vec<Vec<&str>> =
+            rows.iter().map(|r| r.iter().map(String::as_str).collect()).collect();
+        let t = Table::from_rows("t", &["a", "b", "c", "d", "e", "f"], &rows).unwrap();
+        for round in 0..64 {
+            let capacity = round % 8 + 1;
+            // A small pool of sets makes most requests hits, which leave
+            // stale pairs behind until the heap is compacted; a large one
+            // makes most of them misses and evictions.
+            let pool: Vec<ColumnSet> = (0..[3, 8, 40][round % 3])
+                .map(|_| {
+                    let k = rng.gen_range(0..=4);
+                    ColumnSet::from_indices((0..k).map(|_| rng.gen_range(0..6)))
+                })
+                .collect();
+            let random_set = |rng: &mut StdRng| pool[rng.gen_range(0..pool.len())];
+            let (mut cache, m) = metered(&t, capacity);
+            let mut reference = StampOrdered::new(&t, capacity);
+            for step in 0..200 {
+                match rng.gen_range(0..10) {
+                    0..=5 => {
+                        let set = random_set(&mut rng);
+                        assert_eq!(*cache.get(&set), *reference.get(&set), "{round}/{step}");
+                    }
+                    6..=8 => {
+                        let sets: Vec<ColumnSet> =
+                            (0..rng.gen_range(1..6)).map(|_| random_set(&mut rng)).collect();
+                        let got = cache.get_many(&sets);
+                        let want = reference.get_many(&sets);
+                        assert!(got.iter().zip(&want).all(|(g, w)| **g == **w), "{round}/{step}");
+                    }
+                    _ => {
+                        let budget = match rng.gen_range(0..3) {
+                            0 => None,
+                            _ => Some(rng.gen_range(0..600)),
+                        };
+                        cache.set_byte_budget(budget);
+                        reference.set_byte_budget(budget);
+                    }
+                }
+                assert_eq!(
+                    stamps(cache.entries.iter()),
+                    stamps(reference.entries.iter()),
+                    "round {round} step {step}: cached sets and stamps (so victims)"
+                );
+                let counts = ["requests", "hits", "misses", "intersects", "evictions"]
+                    .map(|name| pli(&m, name));
+                assert_eq!(counts, reference.counts, "round {round} step {step}: counters");
+                assert_eq!(cache.cached_entries(), reference.entries.len());
+                let pinned = cache.estimated_bytes() - cache.lru_bytes;
+                assert_eq!(cache.estimated_bytes(), pinned + reference.lru_bytes);
+                assert!(
+                    cache.lru.len() <= 2 * cache.entries.len() + PliCache::LRU_SLACK,
+                    "round {round} step {step}: {} pairs for {} entries",
+                    cache.lru.len(),
+                    cache.entries.len()
+                );
+            }
+        }
     }
 
     #[test]

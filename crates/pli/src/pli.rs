@@ -12,7 +12,9 @@
 //! PLIs of larger combinations are built by pairwise intersection
 //! (`π_{XY} = π_X ∩ π_Y`), the dominant runtime cost of all partition-based
 //! profiling algorithms — which is why the holistic algorithms of the paper
-//! share them across tasks via `PliCache`.
+//! share them across tasks via `PliCache`. When one operand is a single
+//! column, [`Pli::refine_by`] splits the other's clusters by that column's
+//! codes directly, which is how the cache builds every PLI it misses.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -174,6 +176,19 @@ impl Pli {
         SCRATCH.with(|scratch| scratch.borrow_mut().intersect(small, large))
     }
 
+    /// Refines this partition by one column: splits every cluster by the
+    /// column's per-row `codes` (all `< code_domain`). The result equals
+    /// `self.intersect(&Pli::from_codes(codes, code_domain))`, but the
+    /// codes already say which rows agree, so no probe is stamped: the
+    /// cost is linear in `self.size()` alone. Shares
+    /// [`Pli::intersect`]'s per-thread scratch.
+    pub fn refine_by(&self, codes: &[u32], code_domain: usize) -> Pli {
+        assert_eq!(self.num_rows, codes.len(), "codes of a different table");
+        SCRATCH.with(|scratch| {
+            scratch.borrow_mut().split.run(self, code_domain + 1, |row| codes[row] as usize + 1)
+        })
+    }
+
     /// Incrementally extends this PLI across an append: `self` is the PLI
     /// of the first `num_rows` entries of `codes`, the result is the PLI of
     /// all of `codes`. Code *labels* may have been remapped by a dictionary
@@ -276,48 +291,31 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
-/// Working memory of [`Pli::intersect`]. It grows to the largest table and
-/// cluster count its thread has intersected and is never shrunk. `count`
-/// is all-zero between calls, so no call clears more than the entries it
-/// set, and `probe` is never cleared row by row (see `base`).
+/// Working memory of [`Pli::intersect`] and [`Pli::refine_by`]. It grows
+/// to the largest table, cluster count and code domain its thread has met
+/// and is never shrunk. `probe` is never cleared row by row (see `base`).
 #[derive(Default)]
 struct Scratch {
-    /// During a call, `probe[row]` minus the call's stamp (`base` as the
-    /// call began) is 1 + the row's cluster index in the larger operand;
-    /// an entry at or below the stamp means the row is in none of its
-    /// clusters.
+    /// During an intersect, `probe[row]` minus the call's stamp (`base` as
+    /// the call began) is 1 + the row's cluster index in the larger
+    /// operand; an entry at or below the stamp means the row is in none of
+    /// its clusters.
     probe: Vec<u32>,
     /// The largest value any earlier call wrote into `probe`. Each call
     /// stamps its clusters above it and then raises it past them, which
     /// retires the whole probe without touching it; only on `u32`
     /// wrap-around is the probe zeroed.
     base: u32,
-    /// Per probe value: rows of the current small cluster that carry it.
-    count: Vec<u32>,
-    /// Per probe value: next write position in `rows` for the current
-    /// small cluster.
-    cursor: Vec<u32>,
-    /// Probe values met in the current small cluster, in first-row order.
-    touched: Vec<u32>,
-    /// The result as it is emitted, before it is copied out at exact size.
-    offsets: Vec<u32>,
-    rows: Vec<RowId>,
-    /// `(first row, start, end)` per emitted cluster, for the gather into
-    /// canonical order when the emitted order is not already canonical.
-    order: Vec<(RowId, u32, u32)>,
+    split: Splitter,
 }
 
 impl Scratch {
     fn intersect(&mut self, small: &Pli, large: &Pli) -> Pli {
-        let Scratch { probe, base, count, cursor, touched, offsets, rows, order } = self;
+        let Scratch { probe, base, split } = self;
         if probe.len() < large.num_rows {
             probe.resize(large.num_rows, 0);
         }
         let slots = large.cluster_count() + 1;
-        if count.len() < slots {
-            count.resize(slots, 0);
-            cursor.resize(slots, 0);
-        }
         let stamp = match base.checked_add(slots as u32) {
             Some(_) => *base,
             None => {
@@ -331,14 +329,47 @@ impl Scratch {
                 probe[row as usize] = stamp + i as u32 + 1;
             }
         }
+        split.run(small, slots, |row| probe[row].saturating_sub(stamp) as usize)
+    }
+}
+
+/// The grouping and emit core both kernels share: splits every cluster of
+/// a PLI by a per-row key. `count` is all-zero between calls, so no call
+/// clears more than the entries it set.
+#[derive(Default)]
+struct Splitter {
+    /// Per key: rows of the current cluster that carry it.
+    count: Vec<u32>,
+    /// Per key: next write position in `rows` for the current cluster.
+    cursor: Vec<u32>,
+    /// Keys met in the current cluster, in first-row order.
+    touched: Vec<u32>,
+    /// The result as it is emitted, before it is copied out at exact size.
+    offsets: Vec<u32>,
+    rows: Vec<RowId>,
+    /// `(first row, start, end)` per emitted cluster, for the gather into
+    /// canonical order when the emitted order is not already canonical.
+    order: Vec<(RowId, u32, u32)>,
+}
+
+impl Splitter {
+    /// Splits each cluster of `pli` into groups of rows with equal
+    /// `key(row)`, keeping groups of ≥ 2 rows, in canonical order. Keys are
+    /// `< slots`; key 0 puts a row in no group.
+    fn run(&mut self, pli: &Pli, slots: usize, key: impl Fn(usize) -> usize) -> Pli {
+        let Splitter { count, cursor, touched, offsets, rows, order } = self;
+        if count.len() < slots {
+            count.resize(slots, 0);
+            cursor.resize(slots, 0);
+        }
         offsets.clear();
         offsets.push(0);
         rows.clear();
-        for cluster in small.clusters() {
-            // Pass 1: count the cluster's rows per large cluster. Rows not
-            // in one (p = 0) are never counted, so `count[0]` stays 0.
+        for cluster in pli.clusters() {
+            // Pass 1: count the cluster's rows per key. Rows keyed 0 are
+            // never counted, so `count[0]` stays 0.
             for &row in cluster {
-                let p = probe[row as usize].saturating_sub(stamp) as usize;
+                let p = key(row as usize);
                 if p != 0 {
                     if count[p] == 0 {
                         touched.push(p as u32);
@@ -360,7 +391,7 @@ impl Scratch {
             if end as usize > rows.len() {
                 rows.resize(end as usize, 0);
                 for &row in cluster {
-                    let p = probe[row as usize].saturating_sub(stamp) as usize;
+                    let p = key(row as usize);
                     if count[p] >= 2 {
                         rows[cursor[p] as usize] = row;
                         cursor[p] += 1;
@@ -372,13 +403,13 @@ impl Scratch {
             }
             touched.clear();
         }
-        // Groups of one small cluster come out in first-row order, but a
-        // later small cluster can hold a group starting below an earlier
-        // one's; only then is a reorder needed.
+        // Groups of one cluster come out in first-row order, but a later
+        // cluster can hold a group starting below an earlier one's; only
+        // then is a reorder needed.
         let firsts = offsets.iter().take(offsets.len() - 1).map(|&s| rows[s as usize]);
         let ordered = firsts.clone().zip(firsts.skip(1)).all(|(a, b)| a < b);
         if ordered {
-            return Pli { offsets: offsets.clone(), rows: rows.clone(), num_rows: large.num_rows };
+            return Pli { offsets: offsets.clone(), rows: rows.clone(), num_rows: pli.num_rows };
         }
         order.clear();
         order.extend(
@@ -392,7 +423,7 @@ impl Scratch {
             out_rows.extend_from_slice(&rows[s as usize..e as usize]);
             out_offsets.push(out_rows.len() as u32);
         }
-        Pli { offsets: out_offsets, rows: out_rows, num_rows: large.num_rows }
+        Pli { offsets: out_offsets, rows: out_rows, num_rows: pli.num_rows }
     }
 }
 
@@ -700,20 +731,83 @@ mod tests {
         // X's cluster {0,1,2,3} splits by Y into {0,1} and {2,3}, which
         // are emitted in canonical order as they are: no reorder.
         let x = Pli::from_column(&col(&["a", "a", "a", "a", "u"]));
-        let y = Pli::from_column(&col(&["p", "p", "q", "q", "q"]));
-        let xy = x.intersect(&y);
+        let ycol = col(&["p", "p", "q", "q", "q"]);
+        let xy = x.intersect(&Pli::from_column(&ycol));
         assert_canonical(&xy);
         assert_eq!(clusters(&xy), [vec![0, 1], vec![2, 3]]);
+        assert_eq!(x.refine_by(ycol.codes(), ycol.code_domain()), xy);
         // X (the smaller operand, 6 rows in clusters) has clusters
         // {0,2,4,6} and {1,3}. The first emits {0,2} and {4,6}, the second
         // {1,3}: first rows 0, 4, 1 must be gathered into canonical order.
+        // Refining X by Y's codes splits the same clusters the same way.
         let x = Pli::from_column(&col(&["a", "b", "a", "b", "a", "c", "a", "d", "e"]));
-        let y = Pli::from_column(&col(&["p", "r", "p", "r", "q", "t", "q", "s", "s"]));
+        let ycol = col(&["p", "r", "p", "r", "q", "t", "q", "s", "s"]);
+        let y = Pli::from_column(&ycol);
         assert!(x.size() < y.size());
         let xy = x.intersect(&y);
         assert_canonical(&xy);
         assert_eq!(clusters(&xy), [vec![0, 2], vec![1, 3], vec![4, 6]]);
         assert_eq!(xy, y.intersect(&x));
+        assert_eq!(x.refine_by(ycol.codes(), ycol.code_domain()), xy);
+    }
+
+    /// Values for a column of `rows` rows in one of five shapes:
+    /// NULL-heavy, all-distinct, constant, a small and a large domain.
+    fn shaped_values(rng: &mut rand::rngs::StdRng, shape: usize, rows: usize) -> Vec<String> {
+        use rand::Rng;
+        (0..rows)
+            .map(|row| match shape {
+                0 if rng.gen_range(0..4) != 0 => String::new(),
+                0 => rng.gen_range(0..3).to_string(),
+                1 => row.to_string(),
+                2 => "k".to_string(),
+                3 => rng.gen_range(0..3).to_string(),
+                _ => rng.gen_range(0..rows as u32 * 2 + 5).to_string(),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Refining by a column's codes is intersecting with its PLI. Each
+        /// case refines one prefix by two columns of contrasting domains,
+        /// so this thread's scratch alternates between large and small
+        /// domains, and row counts jump between 0–1 rows and hundreds.
+        #[test]
+        fn refine_by_equals_intersect_with_the_column(
+            (shapes, size, seed) in ((0usize..5, 0usize..5), 0usize..4, 0u64..u64::MAX)
+        ) {
+            use rand::prelude::*;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rows = match size {
+                0 => rng.gen_range(0..=1),
+                1 => rng.gen_range(2..12),
+                2 => rng.gen_range(12..60),
+                _ => rng.gen_range(200..500),
+            };
+            // The prefix: the empty set's PLI, or a column of 1–4 values.
+            let prefix = if rng.gen_range(0..4) == 0 {
+                Pli::empty_set(rows)
+            } else {
+                let domain = rng.gen_range(1..=4);
+                Pli::from_codes(&random_codes(&mut rng, rows, domain), domain as usize)
+            };
+            for shape in [shapes.0, shapes.1, 4, 3] {
+                let values = shaped_values(&mut rng, shape, rows);
+                let c = Column::from_values(
+                    "c",
+                    &values.iter().map(String::as_str).collect::<Vec<_>>(),
+                );
+                let refined = prefix.refine_by(c.codes(), c.code_domain());
+                assert_canonical(&refined);
+                proptest::prop_assert_eq!(
+                    &refined,
+                    &prefix.intersect(&Pli::from_column(&c)),
+                    "shape {} over {} rows",
+                    shape,
+                    rows
+                );
+            }
+        }
     }
 
     #[test]
